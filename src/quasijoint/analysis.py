@@ -67,16 +67,16 @@ def verify_support(
         raise DimensionMismatchError(
             f"distribution has {dist.n_vars} variables but {len(observables)} observables given"
         )
-    spectra = [o.eigenvalues for o in observables]
-    offending = []
-    for p, w in zip(dist.points, dist.weights):
-        if abs(w) <= tol:
-            continue
-        for v in range(dist.n_vars):
-            if np.abs(spectra[v] - p[v]).min() > coord_tol:
-                offending.append((tuple(float(x) for x in p), complex(w)))
-                break
-    return SupportReport(not offending, tuple(offending))
+    off = np.zeros(len(dist), dtype=bool)
+    for v, o in enumerate(observables):
+        gap = np.abs(o.eigenvalues[None, :] - dist.points[:, v, None]).min(axis=1)
+        off |= gap > coord_tol
+    off &= ~(np.abs(dist.weights) <= tol)
+    offending = tuple(
+        (tuple(float(x) for x in p), complex(w))
+        for p, w in zip(dist.points[off], dist.weights[off])
+    )
+    return SupportReport(not offending, offending)
 
 
 def is_real(dist: QuasiDistribution, tol: float = 1e-10) -> bool:

@@ -21,9 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, distributions, quantum
+from . import analysis, distributions, linalg, quantum
 from .errors import (
     DomainError,
+    NotHermitianError,
     ParseError,
     QuasiJointError,
     ValidationError,
@@ -144,13 +145,11 @@ def parse_observable(doc, where: str) -> quantum.HermitianObservable:
             f"declared dim {dim} does not match matrix size {m.shape[0]}",
             field=f"{where}:dim",
         )
-    defect = np.abs(m - m.conj().T)
-    if defect.max() > 1e-10:
-        i, j = np.unravel_index(int(defect.argmax()), defect.shape)
-        raise ValidationError(
-            f"matrix is not Hermitian (entry [{i}][{j}] vs [{j}][{i}])",
-            field=f"{where}:matrix[{i}][{j}]",
-        )
+    try:
+        linalg.require_hermitian(m, name="matrix")
+    except NotHermitianError as exc:
+        i, j = exc.index
+        raise ValidationError(str(exc), field=f"{where}:matrix[{i}][{j}]") from exc
     return quantum.HermitianObservable(m, label=doc.get("label", where))
 
 

@@ -9,6 +9,13 @@ exp(-i s c A) expands over the eigenprojectors of A, so a word contributes
 one ordered projector product per choice of eigenvalues, located at the
 coordinate vector of coefficient-weighted eigenvalue sums.
 
+Those products are fixed by the overlaps U_k^dagger U_{k+1} between the
+eigenbases of consecutive factors, so all products of a word come from
+one array contraction of the overlaps (summed within degenerate
+eigenspaces), and all coordinates from one broadcast sum. Coordinates
+within ``merge_tol`` merge into one atom and atoms below ``prune_tol``
+are dropped; these rules are the same as for the scalar definition.
+
 Pairing atoms with a state by the trace gives the (generally complex)
 joint weights; integrating a classical function against the atoms gives
 the matching operator quantization. Both sides of that duality live here.
@@ -20,7 +27,6 @@ the identity at s = 0.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -337,23 +343,83 @@ def _batch_phase_exponential(eig: linalg.EigenSystem, scales) -> np.ndarray:
     return np.einsum("mk,kij->mij", phases, projs)
 
 
-def _cluster_values(values, tol):
-    """Map each float to a cluster representative (values within tol merge).
+def _cluster_values(values, tol) -> np.ndarray:
+    """Cluster representative of each value (sorted values within tol merge).
 
     Representatives are cluster means rounded to a 1e-12 grid so that
     coordinates arising from different rounding paths key identically.
+    Means and rounding go through numpy's slice ``mean`` and Python's
+    correctly rounded ``round``, one call per cluster, so representatives
+    do not depend on how the clusters were found.
     """
-    uniq = np.unique(values)
-    rep = {}
-    start = 0
-    n = uniq.size
-    for i in range(1, n + 1):
-        if i == n or uniq[i] - uniq[i - 1] > tol:
-            r = round(float(uniq[start:i].mean()), 12) + 0.0  # no negative zero keys
-            for u in uniq[start:i]:
-                rep[float(u)] = r
-            start = i
-    return rep
+    uniq, inverse = np.unique(values, return_inverse=True)
+    opens = np.concatenate(([True], np.diff(uniq) > tol))
+    cluster = np.cumsum(opens) - 1
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(starts, append=uniq.size)
+    means = uniq[starts]  # exact for singleton clusters
+    for c in np.flatnonzero(sizes > 1):
+        means[c] = uniq[starts[c] : starts[c] + sizes[c]].mean()
+    reps = np.array([round(m, 12) for m in means.tolist()]) + 0.0  # no negative zero
+    return reps[cluster[inverse.reshape(-1)]]
+
+
+def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
+    """Sum ``x`` along ``axis`` (indexed by eigenvector columns) within eigenvalue groups."""
+    if not eig.degenerate:
+        return x
+    return np.add.reduceat(x, eig.group_starts, axis=axis)
+
+
+def _word_atoms(eigs) -> np.ndarray:
+    """Ordered projector products for every choice of one group per factor.
+
+    Returns shape (G_1, ..., G_L, N, N) with entry [g_1, ..., g_L] equal to
+    P_1[g_1] P_2[g_2] ... P_L[g_L]. The product is never formed directly:
+    with eigenvector matrices U_k, columns u_i of U_1 and v_j of U_L, it
+    equals the sum over i in g_1, j in g_L of
+    u_i c[i, g_2, ..., g_{L-1}, j] v_j^dagger, where the coefficient c
+    chains the overlaps U_k^dagger U_{k+1} and sums each middle factor over
+    the columns of its chosen group.
+    """
+    first, last = eigs[0], eigs[-1]
+    if len(eigs) == 1:
+        return np.stack(first.projectors)
+    chain = first.vectors.conj().T @ eigs[1].vectors
+    for k in range(1, len(eigs) - 1):
+        overlap = eigs[k].vectors.conj().T @ eigs[k + 1].vectors
+        chain = _group_sum(chain[..., :, None] * overlap, eigs[k], axis=-2)
+    # right[i, ..., g_L, q] = sum over j in g_L of c[i, ..., j] conj(v_j[q])
+    right = _group_sum(chain[..., :, None] * last.vectors.conj().T, last, axis=-2)
+    left = first.vectors.T.reshape((first.dim,) + (1,) * (right.ndim - 2) + (first.dim, 1))
+    return _group_sum(np.multiply(left, right[..., None, :], order="C"), first, axis=0)
+
+
+def _word_coordinates(word, eigs, n_vars) -> np.ndarray:
+    """Coordinate vector of every group choice, shape (G_1 * ... * G_L, n_vars).
+
+    Coefficient-weighted eigenvalues are added in word order, starting from
+    zero, so each coordinate is rounded exactly as a scalar running sum.
+    """
+    grid = tuple(e.eigenvalues.size for e in eigs)
+    coords = np.zeros((n_vars,) + grid)
+    for k, (f, eig) in enumerate(zip(word, eigs)):
+        shape = [1] * len(grid)
+        shape[k] = grid[k]
+        coords[f.var] += f.coeff * eig.eigenvalues.reshape(shape)
+    return coords.reshape(n_vars, -1).T
+
+
+def _scatter_add(out, targets, vals, fresh):
+    """out[targets] += vals; plain assignment where ``fresh`` marks a target's first write."""
+    if fresh.all():
+        out[targets] = vals
+        return
+    out[targets[fresh]] = vals[fresh]
+    # ufunc.at is only fast on scalar elements, so scatter flat entry indices
+    size = out[0].size
+    flat = (targets[~fresh, None] * size + np.arange(size)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, vals[~fresh].reshape(-1))
 
 
 def build_atoms(
@@ -369,9 +435,18 @@ def build_atoms(
     choice of one eigenvalue per factor contributes the ordered projector
     product, scaled by the term weight, at the coordinate vector whose
     v-th entry is the coefficient-weighted sum of chosen eigenvalues over
-    the factors of variable v. Atoms at coinciding coordinates (within
-    ``merge_tol``) are merged; atoms below ``prune_tol`` in max-norm are
-    dropped.
+    the factors of variable v.
+
+    All products of one word come from a single contraction of the
+    eigenvector overlaps U_k^dagger U_{k+1} (see :func:`_word_atoms`), so
+    no projector is multiplied per choice. Terms whose words visit the same
+    observables in the same order, or in reverse order (the products are
+    then adjoints), share that contraction and differ only in coordinates
+    and weight. The merge and prune rules are those of the scalar
+    definition: coordinates within ``merge_tol`` of each other (per
+    variable, chained over sorted values) merge into one atom at the
+    rounded cluster mean, and merged atoms below ``prune_tol`` in max-norm
+    are dropped.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -381,37 +456,45 @@ def build_atoms(
     _check_observables(spec.n_vars, observables)
     dim = observables[0].dim
 
-    candidates = []  # (coords ndarray, matrix)
-    for weight, word in spec.terms:
+    coords = []
+    for _, word in spec.terms:
         eigs = [observables[f.obs].eig for f in word]
-        index_ranges = [range(e.eigenvalues.size) for e in eigs]
-        for choice in itertools.product(*index_ranges):
-            coords = np.zeros(spec.n_vars)
-            mat = None
-            for f, eig, k in zip(word, eigs, choice):
-                coords[f.var] += f.coeff * eig.eigenvalues[k]
-                proj = eig.projectors[k]
-                mat = proj if mat is None else mat @ proj
-            if mat is None:
-                mat = np.eye(dim, dtype=complex)
-            candidates.append((coords, weight * mat))
-
-    all_coords = np.array([c for c, _ in candidates])
-    reps = [_cluster_values(all_coords[:, v], merge_tol) for v in range(spec.n_vars)]
-
-    merged = {}
-    for coords, mat in candidates:
-        key = tuple(reps[v][float(coords[v])] for v in range(spec.n_vars))
-        if key in merged:
-            merged[key] = merged[key] + mat
-        else:
-            merged[key] = mat.astype(complex)
-
-    keys = sorted(k for k, m in merged.items() if np.abs(m).max() >= prune_tol)
-    points = np.array(keys, dtype=float).reshape(len(keys), spec.n_vars)
-    matrices = np.array([merged[k] for k in keys], dtype=complex).reshape(
-        len(keys), dim, dim
+        coords.append(_word_coordinates(word, eigs, spec.n_vars))
+    sizes = [c.shape[0] for c in coords]
+    all_coords = np.concatenate(coords)
+    keys = np.column_stack(
+        [_cluster_values(all_coords[:, v], merge_tol) for v in range(spec.n_vars)]
     )
+    points, targets = np.unique(keys, axis=0, return_inverse=True)
+    targets = targets.reshape(-1)
+    fresh = np.zeros(targets.size, dtype=bool)
+    fresh[np.unique(targets, return_index=True)[1]] = True
+
+    matrices = np.zeros((points.shape[0], dim, dim), dtype=complex)
+    shared = {}  # observable sequence -> products of every group choice
+    offset = 0
+    for (weight, word), size in zip(spec.terms, sizes):
+        seq = tuple(f.obs for f in word)
+        if seq in shared:
+            vals = shared[seq]
+        elif seq[::-1] in shared:
+            # reversed word: P_L ... P_1 = (P_1 ... P_L)^dagger
+            n = len(seq)
+            flipped = shared[seq[::-1]].transpose(tuple(range(n))[::-1] + (n + 1, n))
+            vals = np.conjugate(flipped, out=np.empty(flipped.shape, dtype=complex))
+        else:
+            vals = shared[seq] = _word_atoms([observables[o].eig for o in seq])
+        vals = vals.reshape(size, dim, dim)
+        if weight != 1:
+            vals = weight * vals
+        part = slice(offset, offset + size)
+        _scatter_add(matrices, targets[part], vals, fresh[part])
+        offset += size
+    del shared, vals  # release the products before the prune pass
+
+    keep = np.abs(matrices).max(axis=(1, 2)) >= prune_tol
+    if not keep.all():
+        points, matrices = points[keep], matrices[keep]
     meta = {
         "scheme": spec.label,
         "observables": tuple(o.label for o in observables),
@@ -419,7 +502,7 @@ def build_atoms(
     }
     atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
     defect = atoms.identity_defect()
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise QuasiJointError(
             f"atom normalization failed: identity defect {defect:.3e}"
         )

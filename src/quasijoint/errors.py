@@ -6,7 +6,14 @@ class QuasiJointError(Exception):
 
 
 class NotHermitianError(QuasiJointError, ValueError):
-    """Matrix is not Hermitian within the requested tolerance."""
+    """Matrix is not Hermitian within the requested tolerance, or not finite.
+
+    ``index`` is the (row, column) of the offending entry when there is one.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConvergenceError(QuasiJointError, RuntimeError):

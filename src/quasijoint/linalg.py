@@ -23,21 +23,28 @@ DEFAULT_DEGENERACY_TOL = 1e-9
 DEFAULT_RANK_RATIO = 1e-8
 
 
-def hermiticity_defect(matrix) -> float:
-    """Max-norm of M - M^dagger."""
-    m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
-    """Return the matrix as a complex array, or raise NotHermitianError."""
+    """Return the matrix as a complex array, or raise NotHermitianError.
+
+    Non-finite entries (NaN, Inf) are rejected too. The error's ``index``
+    names the first offending entry: the non-finite one, or the one with
+    the largest asymmetry.
+    """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {m.shape}")
-    defect = hermiticity_defect(m)
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:
+        i, j = (int(k) for k in bad[0])
+        raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
+    asym = np.abs(m - m.conj().T)
+    defect = float(asym.max())
     if defect > tol:
+        i, j = (int(k) for k in np.unravel_index(int(asym.argmax()), asym.shape))
         raise NotHermitianError(
-            f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds {tol:.3e}"
+            f"{name} is not Hermitian: entry [{i}][{j}] vs [{j}][{i}] differs by "
+            f"{defect:.3e}, exceeding {tol:.3e}",
+            index=(i, j),
         )
     return m
 
@@ -60,15 +67,29 @@ class EigenSystem:
     ``eigenvalues`` is sorted descending and holds one entry per distinct
     eigenvalue after grouping; ``projectors[k]`` is the orthogonal projector
     onto the corresponding eigenspace and ``multiplicities[k]`` its dimension.
+    ``vectors`` holds orthonormal eigenvectors as columns in the same
+    descending order, so group ``k`` occupies ``multiplicities[k]``
+    contiguous columns starting at ``group_starts[k]``.
     """
 
     eigenvalues: np.ndarray
     projectors: tuple
     multiplicities: tuple
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.projectors[0].shape[0]
+
+    @property
+    def group_starts(self) -> np.ndarray:
+        """First column of each eigenvalue group in ``vectors``."""
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    @property
+    def degenerate(self) -> bool:
+        """True when some eigenvalue group spans more than one column."""
+        return len(self.multiplicities) < self.dim
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue times projector (the decomposed matrix)."""
@@ -125,7 +146,9 @@ def eigensystem(
             start = i
     evals = np.array(eigenvalues)
     evals.setflags(write=False)
-    return EigenSystem(evals, tuple(projectors), tuple(multiplicities))
+    vecs = np.ascontiguousarray(vecs)
+    vecs.setflags(write=False)
+    return EigenSystem(evals, tuple(projectors), tuple(multiplicities), vecs)
 
 
 def phase_exponential(eig: EigenSystem, scale: float) -> np.ndarray:

@@ -1,0 +1,114 @@
+"""Brute-force operator-atom builder, kept as a test oracle.
+
+This is the original scalar definition of ``build_atoms``: it loops over
+every choice of one eigenvalue per factor, multiplies the dense
+projectors, and merges atoms through a dict keyed on clustered
+coordinates. The library's vectorized builder must reproduce its atom
+count and points exactly and its matrices to rounding.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from quasijoint.distributions import (
+    DEFAULT_MERGE_TOL,
+    DEFAULT_PRUNE_TOL,
+    OperatorAtomSet,
+    SchemeSpec,
+    WignerScheme,
+    _check_observables,
+)
+from quasijoint.errors import QuasiJointError, UnsupportedSchemeError
+
+
+def _cluster_values(values, tol):
+    """Map each float to a cluster representative (values within tol merge).
+
+    Representatives are cluster means rounded to a 1e-12 grid so that
+    coordinates arising from different rounding paths key identically.
+    """
+    uniq = np.unique(values)
+    rep = {}
+    start = 0
+    n = uniq.size
+    for i in range(1, n + 1):
+        if i == n or uniq[i] - uniq[i - 1] > tol:
+            r = round(float(uniq[start:i].mean()), 12) + 0.0  # no negative zero keys
+            for u in uniq[start:i]:
+                rep[float(u)] = r
+            start = i
+    return rep
+
+
+def build_atoms(
+    spec: SchemeSpec,
+    observables,
+    *,
+    merge_tol: float = DEFAULT_MERGE_TOL,
+    prune_tol: float = DEFAULT_PRUNE_TOL,
+) -> OperatorAtomSet:
+    """Exact operator atoms of a product-form scheme.
+
+    Every factor exp(-i s c A) expands over the eigenprojectors of A; each
+    choice of one eigenvalue per factor contributes the ordered projector
+    product, scaled by the term weight, at the coordinate vector whose
+    v-th entry is the coefficient-weighted sum of chosen eigenvalues over
+    the factors of variable v. Atoms at coinciding coordinates (within
+    ``merge_tol``) are merged; atoms below ``prune_tol`` in max-norm are
+    dropped.
+    """
+    if isinstance(spec, WignerScheme):
+        raise UnsupportedSchemeError(
+            "the symmetric scheme has no finite atom decomposition; "
+            "use its characteristic function instead"
+        )
+    _check_observables(spec.n_vars, observables)
+    dim = observables[0].dim
+
+    candidates = []  # (coords ndarray, matrix)
+    for weight, word in spec.terms:
+        eigs = [observables[f.obs].eig for f in word]
+        index_ranges = [range(e.eigenvalues.size) for e in eigs]
+        for choice in itertools.product(*index_ranges):
+            coords = np.zeros(spec.n_vars)
+            mat = None
+            for f, eig, k in zip(word, eigs, choice):
+                coords[f.var] += f.coeff * eig.eigenvalues[k]
+                proj = eig.projectors[k]
+                mat = proj if mat is None else mat @ proj
+            if mat is None:
+                mat = np.eye(dim, dtype=complex)
+            candidates.append((coords, weight * mat))
+
+    all_coords = np.array([c for c, _ in candidates])
+    reps = [_cluster_values(all_coords[:, v], merge_tol) for v in range(spec.n_vars)]
+
+    merged = {}
+    for coords, mat in candidates:
+        key = tuple(reps[v][float(coords[v])] for v in range(spec.n_vars))
+        if key in merged:
+            merged[key] = merged[key] + mat
+        else:
+            merged[key] = mat.astype(complex)
+
+    keys = sorted(k for k, m in merged.items() if np.abs(m).max() >= prune_tol)
+    points = np.array(keys, dtype=float).reshape(len(keys), spec.n_vars)
+    matrices = np.array([merged[k] for k in keys], dtype=complex).reshape(
+        len(keys), dim, dim
+    )
+    meta = {
+        "scheme": spec.label,
+        "observables": tuple(o.label for o in observables),
+        "approximate": spec.approximate,
+    }
+    atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
+    defect = atoms.identity_defect()
+    if defect > 1e-10:
+        raise QuasiJointError(
+            f"atom normalization failed: identity defect {defect:.3e}"
+        )
+    return atoms
+

@@ -279,3 +279,29 @@ def test_realness_report_three_level(spin_one):
 def test_realness_report_rejects_other_dims():
     with pytest.raises(DomainError):
         qj.realness_z_report(qj.spin_operators(3))
+
+
+def test_support_report_matches_pointwise_scan():
+    # reference: the per-point scan, offending points in support order
+    def scan(dist, observables, tol=1e-10, coord_tol=1e-9):
+        offending = []
+        for p, w in zip(dist.points, dist.weights):
+            if abs(w) <= tol:
+                continue
+            for v, o in enumerate(observables):
+                if np.abs(o.eigenvalues - p[v]).min() > coord_tol:
+                    offending.append((tuple(float(x) for x in p), complex(w)))
+                    break
+        return tuple(offending)
+
+    rng = np.random.default_rng(41)
+    spin = qj.spin_operators(2)
+    cases = [((spin.j1, spin.j2), qj.scheme_s_alpha(0.5))]
+    cases += [(random_pair(rng, 3), qj.scheme_born_jordan(3)) for _ in range(3)]
+    for pair, spec in cases:
+        atoms = qj.build_atoms(spec, pair)
+        for _ in range(5):
+            dist = qj.evaluate_distribution(atoms, qj.random_density(pair[0].dim, rng))
+            report = qj.verify_support(dist, pair)
+            want = scan(dist, pair)
+            assert want and report.offending == want and not report.ok

@@ -359,3 +359,40 @@ def test_console_entry_point_runs(fixtures):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x1,x2,weight_re,weight_im")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_exits_validation(fixtures, tmp_path, bad):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"matrix": [[[0, 0], [0, 0]], [[0, 0], [bad, 0]]]}))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "quasijoint",
+            "compute",
+            "--scheme",
+            "kirkwood",
+            "--obs",
+            str(path),
+            "--obs",
+            fixtures["j2"],
+            "--state",
+            fixtures["z_plus"],
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == cli.EXIT_VALIDATION
+    assert proc.stdout == ""
+    assert "matrix[1][1]" in proc.stderr and "not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_non_finite_state_exits_validation(fixtures, tmp_path, capsys):
+    path = tmp_path / "nanstate.json"
+    path.write_text(json.dumps({"density": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]}))
+    argv = ["compute", "--scheme", "kirkwood", "--obs", fixtures["j1"], "--obs", fixtures["j2"],
+            "--state", str(path)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert "not finite" in capsys.readouterr().err

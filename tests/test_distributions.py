@@ -6,6 +6,7 @@ import quasijoint as qj
 from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
+    QuasiJointError,
     UnsupportedSchemeError,
 )
 
@@ -439,3 +440,9 @@ def test_wigner_density_estimate_smoke(spin_half, z_plus):
     assert density.shape == (5, 5)
     assert np.isfinite(density).all()
     assert meta["approximate"] and meta["possibly_divergent"]
+
+
+def test_identity_gate_rejects_nan_defect(spin_half, monkeypatch):
+    monkeypatch.setattr(qj.OperatorAtomSet, "identity_defect", lambda self: float("nan"))
+    with pytest.raises(QuasiJointError, match="identity defect"):
+        qj.build_atoms(qj.scheme_kirkwood(2), (spin_half.j1, spin_half.j2))

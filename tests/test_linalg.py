@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import quasijoint as qj
 from quasijoint.errors import DomainError, EmptyMatrixError, NotHermitianError
+from quasijoint.linalg import require_hermitian
 
 from analytic_reference import KD_ONE_MAP
 
@@ -160,3 +161,35 @@ def test_matrices_close():
     assert qj.matrices_close(np.eye(2), np.eye(2) + 1e-12, tol=1e-10)
     assert not qj.matrices_close(np.eye(2), np.eye(2) + 1e-8, tol=1e-10)
     assert not qj.matrices_close(np.eye(2), np.eye(3), tol=1.0)
+
+
+def test_vectors_match_grouped_projectors():
+    rng = np.random.default_rng(99)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    degenerate = (q * np.array([2.0, -1.0, 2.0, 0.0, -1.0])) @ q.conj().T
+    for h in (qj.random_hermitian(5, rng), degenerate):
+        eig = qj.eigensystem(h)
+        u = eig.vectors
+        assert np.abs(u.conj().T @ u - np.eye(5)).max() <= 1e-12
+        assert eig.degenerate == (h is degenerate)
+        assert list(eig.group_starts) == list(np.cumsum((0,) + eig.multiplicities[:-1]))
+        for start, mult, proj in zip(eig.group_starts, eig.multiplicities, eig.projectors):
+            block = u[:, start : start + mult]
+            assert np.abs(block @ block.conj().T - proj).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_rejected(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(NotHermitianError, match="not finite") as info:
+        require_hermitian(m)
+    assert info.value.index == (1, 2)
+    with pytest.raises(NotHermitianError):
+        qj.eigensystem(m)
+
+
+def test_asymmetry_names_entry():
+    with pytest.raises(NotHermitianError) as info:
+        require_hermitian(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert info.value.index == (0, 1)

@@ -7,6 +7,7 @@ from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
     LengthMismatchError,
+    NotHermitianError,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -177,3 +178,12 @@ def test_expectation_dimension_mismatch(spin_one):
 
 def test_observable_caches_eigensystem(spin_half):
     assert spin_half.j3.eig is spin_half.j3.eig
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_rejected(bad):
+    m = np.diag([bad, 0.0])
+    with pytest.raises(NotHermitianError):
+        qj.HermitianObservable(m)
+    with pytest.raises(NotHermitianError):
+        qj.DensityState(np.diag([1.0, 0.0]) + np.diag([0.0, bad]))
