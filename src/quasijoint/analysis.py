@@ -34,8 +34,8 @@ from .quantum import (
     SpinTriple,
     embed,
     expectation,
-    parametrize,
     random_density,
+    trace_affine_form,
 )
 
 
@@ -143,10 +143,12 @@ def diag_equality_check(
     return bool(np.abs(h[:, 0, 0] - h[:, 1, 1]).max() <= tol)
 
 
-def _stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
-    """Interleaved (Re, Im) weight vector on the atom support, length 2P."""
-    w = atoms.weights_for(matrix)
-    return np.column_stack([w.real, w.imag]).ravel()
+def _re_im_rows(z) -> np.ndarray:
+    """Real array with rows 2p and 2p + 1 holding Re and Im of row p of ``z``."""
+    out = np.empty((2 * z.shape[0],) + z.shape[1:])
+    out[0::2] = z.real
+    out[1::2] = z.imag
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,10 @@ class ReconstructionMap:
     """Affine map from state coordinates to stacked distribution coefficients.
 
     For any state, the interleaved (Re, Im) weight vector over ``support``
-    equals ``map_matrix @ parametrize(state) + offset``. Full rank
-    (N^2 - 1) means the distribution determines the state; ``pinv`` then
-    inverts the map in the least-squares sense.
+    equals ``map_matrix @ parametrize(state) + offset``; both are read off
+    the atom matrices in closed form. Full rank (N^2 - 1) means the
+    distribution determines the state; ``pinv`` then inverts the map in
+    the least-squares sense.
     """
 
     observables: tuple
@@ -178,7 +181,7 @@ class ReconstructionMap:
 
     def coefficients(self, rho: DensityState) -> np.ndarray:
         """Stacked coefficient vector of a state on this support."""
-        return _stacked_coefficients(self.atoms, rho.matrix)
+        return _re_im_rows(self.atoms.weights_for(rho.matrix))
 
 
 def reconstruction_map(
@@ -190,31 +193,27 @@ def reconstruction_map(
 ) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
-    Columns are finite differences of the coefficient vector along the
-    state coordinate basis (embedded around the zero coordinate vector, so
-    non-positive basis elements are fine); the offset is the coefficient
-    vector at the zero coordinates. Rank and pseudo-inverse come from the
+    The weight of atom A_p is Tr(A_p rho(x)), affine in the state
+    coordinates x, so the map is read off the atom entries in closed form
+    (:func:`~quasijoint.quantum.trace_affine_form`): columns are the coordinate
+    derivatives and the offset is the weight vector at x = 0, each with
+    Re and Im rows interleaved. Rank and pseudo-inverse come from the real
     SVD with relative threshold ``rank_ratio``.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
-    n = a.dim
     atoms = build_atoms(spec, (a, b))
-    n_params = n * n - 1
-    base = _stacked_coefficients(atoms, embed(np.zeros(n_params), n).matrix)
-    cols = np.empty((base.size, n_params))
-    for k in range(n_params):
-        unit = np.zeros(n_params)
-        unit[k] = 1.0
-        cols[:, k] = _stacked_coefficients(atoms, embed(unit, n).matrix) - base
-    rank, pinv = linalg.real_rank_and_pinv(cols, rank_ratio)
+    offset, slope = trace_affine_form(atoms.matrices)
+    offset, map_matrix = _re_im_rows(offset), _re_im_rows(slope)
+    del slope  # keep complex temporaries out of the SVD's peak memory
+    rank, pinv = linalg.real_rank_and_pinv(map_matrix, rank_ratio)
     return ReconstructionMap(
         observables=(a, b),
         scheme=spec,
         atoms=atoms,
         support=atoms.points,
-        map_matrix=cols,
-        offset=base,
+        map_matrix=map_matrix,
+        offset=offset,
         rank=rank,
         pinv=pinv,
     )
@@ -249,8 +248,7 @@ def reconstruct_state(
             raise SupportMismatchError(
                 f"distribution atom at {tuple(p)} (weight {w:.3e}) is off the map support"
             )
-    coeffs = np.column_stack([aligned.real, aligned.imag]).ravel()
-    coords = rmap.pinv @ (coeffs - rmap.offset)
+    coords = rmap.pinv @ (_re_im_rows(aligned) - rmap.offset)
     return embed(coords, n, require_positive=require_positive)
 
 

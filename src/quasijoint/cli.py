@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,30 +50,6 @@ COMMANDS = (
 def fmt_g(x) -> str:
     """Fixed 17-significant-digit decimal formatting."""
     return format(float(x), ".17g")
-
-
-@dataclass(frozen=True)
-class JobConfig:
-    """Canonical description of one CLI invocation."""
-
-    command: str
-    observables: tuple = ()
-    state: str = None
-    scheme: str = None
-    out: str = None
-    fmt: str = "csv"
-    tolerances: dict = field(default_factory=dict)
-    grid: str = None
-    params: dict = field(default_factory=dict)
-
-    def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobConfig":
-        doc = json.loads(text)
-        doc["observables"] = tuple(doc.get("observables", ()))
-        return cls(**doc)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +261,12 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# command runners: each returns (header, rows, footers, json_payload)
+# command runners: each reads the parsed arguments and returns
+# (header, rows, footers, json_payload)
 
 
-def _load_problem(cfg: JobConfig, *, need_state=True, n_obs=None):
-    observables = tuple(
-        parse_observable(_load_json(p), p) for p in cfg.observables
-    )
+def _load_problem(args, *, need_state=True, n_obs=None):
+    observables = tuple(parse_observable(_load_json(p), p) for p in args.obs)
     if not observables:
         raise ValidationError("at least one --obs is required", field="--obs")
     if n_obs is not None and len(observables) != n_obs:
@@ -300,16 +274,16 @@ def _load_problem(cfg: JobConfig, *, need_state=True, n_obs=None):
     dims = {o.dim for o in observables}
     if len(dims) > 1:
         raise ValidationError(f"observables have mixed dimensions {sorted(dims)}", field="--obs")
-    scheme = resolve_scheme(cfg.scheme, len(observables))
+    scheme = resolve_scheme(args.scheme, len(observables))
     state = None
     if need_state:
-        if cfg.state is None:
+        if args.state is None:
             raise ValidationError("this command needs --state", field="--state")
-        state = parse_state(_load_json(cfg.state), cfg.state)
+        state = parse_state(_load_json(args.state), args.state)
         if state.dim != observables[0].dim:
             raise ValidationError(
                 f"state dim {state.dim} does not match observable dim {observables[0].dim}",
-                field=cfg.state,
+                field=args.state,
             )
     return observables, scheme, state
 
@@ -335,15 +309,15 @@ def _weight_table(dist):
     return header, rows, footers, payload
 
 
-def run_compute(cfg: JobConfig):
-    observables, scheme, state = _load_problem(cfg)
+def run_compute(args):
+    observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
     return _weight_table(dist)
 
 
-def run_marginals(cfg: JobConfig):
-    observables, scheme, state = _load_problem(cfg)
+def run_marginals(args):
+    observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
     header = ["var", "value", "marginal_re", "marginal_im", "born_weight", "abs_dev"]
@@ -384,8 +358,8 @@ def _matrix_payload(m: np.ndarray):
     return [[[float(e.real), float(e.imag)] for e in row] for row in m]
 
 
-def run_tomography(cfg: JobConfig):
-    observables, scheme, state = _load_problem(cfg, n_obs=2)
+def run_tomography(args):
+    observables, scheme, state = _load_problem(args, n_obs=2)
     rmap = analysis.reconstruction_map(observables[0], observables[1], scheme)
     dist = distributions.evaluate_distribution(rmap.atoms, state)
     rec = analysis.reconstruct_state(rmap, dist)
@@ -405,8 +379,8 @@ def run_tomography(cfg: JobConfig):
     return header, rows, footers, payload
 
 
-def run_rank(cfg: JobConfig):
-    observables, scheme, _ = _load_problem(cfg, need_state=False, n_obs=2)
+def run_rank(args):
+    observables, scheme, _ = _load_problem(args, need_state=False, n_obs=2)
     rmap = analysis.reconstruction_map(observables[0], observables[1], scheme)
     full = rmap.dim**2 - 1
     header = ["dim", "rank", "full_rank_needed", "support_size", "distinguishes_states"]
@@ -421,14 +395,12 @@ def run_rank(cfg: JobConfig):
     return header, rows, [], payload
 
 
-def run_verify(cfg: JobConfig):
-    observables, scheme, state = _load_problem(cfg)
-    tol_support = float(cfg.tolerances.get("support", 1e-10))
-    tol_real = float(cfg.tolerances.get("real", 1e-10))
+def run_verify(args):
+    observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
-    support = analysis.verify_support(dist, observables, tol_support)
-    real = analysis.is_real(dist, tol_real)
+    support = analysis.verify_support(dist, observables, args.tol_support)
+    real = analysis.is_real(dist, args.tol_real)
     scheme_real = analysis.scheme_is_real(scheme, observables)
     header = ["check", "result", "detail"]
     offending = ";".join(
@@ -449,9 +421,9 @@ def run_verify(cfg: JobConfig):
     return header, rows, [], payload
 
 
-def run_charfunc(cfg: JobConfig):
-    observables, scheme, state = _load_problem(cfg)
-    pts = parse_grid(cfg.grid, len(observables))
+def run_charfunc(args):
+    observables, scheme, state = _load_problem(args)
+    pts = parse_grid(args.grid, len(observables))
     values = distributions.characteristic_function(scheme, observables, state, pts)
     header = [f"s{v + 1}" for v in range(len(observables))] + ["re", "im"]
     rows = [
@@ -465,13 +437,10 @@ def run_charfunc(cfg: JobConfig):
     return header, rows, [], payload
 
 
-def run_degeneracy(cfg: JobConfig):
-    try:
-        n = int(cfg.params["n"])
-        n_a = int(cfg.params["na"])
-        n_b = int(cfg.params["nb"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("degeneracy needs integer --n, --na, --nb", field="--n") from exc
+def run_degeneracy(args):
+    n, n_a, n_b = args.n, args.na, args.nb
+    if None in (n, n_a, n_b):
+        raise ValidationError("degeneracy needs integer --n, --na, --nb", field="--n")
     try:
         report = analysis.degeneracy_feasible(n, n_a, n_b)
     except DomainError as exc:
@@ -502,28 +471,24 @@ def run_degeneracy(cfg: JobConfig):
     return header, rows, [], payload
 
 
-def run_scan_realness(cfg: JobConfig):
-    if cfg.observables:
-        observables = tuple(parse_observable(_load_json(p), p) for p in cfg.observables)
+def run_scan_realness(args):
+    triple = quantum.spin_operators(1)
+    if args.obs:
+        observables = tuple(parse_observable(_load_json(p), p) for p in args.obs)
         if len(observables) != 2 or observables[0].dim != 2 or observables[1].dim != 2:
             raise ValidationError(
                 "scan-realness needs two two-level observables", field="--obs"
             )
     else:
-        triple = quantum.spin_operators(1)
         observables = (triple.j1, triple.j2)
-    scheme = resolve_scheme(cfg.scheme or "kirkwood", 2)
+    scheme = resolve_scheme(args.scheme or "kirkwood", 2)
     atoms = distributions.build_atoms(scheme, observables)
-    triple = quantum.spin_operators(1)
-    theta_steps = int(cfg.params.get("theta_steps", 9))
-    phi_steps = int(cfg.params.get("phi_steps", 8))
-    m_steps = int(cfg.params.get("m_steps", 5))
     header = ["theta", "phi", "m", "max_abs_imag", "z_expectation"]
     rows = []
     payload_rows = []
-    for theta in np.linspace(0.0, np.pi, theta_steps):
-        for phi in np.linspace(0.0, 2 * np.pi, phi_steps, endpoint=False):
-            for m in np.linspace(0.0, 1.0, m_steps):
+    for theta in np.linspace(0.0, np.pi, args.theta_steps):
+        for phi in np.linspace(0.0, 2 * np.pi, args.phi_steps, endpoint=False):
+            for m in np.linspace(0.0, 1.0, args.m_steps):
                 state = quantum.bloch_state(theta, phi, m)
                 dist = distributions.evaluate_distribution(atoms, state, prune_tol=0.0)
                 top_imag = dist.max_imag()
@@ -557,27 +522,25 @@ RUNNERS = {
 # output and entry point
 
 
-def _write_output(cfg: JobConfig, header, rows, footers, payload):
-    if cfg.fmt == "json":
+def _write_output(args, header, rows, footers, payload):
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         lines = [",".join(header)]
         lines.extend(",".join(row) for row in rows)
         lines.extend("# " + foot for foot in footers)
         text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", newline="\n") as handle:
+    if args.out:
+        with open(args.out, "w", newline="\n") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
 
 
-def run(cfg: JobConfig) -> int:
-    """Execute one job; raises package errors for the caller to map."""
-    if cfg.command not in RUNNERS:
-        raise ValidationError(f"unknown command {cfg.command!r}", field="command")
-    header, rows, footers, payload = RUNNERS[cfg.command](cfg)
-    _write_output(cfg, header, rows, footers, payload)
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; raises package errors for the caller to map."""
+    header, rows, footers, payload = RUNNERS[args.command](args)
+    _write_output(args, header, rows, footers, payload)
     return EXIT_OK
 
 
@@ -594,8 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--state", help="state JSON file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol-support", type=float, default=1e-10)
-        p.add_argument("--tol-real", type=float, default=1e-10)
+        if name == "verify":
+            p.add_argument("--tol-support", type=float, default=1e-10)
+            p.add_argument("--tol-real", type=float, default=1e-10)
         if name == "charfunc":
             p.add_argument("--grid", help="per-variable ranges 'min:max:steps,min:max:steps'")
         if name == "degeneracy":
@@ -609,34 +573,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> JobConfig:
-    params = {}
-    if args.command == "degeneracy":
-        params = {"n": args.n, "na": args.na, "nb": args.nb}
-    elif args.command == "scan-realness":
-        params = {
-            "theta_steps": args.theta_steps,
-            "phi_steps": args.phi_steps,
-            "m_steps": args.m_steps,
-        }
-    return JobConfig(
-        command=args.command,
-        observables=tuple(args.obs),
-        state=args.state,
-        scheme=args.scheme,
-        out=args.out,
-        fmt=args.format,
-        tolerances={"support": args.tol_support, "real": args.tol_real},
-        grid=getattr(args, "grid", None),
-        params=params,
-    )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return run(cfg)
+        return run(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -120,10 +120,6 @@ class SchemeSpec:
             out += weight * acc
         return out
 
-    def hashed_operator(self, observables, s) -> np.ndarray:
-        """Single-point version of :meth:`hashed_operator_batch`."""
-        return self.hashed_operator_batch(observables, np.atleast_2d(s))[0]
-
 
 @dataclass(frozen=True)
 class WignerScheme:
@@ -147,9 +143,6 @@ class WignerScheme:
         vals, vecs = np.linalg.eigh(h)
         phases = np.exp(-1j * vals)
         return np.einsum("mik,mk,mjk->mij", vecs, phases, vecs.conj())
-
-    def hashed_operator(self, observables, s) -> np.ndarray:
-        return self.hashed_operator_batch(observables, np.atleast_2d(s))[0]
 
 
 def scheme_kirkwood(n_vars: int = 2) -> SchemeSpec:
@@ -268,12 +261,6 @@ class OperatorAtomSet:
     def weights_for(self, matrix) -> np.ndarray:
         """Trace of each atom against a matrix (the raw joint weights)."""
         return np.einsum("pij,ji->p", self.matrices, np.asarray(matrix, dtype=complex))
-
-    def hashed_operator(self, s_points) -> np.ndarray:
-        """Fourier sum of the atoms: sum over x of exp(-i s.x) atom(x)."""
-        pts = _check_points(self.n_vars, s_points)
-        phases = np.exp(-1j * pts @ self.points.T)
-        return np.einsum("mp,pij->mij", phases, self.matrices)
 
 
 @dataclass(frozen=True)
@@ -552,7 +539,9 @@ def born_distribution(observable: HermitianObservable, rho: DensityState) -> Qua
     if np.abs(raw.imag).max() > 1e-12:
         raise QuasiJointError("Born weights came out non-real; inputs are inconsistent")
     w = raw.real
-    if w.min() < -1e-10 or abs(w.sum() - 1.0) > 1e-12:
+    # the projectors are complete, so the weights must sum to Tr rho, which
+    # DensityState only holds to 1 within its own trace tolerance
+    if w.min() < -1e-10 or abs(w.sum() - rho.matrix.trace().real) > 1e-12:
         raise QuasiJointError("Born weights are not a probability distribution")
     order = np.argsort(eig.eigenvalues)  # ascending, matching the sorted convention
     points = eig.eigenvalues[order].reshape(-1, 1)

@@ -91,13 +91,6 @@ class EigenSystem:
         """True when some eigenvalue group spans more than one column."""
         return len(self.multiplicities) < self.dim
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue times projector (the decomposed matrix)."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for val, proj in zip(self.eigenvalues, self.projectors):
-            out += val * proj
-        return out
-
     def apply(self, fn) -> np.ndarray:
         """Matrix function through the spectral decomposition: sum fn(a) P_a."""
         out = np.zeros((self.dim, self.dim), dtype=complex)

@@ -2,7 +2,10 @@
 
 States carry a canonical real coordinate vector of length N^2 - 1 (leading
 diagonal entries first, then Re/Im pairs of the lower-triangle entries in
-row-major order of the pairs), used by the tomography code.
+row-major order of the pairs), used by the tomography code. Only this
+module knows that layout: ``parametrize`` and ``embed`` convert between
+states and coordinates, and ``trace_affine_form`` gives Tr(M rho(x)) as an
+affine function of the coordinates.
 """
 
 from __future__ import annotations
@@ -49,10 +52,6 @@ class HermitianObservable:
     def eigenvalues(self) -> np.ndarray:
         """Distinct eigenvalues, descending."""
         return self.eig.eigenvalues
-
-    def exp_factor(self, scale: float) -> np.ndarray:
-        """exp(-1j * scale * A) through the cached eigensystem."""
-        return linalg.phase_exponential(self.eig, scale)
 
     def __repr__(self):
         return f"HermitianObservable({self.label!r}, dim={self.dim})"
@@ -185,6 +184,15 @@ def bloch_state(theta: float, phi: float, m: float = 1.0) -> DensityState:
     return DensityState(rho)
 
 
+def _pairs(dim: int):
+    """Index pairs i < j of the off-diagonal coordinates, in coordinate order.
+
+    Pair k owns coordinates N - 1 + 2k (real part) and N + 2k (imaginary
+    part) of the lower-triangle entry rho[j, i].
+    """
+    return np.triu_indices(dim, 1)
+
+
 def parametrize(rho: DensityState) -> np.ndarray:
     """Canonical real coordinates of a density matrix, length N^2 - 1.
 
@@ -194,14 +202,12 @@ def parametrize(rho: DensityState) -> np.ndarray:
     """
     m = rho.matrix
     n = rho.dim
+    i, j = _pairs(n)
     out = np.empty(n * n - 1)
     out[: n - 1] = np.diag(m).real[: n - 1]
-    k = n - 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[k] = m[j, i].real
-            out[k + 1] = m[j, i].imag
-            k += 2
+    lower = m[j, i]
+    out[n - 1 :: 2] = lower.real
+    out[n::2] = lower.imag
     return out
 
 
@@ -217,16 +223,36 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
             f"expected {dim * dim - 1} coordinates for dim {dim}, got shape {v.shape}"
         )
     m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        m[i, i] = v[i]
+    m[np.diag_indices(dim - 1)] = v[: dim - 1]
     m[dim - 1, dim - 1] = 1.0 - v[: dim - 1].sum()
-    k = dim - 1
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m[j, i] = v[k] + 1j * v[k + 1]
-            m[i, j] = v[k] - 1j * v[k + 1]
-            k += 2
+    i, j = _pairs(dim)
+    m[j, i] = v[dim - 1 :: 2] + 1j * v[dim::2]
+    m[i, j] = v[dim - 1 :: 2] - 1j * v[dim::2]
     return DensityState(m, require_positive=require_positive)
+
+
+def trace_affine_form(matrices):
+    """Tr(M rho(x)) as an affine function of the coordinates x of ``embed``.
+
+    For a stack of matrices of shape (P, N, N), returns ``(offset, slope)``
+    with shapes (P,) and (P, N^2 - 1) such that Tr(M_p rho(x)) equals
+    ``offset[p] + slope[p] @ x``: the value at x = 0 is M[N-1, N-1],
+    a diagonal coordinate k contributes M[k, k] - M[N-1, N-1], and pair
+    (i, j) contributes M[i, j] + M[j, i] through its real part and
+    i (M[i, j] - M[j, i]) through its imaginary part.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    n = m.shape[-1]
+    offset = m[:, n - 1, n - 1].copy()
+    i, j = _pairs(n)
+    # written in place: larger temporaries raised the tomography peak RSS
+    slope = np.empty((m.shape[0], n * n - 1), dtype=complex)
+    diagonal = m.diagonal(axis1=1, axis2=2)[:, : n - 1]
+    np.subtract(diagonal, offset[:, None], out=slope[:, : n - 1])
+    np.add(m[:, i, j], m[:, j, i], out=slope[:, n - 1 :: 2])
+    np.subtract(m[:, i, j], m[:, j, i], out=slope[:, n::2])
+    slope[:, n::2] *= 1j
+    return offset, slope
 
 
 def expectation(observable: HermitianObservable, rho: DensityState) -> float:

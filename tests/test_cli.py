@@ -320,22 +320,40 @@ def test_rank_csv(command_lines, tmp_path):
     assert lines[1] == "2,3,3,4,true"
 
 
-def test_job_config_round_trip():
-    cfg = cli.JobConfig(
-        command="compute",
-        observables=("a.json", "b.json"),
-        state="s.json",
-        scheme="kirkwood",
-        out="out.csv",
-        fmt="csv",
-        tolerances={"support": 1e-10, "real": 1e-10},
-        grid=None,
-        params={},
-    )
-    text = cfg.canonical_json()
-    back = cli.JobConfig.from_json(text)
-    assert back == cfg
-    assert back.canonical_json() == text
+def test_verify_honours_tol_real(fixtures, tmp_path):
+    # Kirkwood weights of |z+> for spin-1/2 x and y are (1 +- i)/4: max |Im| = 0.25
+    argv = ["verify", "--scheme", "kirkwood", "--obs", fixtures["j1"], "--obs", fixtures["j2"],
+            "--state", fixtures["z_plus"], "--format", "json"]
+    verdicts = []
+    for extra in ([], ["--tol-real", "0.3"]):
+        out = tmp_path / "verify.json"
+        assert run_cli(argv + extra, out) == 0
+        doc = json.loads(out.read_text())
+        assert abs(doc["max_abs_imag"] - 0.25) <= 1e-12
+        verdicts.append(doc["distribution_real"])
+    assert verdicts == [False, True]
+
+
+def test_tolerance_flags_only_on_verify(command_lines, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command_lines["compute"] + ["--tol-real", "1"])
+    assert exc.value.code == 2
+    assert "--tol-real" in capsys.readouterr().err
+
+
+def test_marginals_accept_state_trace_within_tolerance(fixtures, tmp_path):
+    # trace 1 + 5e-11 passes DensityState; Born weights sum to that trace
+    state = tmp_path / "trace_off.json"
+    state.write_text(json.dumps({"density": [[[0.5 + 5e-11, 0], [0, 0]], [[0, 0], [0.5, 0]]]}))
+    out = tmp_path / "marg.json"
+    argv = ["marginals", "--scheme", "kirkwood", "--obs", fixtures["j1"], "--obs", fixtures["j2"],
+            "--state", str(state), "--format", "json"]
+    assert run_cli(argv, out) == 0
+    doc = json.loads(out.read_text())
+    assert doc["max_deviation"] <= 1e-12
+    for var in doc["variables"]:
+        for entry in var["entries"]:
+            assert abs(complex(*entry["marginal"]) - entry["born"]) <= 1e-12
 
 
 def test_console_entry_point_runs(fixtures):

@@ -212,6 +212,15 @@ def test_marginal_identity_on_one_variable(spin_one):
     assert qj.max_weight_deviation(born, again) <= 1e-15
 
 
+def test_born_accepts_trace_within_state_tolerance(spin_half):
+    rho = qj.DensityState(np.diag([0.5 + 5e-11, 0.5]))
+    born_z = qj.born_distribution(spin_half.j3, rho)
+    assert np.array_equal(born_z.weights, [0.5, 0.5 + 5e-11])
+    born_x = qj.born_distribution(spin_half.j1, rho)
+    assert abs(born_x.total() - (1.0 + 5e-11)) <= 1e-15
+    assert np.abs(born_x.weights - (1.0 + 5e-11) / 2).max() <= 1e-15
+
+
 def test_marginals_match_born_random():
     rng = np.random.default_rng(404)
     schemes = [
@@ -328,15 +337,12 @@ def test_kirkwood_hashed_matches_closed_form(spin_half):
     rng = np.random.default_rng(6)
     pair = (spin_half.j1, spin_half.j2)
     spec = qj.scheme_kirkwood(2)
-    for _ in range(10):
-        s, t = rng.uniform(-7, 7, size=2)
-        assert np.abs(
-            spec.hashed_operator(pair, [s, t]) - kirkwood_hashed_half(s, t)
-        ).max() <= 1e-12
-        assert np.abs(
-            qj.scheme_s_alpha(0.5).hashed_operator(pair, [s, t])
-            - split_half_hashed(s, t)
-        ).max() <= 1e-12
+    pts = rng.uniform(-7, 7, size=(10, 2))
+    kd = spec.hashed_operator_batch(pair, pts)
+    split = qj.scheme_s_alpha(0.5).hashed_operator_batch(pair, pts)
+    for (s, t), h_kd, h_split in zip(pts, kd, split):
+        assert np.abs(h_kd - kirkwood_hashed_half(s, t)).max() <= 1e-12
+        assert np.abs(h_split - split_half_hashed(s, t)).max() <= 1e-12
 
 
 def test_wigner_characteristic_z_states(spin_half, z_plus, z_minus):

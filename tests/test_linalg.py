@@ -42,7 +42,7 @@ def test_projector_invariants_random():
         dim = int(rng.integers(2, 9))
         h = qj.random_hermitian(dim, rng)
         eig = qj.eigensystem(h)
-        assert np.abs(eig.reconstruct() - h).max() <= 1e-10
+        assert np.abs(eig.apply(lambda a: a) - h).max() <= 1e-10
         total = np.zeros((dim, dim), dtype=complex)
         for i, p in enumerate(eig.projectors):
             assert np.abs(p @ p - p).max() <= 1e-10
