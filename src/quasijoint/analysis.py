@@ -198,7 +198,9 @@ def reconstruction_map(
     (:func:`~quasijoint.quantum.trace_affine_form`): columns are the coordinate
     derivatives and the offset is the weight vector at x = 0, each with
     Re and Im rows interleaved. Rank and pseudo-inverse come from the real
-    SVD with relative threshold ``rank_ratio``.
+    SVD with threshold ``rank_ratio`` times max(s_0, 1)
+    (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
+    but for rounding, as for two multiples of the identity, has rank 0.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")

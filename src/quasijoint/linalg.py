@@ -160,7 +160,12 @@ def real_rank_and_pinv(matrix, threshold_ratio: float = DEFAULT_RANK_RATIO):
     """Singular-value rank and Moore-Penrose pseudo-inverse of a real matrix.
 
     The rank counts singular values above ``threshold_ratio`` times the
-    largest one; the pseudo-inverse keeps only those singular triplets.
+    larger of the largest singular value and 1; the pseudo-inverse keeps
+    only those singular triplets. The floor of 1 is the natural scale of
+    the coefficient maps ranked here, whose entries are entries of atoms
+    that sum to the identity: a map whose singular values all lie below
+    ``threshold_ratio`` is zero but for rounding and has rank 0, rather
+    than a rank set by that rounding.
 
     Returns:
         (rank, pinv) with ``pinv`` of shape (cols, rows).
@@ -174,8 +179,6 @@ def real_rank_and_pinv(matrix, threshold_ratio: float = DEFAULT_RANK_RATIO):
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"SVD failed: {exc}") from exc
-    if s[0] == 0.0:
-        return 0, np.zeros((m.shape[1], m.shape[0]))
-    rank = int(np.count_nonzero(s > threshold_ratio * s[0]))
+    rank = int(np.count_nonzero(s > threshold_ratio * max(s[0], 1.0)))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     return rank, pinv

@@ -1,0 +1,94 @@
+"""Characteristic functions from weight tables against the operator mixture.
+
+For a product scheme, ``characteristic_function`` contracts one weight
+table per observable sequence with the factor phases; it must agree with
+the trace of the state against ``hashed_operator_batch`` within 1e-12, and
+each weight table with the trace of the state against the word's atoms.
+Random Hermitian observables of dimension 2-6, half with degenerate
+spectra, random states, and random frequencies that sometimes repeat a
+coordinate value, as on a grid.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quasijoint as qj
+from quasijoint import distributions
+from quasijoint.distributions import _word_atoms, _word_weights
+
+from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
+
+
+@st.composite
+def shared_sequence_mixture(draw):
+    """Three terms on the observable sequence (0, 1, 0) with different vars and coefficients."""
+    a, b = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3)))
+    w = (w / w.sum()).tolist()
+    words = (
+        [(0, a, 0), (1, 1.0, 1), (0, 1.0 - a, 0)],
+        [(1, b, 0), (0, 1.0, 1), (1, 1.0 - b, 0)],
+        [(0, 1.0 - a, 0), (1, 1.0, 1), (0, a, 0)],
+    )
+    return qj.SchemeSpec(2, tuple(zip(w, words)))
+
+
+def _state_and_points(seed, dim, n_vars):
+    rng = np.random.default_rng(seed)
+    rho = qj.random_density(dim, rng)
+    m = int(rng.integers(1, 30))
+    if rng.random() < 0.5:
+        pts = rng.uniform(-8.0, 8.0, size=(m, n_vars))
+    else:
+        pts = rng.choice(rng.uniform(-8.0, 8.0, size=4), size=(m, n_vars))
+    return rho, pts
+
+
+def assert_matches_mixture(spec, obs, seed):
+    rho, pts = _state_and_points(seed, obs[0].dim, spec.n_vars)
+    got = qj.characteristic_function(spec, obs, rho, pts)
+    want = np.einsum("mij,ji->m", spec.hashed_operator_batch(obs, pts), rho.matrix)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    for _, word in spec.terms:
+        eigs = [obs[f.obs].eig for f in word]
+        table = _word_weights(eigs, rho.matrix)
+        traced = np.einsum("...ij,ji->...", _word_atoms(eigs), rho.matrix)
+        assert table.shape == traced.shape
+        assert np.abs(table - traced).max() <= 1e-12
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(spec=TWO_VAR_SCHEMES, obs=observables(2, max_dim=6), seed=SEEDS)
+def test_two_variable_schemes_match_mixture(spec, obs, seed):
+    assert_matches_mixture(spec, obs, seed)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(n_vars=st.sampled_from([1, 3]), seed=SEEDS, data=st.data())
+def test_kirkwood_one_and_three_variables_match_mixture(n_vars, seed, data):
+    assert_matches_mixture(qj.scheme_kirkwood(n_vars), data.draw(observables(n_vars)), seed)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(spec=shared_sequence_mixture(), obs=observables(2, max_dim=6), seed=SEEDS)
+def test_terms_sharing_a_sequence_match_mixture(spec, obs, seed):
+    assert_matches_mixture(spec, obs, seed)
+
+
+def test_product_schemes_form_no_mixture_and_no_atoms(spin_one, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operators formed")
+
+    pair = (spin_one.j1, spin_one.j2)
+    rho = qj.random_density(3, np.random.default_rng(6))
+    pts = np.array([[0.0, 0.0], [1.5, -2.0]])
+    want = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
+    monkeypatch.setattr(qj.SchemeSpec, "hashed_operator_batch", forbidden)
+    monkeypatch.setattr(distributions, "_word_atoms", forbidden)
+    got = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
+    assert np.array_equal(got, want)

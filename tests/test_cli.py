@@ -320,6 +320,22 @@ def test_rank_csv(command_lines, tmp_path):
     assert lines[1] == "2,3,3,4,true"
 
 
+@pytest.mark.parametrize("scheme", ["kirkwood", "s_alpha:0.25", "margenau_hill:0.3", "born_jordan:5"])
+def test_rank_of_scalar_pair_is_zero(tmp_path, scheme):
+    # V (c I) V^dagger: multiples of the identity whose entries carry rounding
+    rng = np.random.default_rng(9)
+    argv = ["rank", "--scheme", scheme]
+    for k, c in enumerate((1.5, -0.7)):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        m = (q * c) @ q.conj().T
+        path = tmp_path / f"scalar{k}.json"
+        path.write_text(json.dumps({"matrix": [[[z.real, z.imag] for z in row] for row in m]}))
+        argv += ["--obs", str(path)]
+    out = tmp_path / "rank.csv"
+    assert run_cli(argv, out) == 0
+    assert out.read_text().splitlines()[1] == "3,0,8,1,false"
+
+
 def test_verify_honours_tol_real(fixtures, tmp_path):
     # Kirkwood weights of |z+> for spin-1/2 x and y are (1 +- i)/4: max |Im| = 0.25
     argv = ["verify", "--scheme", "kirkwood", "--obs", fixtures["j1"], "--obs", fixtures["j2"],

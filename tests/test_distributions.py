@@ -356,7 +356,11 @@ def test_wigner_characteristic_z_states(spin_half, z_plus, z_minus):
 
 def test_characteristic_matches_atom_fourier_sum():
     rng = np.random.default_rng(909)
-    for dim, spec in ((2, qj.scheme_kirkwood(2)), (3, qj.scheme_margenau_hill(0.4))):
+    for dim, spec in (
+        (2, qj.scheme_kirkwood(2)),
+        (3, qj.scheme_margenau_hill(0.4)),
+        (3, qj.scheme_born_jordan(201)),
+    ):
         pair = random_pair(rng, dim)
         atoms = qj.build_atoms(spec, pair)
         rho = qj.random_density(dim, rng)

@@ -150,6 +150,17 @@ def test_pinv_consistency():
         assert np.abs(m @ pinv @ m - m).max() <= 1e-8 * np.abs(m).max()
 
 
+def test_rank_threshold_floor_is_one():
+    rng = np.random.default_rng(19)
+    noise = 1e-16 * rng.normal(size=(8, 3))
+    rank, pinv = qj.real_rank_and_pinv(noise)
+    assert rank == 0
+    assert pinv.shape == (3, 8) and not pinv.any()
+    # small but well above threshold_ratio: still full rank
+    rank, _ = qj.real_rank_and_pinv(1e-6 * rng.normal(size=(8, 3)))
+    assert rank == 3
+
+
 def test_rank_errors():
     with pytest.raises(EmptyMatrixError):
         qj.real_rank_and_pinv(np.zeros((0, 3)))

@@ -25,12 +25,29 @@ def test_map_matches_finite_difference_oracle(spec, obs):
     assert got.map_matrix.shape == cols.shape
     assert np.abs(got.map_matrix - cols).max() <= 1e-12
     assert np.array_equal(got.offset, base)
-    if len(got.atoms) > 1:
-        assert got.rank == rank
-    else:
-        # a lone atom is the identity: the map is zero but for rounding, and
-        # the relative SVD threshold ranks that rounding noise on both sides
+    assert got.rank == rank
+    if len(got.atoms) == 1:
+        # a lone atom is the identity: the map is zero but for rounding
         assert np.abs(cols).max() <= 1e-12
+        assert got.rank == 0
+
+
+def scalar_observable(rng, dim, label):
+    """V (c I) V^dagger: a multiple of the identity carrying rounding noise."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(g)
+    return qj.HermitianObservable((q * rng.uniform(-3.0, 3.0)) @ q.conj().T, label)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(spec=TWO_VAR_SCHEMES, dim=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_scalar_pair_map_has_rank_zero(spec, dim, seed):
+    rng = np.random.default_rng(seed)
+    a, b = scalar_observable(rng, dim, "A"), scalar_observable(rng, dim, "B")
+    got = qj.reconstruction_map(a, b, spec)
+    assert len(got.atoms) == 1
+    assert got.rank == 0
+    assert not got.pinv.any()
 
 
 def test_rank_deficient_map_matches_oracle(spin_half):
