@@ -18,6 +18,7 @@ from .distributions import (
     QuasiDistribution,
     SchemeSpec,
     WignerScheme,
+    _match_rows,
     build_atoms,
     evaluate_distribution,
     scheme_kirkwood,
@@ -32,6 +33,7 @@ from .errors import (
 from .quantum import (
     DensityState,
     SpinTriple,
+    bloch_state,
     embed,
     expectation,
     random_density,
@@ -51,16 +53,12 @@ class SupportReport:
 
 
 def verify_support(
-    dist: QuasiDistribution,
-    observables,
-    tol: float = 1e-10,
-    *,
-    coord_tol: float = 1e-9,
+    dist: QuasiDistribution, observables, tol: float = linalg.DEFECT_TOL
 ) -> SupportReport:
     """Check that all weight sits on joint eigenvalue tuples.
 
     An atom counts as offending when its weight magnitude exceeds ``tol``
-    and some coordinate is farther than ``coord_tol`` from every
+    and some coordinate is farther than ``linalg.COORD_TOL`` from every
     eigenvalue of the matching observable.
     """
     if len(observables) != dist.n_vars:
@@ -70,7 +68,7 @@ def verify_support(
     off = np.zeros(len(dist), dtype=bool)
     for v, o in enumerate(observables):
         gap = np.abs(o.eigenvalues[None, :] - dist.points[:, v, None]).min(axis=1)
-        off |= gap > coord_tol
+        off |= gap > linalg.COORD_TOL
     off &= ~(np.abs(dist.weights) <= tol)
     offending = tuple(
         (tuple(float(x) for x in p), complex(w))
@@ -79,41 +77,34 @@ def verify_support(
     return SupportReport(not offending, offending)
 
 
-def is_real(dist: QuasiDistribution, tol: float = 1e-10) -> bool:
+def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
     """True when every weight is real within ``tol``."""
     return dist.max_imag() <= tol
 
 
-def _sample_frequencies(n_vars, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-8.0, 8.0, size=(n_samples, n_vars))
+def _sample_frequencies(n_vars):
+    """Twelve fixed pseudo-random frequency vectors in [-8, 8)^n_vars."""
+    return np.random.default_rng(0).uniform(-8.0, 8.0, size=(12, n_vars))
 
 
-def scheme_is_real(
-    spec,
-    observables,
-    n_samples: int = 12,
-    *,
-    atom_tol: float = 1e-10,
-    sample_tol: float = 1e-9,
-    seed: int = 0,
-) -> bool:
+def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
-    The finite-dimensional criterion is Hermiticity of all operator atoms;
-    it is cross-checked by sampling the mixture h(s) against h(-s)^dagger
-    at random frequencies. For the symmetric scheme (no atoms) only the
+    The finite-dimensional criterion is Hermiticity of all operator atoms
+    (within ``linalg.DEFECT_TOL``); it is cross-checked by sampling the
+    mixture h(s) against h(-s)^dagger at fixed random frequencies (within
+    ``linalg.SAMPLE_TOL``). For the symmetric scheme (no atoms) only the
     sampled check runs.
     """
-    samples = _sample_frequencies(spec.n_vars, n_samples, seed)
+    samples = _sample_frequencies(spec.n_vars)
     h_fwd = spec.hashed_operator_batch(observables, samples)
     h_bwd = spec.hashed_operator_batch(observables, -samples)
     sampled_ok = bool(
-        np.abs(h_fwd - h_bwd.conj().transpose(0, 2, 1)).max() <= sample_tol
+        np.abs(h_fwd - h_bwd.conj().transpose(0, 2, 1)).max() <= linalg.SAMPLE_TOL
     )
     if isinstance(spec, WignerScheme):
         return sampled_ok
-    hermitian_atoms = build_atoms(spec, observables).hermiticity_defect() <= atom_tol
+    hermitian_atoms = build_atoms(spec, observables).hermiticity_defect() <= linalg.DEFECT_TOL
     if hermitian_atoms != sampled_ok:
         raise QuasiJointError(
             "realness verdicts disagree between atom Hermiticity and frequency sampling; "
@@ -122,25 +113,18 @@ def scheme_is_real(
     return hermitian_atoms
 
 
-def diag_equality_check(
-    spec,
-    observables,
-    n_samples: int = 12,
-    *,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> bool:
+def diag_equality_check(spec, observables) -> bool:
     """True when the two diagonal entries of the mixture always agree.
 
-    Two-level systems only. Equal diagonals mean the scheme assigns the
-    same distribution to both basis eigenstates of the z direction, i.e.
-    it cannot distinguish them.
+    Two-level systems only. Equal diagonals (within ``linalg.DEFECT_TOL``
+    at fixed random frequencies) mean the scheme assigns the same
+    distribution to both basis eigenstates of the z direction, i.e. it
+    cannot distinguish them.
     """
     if observables[0].dim != 2:
         raise DomainError("diagonal-equality probe is defined for two-level systems")
-    samples = _sample_frequencies(spec.n_vars, n_samples, seed)
-    h = spec.hashed_operator_batch(observables, samples)
-    return bool(np.abs(h[:, 0, 0] - h[:, 1, 1]).max() <= tol)
+    h = spec.hashed_operator_batch(observables, _sample_frequencies(spec.n_vars))
+    return bool(np.abs(h[:, 0, 0] - h[:, 1, 1]).max() <= linalg.DEFECT_TOL)
 
 
 def _re_im_rows(z) -> np.ndarray:
@@ -184,13 +168,7 @@ class ReconstructionMap:
         return _re_im_rows(self.atoms.weights_for(rho.matrix))
 
 
-def reconstruction_map(
-    a,
-    b,
-    spec: SchemeSpec,
-    *,
-    rank_ratio: float = linalg.DEFAULT_RANK_RATIO,
-) -> ReconstructionMap:
+def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
     The weight of atom A_p is Tr(A_p rho(x)), affine in the state
@@ -198,7 +176,7 @@ def reconstruction_map(
     (:func:`~quasijoint.quantum.trace_affine_form`): columns are the coordinate
     derivatives and the offset is the weight vector at x = 0, each with
     Re and Im rows interleaved. Rank and pseudo-inverse come from the real
-    SVD with threshold ``rank_ratio`` times max(s_0, 1)
+    SVD with threshold ``linalg.RANK_RATIO`` times max(s_0, 1)
     (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
     but for rounding, as for two multiples of the identity, has rank 0.
     """
@@ -208,7 +186,7 @@ def reconstruction_map(
     offset, slope = trace_affine_form(atoms.matrices)
     offset, map_matrix = _re_im_rows(offset), _re_im_rows(slope)
     del slope  # keep complex temporaries out of the SVD's peak memory
-    rank, pinv = linalg.real_rank_and_pinv(map_matrix, rank_ratio)
+    rank, pinv = linalg.real_rank_and_pinv(map_matrix)
     return ReconstructionMap(
         observables=(a, b),
         scheme=spec,
@@ -221,19 +199,15 @@ def reconstruction_map(
     )
 
 
-def reconstruct_state(
-    rmap: ReconstructionMap,
-    dist: QuasiDistribution,
-    *,
-    point_tol: float = 1e-9,
-    weight_tol: float = 1e-10,
-    require_positive: bool = True,
-) -> DensityState:
+def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:
     """Invert the coefficient map on a distribution.
 
-    Support points missing from the distribution count as weight zero;
-    distribution atoms off the map support beyond ``weight_tol`` raise
-    SupportMismatchError. Requires a full-rank map.
+    Each distribution point adds its weight to the first support point
+    within ``linalg.COORD_TOL`` in every coordinate (one vectorized lookup,
+    :func:`~quasijoint.distributions._match_rows`). Support points missing
+    from the distribution count as weight zero; distribution atoms off the
+    map support beyond ``linalg.DEFECT_TOL`` raise SupportMismatchError.
+    Requires a full-rank map; the result must be a positive state.
     """
     n = rmap.dim
     if rmap.rank < n * n - 1:
@@ -241,17 +215,18 @@ def reconstruct_state(
             f"rank {rmap.rank} < {n * n - 1}: states are not distinguishable "
             f"by scheme {rmap.scheme.label!r} on this observable pair"
         )
+    idx = _match_rows(dist.points, rmap.support)
+    hit = idx >= 0
+    off = np.flatnonzero(~hit & (np.abs(dist.weights) > linalg.DEFECT_TOL))
+    if off.size:
+        p, w = dist.points[off[0]], dist.weights[off[0]]
+        raise SupportMismatchError(
+            f"distribution atom at {tuple(p)} (weight {w:.3e}) is off the map support"
+        )
     aligned = np.zeros(len(rmap.support), dtype=complex)
-    for p, w in zip(dist.points, dist.weights):
-        mask = (np.abs(rmap.support - p) <= point_tol).all(axis=1)
-        if mask.any():
-            aligned[np.argmax(mask)] += w
-        elif abs(w) > weight_tol:
-            raise SupportMismatchError(
-                f"distribution atom at {tuple(p)} (weight {w:.3e}) is off the map support"
-            )
+    np.add.at(aligned, idx[hit], dist.weights[hit])
     coords = rmap.pinv @ (_re_im_rows(aligned) - rmap.offset)
-    return embed(coords, n, require_positive=require_positive)
+    return embed(coords, n, require_positive=True)
 
 
 @dataclass(frozen=True)
@@ -344,21 +319,17 @@ def _zero_z_state(rho: DensityState) -> DensityState:
 
 
 def realness_z_report(
-    spin: SpinTriple,
-    n_samples: int = 500,
-    *,
-    real_tol: float = 1e-9,
-    z_tol: float = 1e-10,
-    seed: int = 0,
-    max_counterexample_tries: int = 10_000,
+    spin: SpinTriple, n_samples: int = 500, *, seed: int = 0
 ) -> RealnessZReport:
     """Sample states and relate weight realness to the z expectation.
 
     Two-level systems: checks the equivalence both ways on a mix of
     generic states and states constructed in the equatorial plane.
     Three-level systems: checks that realness forces a zero z expectation
-    on states symmetrized into the real family, and searches for a state
-    with zero z expectation but complex weights (the converse fails).
+    on states symmetrized into the real family, and searches up to 10000
+    states for one with zero z expectation but complex weights (the
+    converse fails). Weights count as real within ``linalg.REAL_TOL``, the
+    z expectation as zero within ``linalg.DEFECT_TOL``.
     """
     if spin.j_times_two not in (1, 2):
         raise DomainError("realness report covers two- and three-level systems only")
@@ -366,8 +337,6 @@ def realness_z_report(
     atoms = build_atoms(scheme_kirkwood(2), (spin.j1, spin.j2))
 
     if spin.j_times_two == 1:
-        from .quantum import bloch_state
-
         disagreements = 0
         real_cases = 0
         for i in range(n_samples):
@@ -379,8 +348,8 @@ def realness_z_report(
             elif i % 3 == 2:
                 theta = np.pi / 2
             state = bloch_state(theta, phi, m)
-            real = is_real(evaluate_distribution(atoms, state), real_tol)
-            z_zero = abs(expectation(spin.j3, state)) <= z_tol
+            real = is_real(evaluate_distribution(atoms, state), linalg.REAL_TOL)
+            z_zero = abs(expectation(spin.j3, state)) <= linalg.DEFECT_TOL
             real_cases += real
             disagreements += real != z_zero
         return RealnessZReport(2, n_samples, disagreements, real_cases)
@@ -391,15 +360,15 @@ def realness_z_report(
         state = random_density(3, rng)
         if i % 2 == 0:
             state = _symmetrized_real_state(state)
-        if is_real(evaluate_distribution(atoms, state), real_tol):
+        if is_real(evaluate_distribution(atoms, state), linalg.REAL_TOL):
             real_cases += 1
-            if abs(expectation(spin.j3, state)) > z_tol:
+            if abs(expectation(spin.j3, state)) > linalg.DEFECT_TOL:
                 disagreements += 1
     counterexample = None
-    for _ in range(max_counterexample_tries):
+    for _ in range(10_000):
         state = _zero_z_state(random_density(3, rng))
-        if abs(expectation(spin.j3, state)) <= z_tol and not is_real(
-            evaluate_distribution(atoms, state), real_tol
+        if abs(expectation(spin.j3, state)) <= linalg.DEFECT_TOL and not is_real(
+            evaluate_distribution(atoms, state), linalg.REAL_TOL
         ):
             counterexample = state
             break

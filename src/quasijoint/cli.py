@@ -558,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":
-            p.add_argument("--tol-support", type=float, default=1e-10)
-            p.add_argument("--tol-real", type=float, default=1e-10)
+            p.add_argument("--tol-support", type=float, default=linalg.DEFECT_TOL)
+            p.add_argument("--tol-real", type=float, default=linalg.DEFECT_TOL)
         if name == "charfunc":
             p.add_argument("--grid", help="per-variable ranges 'min:max:steps,min:max:steps'")
         if name == "degeneracy":

@@ -13,8 +13,9 @@ Those products are fixed by the overlaps U_k^dagger U_{k+1} between the
 eigenbases of consecutive factors, so all products of a word come from
 one array contraction of the overlaps (summed within degenerate
 eigenspaces), and all coordinates from one broadcast sum. Coordinates
-within ``merge_tol`` merge into one atom and atoms below ``prune_tol``
-are dropped; these rules are the same as for the scalar definition.
+within ``linalg.COORD_TOL`` merge into one atom and atoms below
+``linalg.ROUNDING_TOL`` are dropped; these rules are the same as for the
+scalar definition.
 
 Pairing atoms with a state by the trace gives the (generally complex)
 joint weights; integrating a classical function against the atoms gives
@@ -46,10 +47,6 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .quantum import DensityState, HermitianObservable
-
-DEFAULT_MERGE_TOL = 1e-9
-DEFAULT_PRUNE_TOL = 1e-12
-NORMALIZATION_TOL = 1e-12
 
 
 class Factor(NamedTuple):
@@ -93,13 +90,13 @@ class SchemeSpec:
         object.__setattr__(self, "terms", tuple(terms))
 
         total = sum(w for w, _ in self.terms)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if abs(total - 1.0) > linalg.ROUNDING_TOL:
             raise DomainError(f"term weights must sum to 1, got {total}")
         for t_idx, (_, word) in enumerate(self.terms):
             sums = np.zeros(self.n_vars)
             for f in word:
                 sums[f.var] += f.coeff
-            bad = np.abs(sums - 1.0) > NORMALIZATION_TOL
+            bad = np.abs(sums - 1.0) > linalg.ROUNDING_TOL
             if bad.any():
                 raise DomainError(
                     f"term {t_idx}: coefficients per variable must sum to 1, got {sums.tolist()}"
@@ -257,11 +254,11 @@ class OperatorAtomSet:
             np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1)).max()
         )
 
-    def marginal_operator(self, var: int, value: float, tol: float = 1e-9) -> np.ndarray:
-        """Sum of atoms whose coordinate for ``var`` equals ``value``."""
+    def marginal_operator(self, var: int, value: float) -> np.ndarray:
+        """Sum of atoms whose coordinate for ``var`` is ``value`` within ``linalg.COORD_TOL``."""
         if not 0 <= var < self.n_vars:
             raise IndexError(f"variable index {var} out of range")
-        mask = np.abs(self.points[:, var] - value) <= tol
+        mask = np.abs(self.points[:, var] - value) <= linalg.COORD_TOL
         return self.matrices[mask].sum(axis=0)
 
     def weights_for(self, matrix) -> np.ndarray:
@@ -292,14 +289,14 @@ class QuasiDistribution:
     def max_imag(self) -> float:
         return float(np.abs(self.weights.imag).max()) if len(self) else 0.0
 
-    def weight_at(self, point, tol: float = 1e-9) -> complex:
-        """Weight at a support point, 0 if no point matches within tol."""
+    def weight_at(self, point) -> complex:
+        """Weight at a support point, 0 if no point matches within ``linalg.COORD_TOL``."""
         target = np.asarray(point, dtype=float).reshape(-1)
         if target.shape != (self.n_vars,):
             raise DimensionMismatchError(
                 f"point has {target.size} coordinates, expected {self.n_vars}"
             )
-        mask = (np.abs(self.points - target) <= tol).all(axis=1)
+        mask = (np.abs(self.points - target) <= linalg.COORD_TOL).all(axis=1)
         return complex(self.weights[mask].sum()) if mask.any() else 0.0
 
     def characteristic(self, s_points) -> np.ndarray:
@@ -487,13 +484,7 @@ def _scatter_add(out, targets, vals, fresh):
     np.add.at(out.reshape(-1), flat, vals[~fresh].reshape(-1))
 
 
-def build_atoms(
-    spec: SchemeSpec,
-    observables,
-    *,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
-) -> OperatorAtomSet:
+def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     """Exact operator atoms of a product-form scheme.
 
     Every factor exp(-i s c A) expands over the eigenprojectors of A; each
@@ -508,10 +499,10 @@ def build_atoms(
     observables in the same order, or in reverse order (the products are
     then adjoints), share that contraction and differ only in coordinates
     and weight. The merge and prune rules are those of the scalar
-    definition: coordinates within ``merge_tol`` of each other (per
+    definition: coordinates within ``linalg.COORD_TOL`` of each other (per
     variable, chained over sorted values) merge into one atom at the
-    rounded cluster mean, and merged atoms below ``prune_tol`` in max-norm
-    are dropped.
+    rounded cluster mean, and merged atoms below ``linalg.ROUNDING_TOL`` in
+    max-norm are dropped.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -528,7 +519,7 @@ def build_atoms(
     sizes = [c.shape[0] for c in coords]
     all_coords = np.concatenate(coords)
     keys = np.column_stack(
-        [_cluster_values(all_coords[:, v], merge_tol) for v in range(spec.n_vars)]
+        [_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)]
     )
     points, targets = np.unique(keys, axis=0, return_inverse=True)
     targets = targets.reshape(-1)
@@ -557,7 +548,7 @@ def build_atoms(
         offset += size
     del shared, vals  # release the products before the prune pass
 
-    keep = np.abs(matrices).max(axis=(1, 2)) >= prune_tol
+    keep = np.abs(matrices).max(axis=(1, 2)) >= linalg.ROUNDING_TOL
     if not keep.all():
         points, matrices = points[keep], matrices[keep]
     meta = {
@@ -567,7 +558,7 @@ def build_atoms(
     }
     atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
     defect = atoms.identity_defect()
-    if not defect <= 1e-10:
+    if not defect <= linalg.DEFECT_TOL:
         raise QuasiJointError(
             f"atom normalization failed: identity defect {defect:.3e}"
         )
@@ -578,7 +569,7 @@ def evaluate_distribution(
     atoms: OperatorAtomSet,
     rho: DensityState,
     *,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
+    prune_tol: float = linalg.ROUNDING_TOL,
 ) -> QuasiDistribution:
     """Joint weights of a state: trace of each atom against the density matrix."""
     if atoms.dim != rho.dim:
@@ -606,20 +597,22 @@ def marginal(dist: QuasiDistribution, keep_var: int) -> QuasiDistribution:
 def born_distribution(observable: HermitianObservable, rho: DensityState) -> QuasiDistribution:
     """Outcome distribution of a single observable, from its projectors.
 
-    Atoms sit at every distinct eigenvalue, including zero-weight ones.
+    The weights Tr(rho P_a) are the one-factor weight table of
+    :func:`_word_weights`. Atoms sit at every distinct eigenvalue,
+    including zero-weight ones.
     """
     if observable.dim != rho.dim:
         raise DimensionMismatchError(
             f"observable dim {observable.dim} vs state dim {rho.dim}"
         )
     eig = observable.eig
-    raw = np.array([np.trace(p @ rho.matrix) for p in eig.projectors])
-    if np.abs(raw.imag).max() > 1e-12:
+    raw = _word_weights([eig], rho.matrix)
+    if np.abs(raw.imag).max() > linalg.ROUNDING_TOL:
         raise QuasiJointError("Born weights came out non-real; inputs are inconsistent")
     w = raw.real
     # the projectors are complete, so the weights must sum to Tr rho, which
     # DensityState only holds to 1 within its own trace tolerance
-    if w.min() < -1e-10 or abs(w.sum() - rho.matrix.trace().real) > 1e-12:
+    if w.min() < -linalg.DEFECT_TOL or abs(w.sum() - rho.matrix.trace().real) > linalg.ROUNDING_TOL:
         raise QuasiJointError("Born weights are not a probability distribution")
     order = np.argsort(eig.eigenvalues)  # ascending, matching the sorted convention
     points = eig.eigenvalues[order].reshape(-1, 1)
@@ -685,25 +678,59 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     return out
 
 
-def max_weight_deviation(a: QuasiDistribution, b: QuasiDistribution, point_tol: float = 1e-9) -> float:
+def _match_rows(points, support) -> np.ndarray:
+    """Index of the first support row matching each point, or -1.
+
+    A row matches when every coordinate is within ``linalg.COORD_TOL`` of
+    the point's. Per variable, a point's candidates are a run of the sorted
+    distinct support values, found by ``np.searchsorted``; a combination of
+    candidates is a row key, looked up among the support rows' keys, and
+    the smallest matching row wins. Nothing of size points x support is
+    formed.
+    """
+    lo = np.empty(points.shape, dtype=np.intp)
+    span = np.empty_like(lo)
+    grid, row_index = [], []
+    for v in range(support.shape[1]):
+        values, inverse = np.unique(support[:, v], return_inverse=True)
+        lo[:, v] = np.searchsorted(values, points[:, v] - linalg.COORD_TOL)
+        span[:, v] = np.searchsorted(values, points[:, v] + linalg.COORD_TOL, "right") - lo[:, v]
+        grid.append(values.size)
+        row_index.append(inverse.reshape(-1))
+    # distinct row keys, sorted, with the first row holding each
+    row_keys, first = np.unique(np.ravel_multi_index(row_index, grid), return_index=True)
+    best = np.full(len(points), len(support))
+    # one pass per candidate offset: a run holds more than one value only
+    # where support values lie within 2 * COORD_TOL of each other
+    for offset in np.ndindex(*span.max(axis=0, initial=0)):
+        ok = np.flatnonzero((span > offset).all(axis=1))
+        keys = np.ravel_multi_index((lo[ok] + offset).T, grid)
+        pos = np.minimum(np.searchsorted(row_keys, keys), row_keys.size - 1)
+        row = np.where(row_keys[pos] == keys, first[pos], len(support))
+        best[ok] = np.minimum(best[ok], row)
+    best[best == len(support)] = -1
+    return best
+
+
+def max_weight_deviation(a: QuasiDistribution, b: QuasiDistribution) -> float:
     """Largest absolute weight difference after matching support points.
 
-    Points present on one side only count with their full weight.
+    Each point of ``a`` is paired with the first point of ``b`` within
+    ``linalg.COORD_TOL`` in every coordinate (:func:`_match_rows`). Points
+    present on one side only count with their full weight.
     """
     if a.n_vars != b.n_vars:
         raise DimensionMismatchError("distributions have different variable counts")
-    matched = np.zeros(len(b), dtype=bool)
-    dev = 0.0
-    for p, w in zip(a.points, a.weights):
-        mask = (np.abs(b.points - p) <= point_tol).all(axis=1)
-        if mask.any():
-            matched |= mask
-            dev = max(dev, abs(w - b.weights[mask].sum()))
-        else:
-            dev = max(dev, abs(w))
-    if (~matched).any():
-        dev = max(dev, float(np.abs(b.weights[~matched]).max()))
-    return dev
+    idx = _match_rows(a.points, b.points)
+    hit = idx >= 0
+    partner = np.zeros(len(a), dtype=complex)
+    partner[hit] = b.weights[idx[hit]]
+    unmatched = np.ones(len(b), dtype=bool)
+    unmatched[idx[hit]] = False
+    return max(
+        float(np.abs(a.weights - partner).max(initial=0.0)),
+        float(np.abs(b.weights[unmatched]).max(initial=0.0)),
+    )
 
 
 def wigner_density_estimate(
@@ -714,13 +741,13 @@ def wigner_density_estimate(
     *,
     s_extent: float = 30.0,
     s_steps: int = 241,
-    window_sigma: float = None,
 ):
     """Windowed Fourier inversion of the symmetric-scheme characteristic function.
 
     The true density generally does not exist as a function (the inversion
     integral can oscillate without bound), so the characteristic function
-    is damped by a Gaussian window before the inverse transform. Returns
+    is damped by a Gaussian window of width ``s_extent / 4`` before the
+    inverse transform. Returns
     ``(density, meta)`` where ``density[i, j]`` estimates the value at
     ``(x_grid[i], y_grid[j])`` and ``meta`` flags the result as
     approximate and possibly divergent.
@@ -734,8 +761,7 @@ def wigner_density_estimate(
     chi = characteristic_function(WignerScheme(2), observables, rho, pts).reshape(
         s_steps, s_steps
     )
-    if window_sigma is None:
-        window_sigma = s_extent / 4
+    window_sigma = s_extent / 4
     window = np.exp(-(ss**2 + tt**2) / (2 * window_sigma**2))
     integrand = chi * window
     ex = np.exp(1j * np.outer(svals, x_grid))

@@ -1,9 +1,12 @@
 """Small dense complex linear algebra.
 
-Spectral decompositions with degeneracy grouping, unitary matrix
-exponentials assembled from them, and SVD-based rank / pseudo-inverse.
-Everything works on plain numpy arrays, is pure, and is deterministic for
-a fixed input. Intended for operator dimensions up to a few dozen.
+Spectral decompositions with degeneracy grouping and SVD-based rank /
+pseudo-inverse. Everything works on plain numpy arrays, is pure, and is
+deterministic for a fixed input. Intended for operator dimensions up to a
+few dozen.
+
+The package's tolerances live in the table below, one name per meaning;
+every module reads them from here.
 """
 
 from __future__ import annotations
@@ -12,23 +15,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    EmptyMatrixError,
-    NotHermitianError,
-)
+from .errors import ConvergenceError, EmptyMatrixError, NotHermitianError
 
-DEFAULT_DEGENERACY_TOL = 1e-9
-DEFAULT_RANK_RATIO = 1e-8
+# two coordinates (eigenvalues, support points) are the same value
+COORD_TOL = 1e-9
+# absolute defect that counts as zero (Hermiticity, trace, identity sum),
+# and the magnitude below which a weight is negligible
+DEFECT_TOL = 1e-10
+# rounding level of O(1) sums: normalization checks and the atom prune level
+ROUNDING_TOL = 1e-12
+# eigenvalue gap, relative to max(1, spectral radius), that merges eigenvalues
+DEGENERACY_TOL = 1e-9
+# singular value cut, relative to max(s_0, 1), for ranks and pseudo-inverses
+RANK_RATIO = 1e-8
+# h(s) - h(-s)^dagger of a mixture sampled at random frequencies
+SAMPLE_TOL = 1e-9
+# imaginary weight still counted as real by the realness-vs-z report
+REAL_TOL = 1e-9
+# most negative eigenvalue a density matrix may have
+POSITIVITY_SLACK = 1e-9
 
 
-def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.ndarray:
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     """Return the matrix as a complex array, or raise NotHermitianError.
 
-    Non-finite entries (NaN, Inf) are rejected too. The error's ``index``
-    names the first offending entry: the non-finite one, or the one with
-    the largest asymmetry.
+    Entries may differ from their mirrored conjugates by up to
+    ``DEFECT_TOL``. Non-finite entries (NaN, Inf) are rejected too. The
+    error's ``index`` names the first offending entry: the non-finite one,
+    or the one with the largest asymmetry.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -39,25 +53,14 @@ def require_hermitian(matrix, tol: float = 1e-10, name: str = "matrix") -> np.nd
         raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
     asym = np.abs(m - m.conj().T)
     defect = float(asym.max())
-    if defect > tol:
+    if defect > DEFECT_TOL:
         i, j = (int(k) for k in np.unravel_index(int(asym.argmax()), asym.shape))
         raise NotHermitianError(
             f"{name} is not Hermitian: entry [{i}][{j}] vs [{j}][{i}] differs by "
-            f"{defect:.3e}, exceeding {tol:.3e}",
+            f"{defect:.3e}, exceeding {DEFECT_TOL:.3e}",
             index=(i, j),
         )
     return m
-
-
-def matrices_close(a, b, tol: float) -> bool:
-    """Elementwise comparison with an explicit absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    if a.size == 0:
-        return True
-    return bool(np.abs(a - b).max() <= tol)
 
 
 @dataclass(frozen=True)
@@ -91,28 +94,15 @@ class EigenSystem:
         """True when some eigenvalue group spans more than one column."""
         return len(self.multiplicities) < self.dim
 
-    def apply(self, fn) -> np.ndarray:
-        """Matrix function through the spectral decomposition: sum fn(a) P_a."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for val, proj in zip(self.eigenvalues, self.projectors):
-            out += fn(val) * proj
-        return out
 
-
-def eigensystem(
-    matrix,
-    degeneracy_tol: float = DEFAULT_DEGENERACY_TOL,
-    hermiticity_tol: float = 1e-10,
-) -> EigenSystem:
+def eigensystem(matrix) -> EigenSystem:
     """Diagonalize a Hermitian matrix, merging nearly equal eigenvalues.
 
-    Eigenvalues closer than ``degeneracy_tol`` (scaled by the spectral
+    Eigenvalues closer than ``DEGENERACY_TOL`` (scaled by the spectral
     radius when that radius exceeds one) are grouped into a single
     projector with summed multiplicity.
     """
-    if degeneracy_tol <= 0:
-        raise DomainError(f"degeneracy_tol must be positive, got {degeneracy_tol}")
-    m = require_hermitian(matrix, hermiticity_tol)
+    m = require_hermitian(matrix)
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dim <= 64 always converges
@@ -120,7 +110,7 @@ def eigensystem(
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     scale = max(1.0, float(np.abs(vals).max()))
-    tol = degeneracy_tol * scale
+    tol = DEGENERACY_TOL * scale
 
     eigenvalues = []
     projectors = []
@@ -144,27 +134,15 @@ def eigensystem(
     return EigenSystem(evals, tuple(projectors), tuple(multiplicities), vecs)
 
 
-def phase_exponential(eig: EigenSystem, scale: float) -> np.ndarray:
-    """exp(-1j * scale * H) assembled from a precomputed eigensystem of H."""
-    return eig.apply(lambda a: np.exp(-1j * scale * a))
-
-
-def matrix_exponential_unitary(
-    matrix, scale: float, degeneracy_tol: float = DEFAULT_DEGENERACY_TOL
-) -> np.ndarray:
-    """exp(-1j * scale * H) for Hermitian H; the result is unitary."""
-    return phase_exponential(eigensystem(matrix, degeneracy_tol), scale)
-
-
-def real_rank_and_pinv(matrix, threshold_ratio: float = DEFAULT_RANK_RATIO):
+def real_rank_and_pinv(matrix):
     """Singular-value rank and Moore-Penrose pseudo-inverse of a real matrix.
 
-    The rank counts singular values above ``threshold_ratio`` times the
+    The rank counts singular values above ``RANK_RATIO`` times the
     larger of the largest singular value and 1; the pseudo-inverse keeps
     only those singular triplets. The floor of 1 is the natural scale of
     the coefficient maps ranked here, whose entries are entries of atoms
     that sum to the identity: a map whose singular values all lie below
-    ``threshold_ratio`` is zero but for rounding and has rank 0, rather
+    ``RANK_RATIO`` is zero but for rounding and has rank 0, rather
     than a rank set by that rounding.
 
     Returns:
@@ -173,12 +151,10 @@ def real_rank_and_pinv(matrix, threshold_ratio: float = DEFAULT_RANK_RATIO):
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise EmptyMatrixError(f"need a nonempty 2-d matrix, got shape {m.shape}")
-    if not 0.0 < threshold_ratio < 1.0:
-        raise DomainError(f"threshold_ratio must lie in (0, 1), got {threshold_ratio}")
     try:
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"SVD failed: {exc}") from exc
-    rank = int(np.count_nonzero(s > threshold_ratio * max(s[0], 1.0)))
+    rank = int(np.count_nonzero(s > RANK_RATIO * max(s[0], 1.0)))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
     return rank, pinv

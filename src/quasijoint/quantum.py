@@ -27,18 +27,11 @@ from .errors import (
 class HermitianObservable:
     """Hermitian matrix with a lazily cached spectral decomposition."""
 
-    def __init__(
-        self,
-        matrix,
-        label: str = "A",
-        hermiticity_tol: float = 1e-10,
-        degeneracy_tol: float = linalg.DEFAULT_DEGENERACY_TOL,
-    ):
-        m = linalg.require_hermitian(matrix, hermiticity_tol, name=label)
+    def __init__(self, matrix, label: str = "A"):
+        m = linalg.require_hermitian(matrix, name=label)
         m.setflags(write=False)
         self.matrix = m
         self.label = label
-        self._degeneracy_tol = degeneracy_tol
 
     @property
     def dim(self) -> int:
@@ -46,7 +39,7 @@ class HermitianObservable:
 
     @cached_property
     def eig(self) -> linalg.EigenSystem:
-        return linalg.eigensystem(self.matrix, self._degeneracy_tol)
+        return linalg.eigensystem(self.matrix)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -60,28 +53,23 @@ class HermitianObservable:
 class DensityState:
     """Density matrix: Hermitian, unit trace, positive semidefinite.
 
-    ``require_positive=False`` skips the positivity check; the coordinate
-    basis elements used by the tomography map are Hermitian with unit trace
-    but not positive.
+    Hermiticity and trace hold within ``linalg.DEFECT_TOL``, positivity
+    within ``linalg.POSITIVITY_SLACK``. ``require_positive=False`` skips the
+    positivity check; the coordinate basis elements used by the tomography
+    map are Hermitian with unit trace but not positive.
     """
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        require_positive: bool = True,
-        atol: float = 1e-10,
-        positivity_slack: float = 1e-9,
-    ):
-        m = linalg.require_hermitian(matrix, atol, name="density matrix")
+    def __init__(self, matrix, *, require_positive: bool = True):
+        m = linalg.require_hermitian(matrix, name="density matrix")
         trace = m.trace().real
-        if abs(trace - 1.0) > atol:
+        if abs(trace - 1.0) > linalg.DEFECT_TOL:
             raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
         if require_positive:
             smallest = float(np.linalg.eigvalsh(m).min())
-            if smallest < -positivity_slack:
+            if smallest < -linalg.POSITIVITY_SLACK:
                 raise DomainError(
-                    f"density matrix has eigenvalue {smallest:.3e} below -{positivity_slack:.1e}"
+                    f"density matrix has eigenvalue {smallest:.3e} "
+                    f"below -{linalg.POSITIVITY_SLACK:.1e}"
                 )
         m.setflags(write=False)
         self.matrix = m
@@ -262,7 +250,7 @@ def expectation(observable: HermitianObservable, rho: DensityState) -> float:
             f"observable dim {observable.dim} vs state dim {rho.dim}"
         )
     value = complex(np.trace(observable.matrix @ rho.matrix))
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > linalg.DEFECT_TOL:
         raise NonRealExpectationError(
             f"expectation has imaginary part {value.imag:.3e}"
         )

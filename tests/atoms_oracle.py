@@ -13,9 +13,8 @@ import itertools
 
 import numpy as np
 
+from quasijoint import linalg
 from quasijoint.distributions import (
-    DEFAULT_MERGE_TOL,
-    DEFAULT_PRUNE_TOL,
     OperatorAtomSet,
     SchemeSpec,
     WignerScheme,
@@ -43,13 +42,7 @@ def _cluster_values(values, tol):
     return rep
 
 
-def build_atoms(
-    spec: SchemeSpec,
-    observables,
-    *,
-    merge_tol: float = DEFAULT_MERGE_TOL,
-    prune_tol: float = DEFAULT_PRUNE_TOL,
-) -> OperatorAtomSet:
+def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     """Exact operator atoms of a product-form scheme.
 
     Every factor exp(-i s c A) expands over the eigenprojectors of A; each
@@ -57,8 +50,8 @@ def build_atoms(
     product, scaled by the term weight, at the coordinate vector whose
     v-th entry is the coefficient-weighted sum of chosen eigenvalues over
     the factors of variable v. Atoms at coinciding coordinates (within
-    ``merge_tol``) are merged; atoms below ``prune_tol`` in max-norm are
-    dropped.
+    ``linalg.COORD_TOL``) are merged; atoms below ``linalg.ROUNDING_TOL`` in
+    max-norm are dropped.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -84,7 +77,7 @@ def build_atoms(
             candidates.append((coords, weight * mat))
 
     all_coords = np.array([c for c, _ in candidates])
-    reps = [_cluster_values(all_coords[:, v], merge_tol) for v in range(spec.n_vars)]
+    reps = [_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)]
 
     merged = {}
     for coords, mat in candidates:
@@ -94,7 +87,7 @@ def build_atoms(
         else:
             merged[key] = mat.astype(complex)
 
-    keys = sorted(k for k, m in merged.items() if np.abs(m).max() >= prune_tol)
+    keys = sorted(k for k, m in merged.items() if np.abs(m).max() >= linalg.ROUNDING_TOL)
     points = np.array(keys, dtype=float).reshape(len(keys), spec.n_vars)
     matrices = np.array([merged[k] for k in keys], dtype=complex).reshape(
         len(keys), dim, dim
@@ -106,7 +99,7 @@ def build_atoms(
     }
     atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
     defect = atoms.identity_defect()
-    if defect > 1e-10:
+    if defect > linalg.DEFECT_TOL:
         raise QuasiJointError(
             f"atom normalization failed: identity defect {defect:.3e}"
         )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quasijoint as qj
+from quasijoint import linalg
 
 
 @pytest.fixture(scope="session")
@@ -39,18 +40,18 @@ def y_plus():
     return qj.DensityState.pure([1 / np.sqrt(2), 1j / np.sqrt(2)])
 
 
-def assert_dist_matches(dist, expected, weight_tol, point_tol=1e-9):
+def assert_dist_matches(dist, expected, weight_tol):
     """Check a distribution against a {point: weight} table.
 
     Every expected point must carry the expected weight; atoms matching no
-    expected point must be negligible.
+    expected point (within ``linalg.COORD_TOL``) must be negligible.
     """
     for point, want in expected.items():
-        got = dist.weight_at(point, point_tol)
+        got = dist.weight_at(point)
         assert abs(got - want) <= weight_tol, f"at {point}: got {got}, want {want}"
     for p, w in zip(dist.points, dist.weights):
         known = any(
-            np.abs(np.asarray(q) - p).max() <= point_tol for q in expected
+            np.abs(np.asarray(q) - p).max() <= linalg.COORD_TOL for q in expected
         )
         if not known:
             assert abs(w) <= weight_tol, f"unexpected atom at {tuple(p)}: {w}"

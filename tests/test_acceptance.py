@@ -171,15 +171,11 @@ def test_criterion_05_tomography(spin_half, spin_one):
 
 def test_criterion_06_realness_vs_z(spin_half, spin_one):
     with criterion(6, "realness equals zero z expectation"):
-        report2 = qj.realness_z_report(
-            spin_half, 1000, real_tol=1e-9, z_tol=1e-10, seed=2024
-        )
+        report2 = qj.realness_z_report(spin_half, 1000, seed=2024)
         assert report2.disagreements == 0
         assert 0 < report2.real_cases < report2.n_checked
 
-        report3 = qj.realness_z_report(
-            spin_one, 500, real_tol=1e-9, z_tol=1e-10, seed=2025
-        )
+        report3 = qj.realness_z_report(spin_one, 500, seed=2025)
         assert report3.disagreements == 0
         state = report3.counterexample
         assert state is not None

@@ -59,7 +59,7 @@ def _stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
     return np.column_stack([w.real, w.imag]).ravel()
 
 
-def reconstruction_map(a, b, spec, *, rank_ratio: float = linalg.DEFAULT_RANK_RATIO):
+def reconstruction_map(a, b, spec):
     """(map_matrix, offset, rank) by finite differences around the zero coordinates."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
@@ -72,5 +72,5 @@ def reconstruction_map(a, b, spec, *, rank_ratio: float = linalg.DEFAULT_RANK_RA
         unit = np.zeros(n_params)
         unit[k] = 1.0
         cols[:, k] = _stacked_coefficients(atoms, embed(unit, n).matrix) - base
-    rank, _ = linalg.real_rank_and_pinv(cols, rank_ratio)
+    rank, _ = linalg.real_rank_and_pinv(cols)
     return cols, base, rank
