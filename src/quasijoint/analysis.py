@@ -3,7 +3,9 @@
 Support verification against the joint eigenvalue grid, realness tests for
 distributions and for whole schemes, the two-level distinguishability
 probe, linear-inversion state reconstruction with rank analysis, and the
-counting bound on eigenvalue degeneracy.
+counting bound on eigenvalue degeneracy. The scheme probes are exact:
+atom points are distinct, so the exp(-i s.x_p) are linearly independent
+and an identity in h(s) for all s holds atom by atom.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .distributions import (
     QuasiDistribution,
     SchemeSpec,
     WignerScheme,
+    _check_observables,
     _match_rows,
     build_atoms,
     evaluate_distribution,
@@ -82,49 +85,38 @@ def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
     return dist.max_imag() <= tol
 
 
-def _sample_frequencies(n_vars):
-    """Twelve fixed pseudo-random frequency vectors in [-8, 8)^n_vars."""
-    return np.random.default_rng(0).uniform(-8.0, 8.0, size=(12, n_vars))
-
-
 def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
-    The finite-dimensional criterion is Hermiticity of all operator atoms
-    (within ``linalg.DEFECT_TOL``); it is cross-checked by sampling the
-    mixture h(s) against h(-s)^dagger at fixed random frequencies (within
-    ``linalg.SAMPLE_TOL``). For the symmetric scheme (no atoms) only the
-    sampled check runs.
+    That is h(-s)^dagger = h(s) for all s, which holds exactly when every
+    operator atom is Hermitian (within ``linalg.DEFECT_TOL``). The
+    symmetric scheme is always real: exp(-i s.A)^dagger at -s is
+    exp(-i s.A) for Hermitian A.
     """
-    samples = _sample_frequencies(spec.n_vars)
-    h_fwd = spec.hashed_operator_batch(observables, samples)
-    h_bwd = spec.hashed_operator_batch(observables, -samples)
-    sampled_ok = bool(
-        np.abs(h_fwd - h_bwd.conj().transpose(0, 2, 1)).max() <= linalg.SAMPLE_TOL
-    )
     if isinstance(spec, WignerScheme):
-        return sampled_ok
-    hermitian_atoms = build_atoms(spec, observables).hermiticity_defect() <= linalg.DEFECT_TOL
-    if hermitian_atoms != sampled_ok:
-        raise QuasiJointError(
-            "realness verdicts disagree between atom Hermiticity and frequency sampling; "
-            "the scheme sits on a tolerance boundary"
-        )
-    return hermitian_atoms
+        _check_observables(spec.n_vars, observables)
+        return True
+    return build_atoms(spec, observables).hermiticity_defect() <= linalg.DEFECT_TOL
 
 
 def diag_equality_check(spec, observables) -> bool:
     """True when the two diagonal entries of the mixture always agree.
 
-    Two-level systems only. Equal diagonals (within ``linalg.DEFECT_TOL``
-    at fixed random frequencies) mean the scheme assigns the same
-    distribution to both basis eigenstates of the z direction, i.e. it
-    cannot distinguish them.
+    Two-level systems only. Equal diagonals mean the scheme assigns the
+    same distribution to both z eigenstates, i.e. cannot tell them apart.
+    That holds exactly when every atom has A_p[0,0] = A_p[1,1] (within
+    ``linalg.DEFECT_TOL``). For the symmetric scheme, exp(-i H) with
+    H = h_0 + h.sigma has diagonal difference -2i exp(-i h_0) sin|h| h_z/|h|,
+    so it holds exactly when every observable has A[0,0] = A[1,1].
     """
     if observables[0].dim != 2:
         raise DomainError("diagonal-equality probe is defined for two-level systems")
-    h = spec.hashed_operator_batch(observables, _sample_frequencies(spec.n_vars))
-    return bool(np.abs(h[:, 0, 0] - h[:, 1, 1]).max() <= linalg.DEFECT_TOL)
+    if isinstance(spec, WignerScheme):
+        _check_observables(spec.n_vars, observables)
+        gaps = [o.matrix[0, 0] - o.matrix[1, 1] for o in observables]
+    else:
+        gaps = build_atoms(spec, observables).weights_for(np.diag([1.0, -1.0]))
+    return bool(np.abs(gaps).max() <= linalg.DEFECT_TOL)
 
 
 def _re_im_rows(z) -> np.ndarray:

@@ -28,8 +28,6 @@ ROUNDING_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 # singular value cut, relative to max(s_0, 1), for ranks and pseudo-inverses
 RANK_RATIO = 1e-8
-# h(s) - h(-s)^dagger of a mixture sampled at random frequencies
-SAMPLE_TOL = 1e-9
 # imaginary weight still counted as real by the realness-vs-z report
 REAL_TOL = 1e-9
 # most negative eigenvalue a density matrix may have
