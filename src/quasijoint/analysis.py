@@ -88,7 +88,8 @@ def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
 def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
-    That is h(-s)^dagger = h(s) for all s, which holds exactly when every
+    That is h(-s)^dagger = h(s) for all s; distinct atom points make the
+    exp(-i s.x_p) linearly independent, so this holds exactly when every
     operator atom is Hermitian (within ``linalg.DEFECT_TOL``). The
     symmetric scheme is always real: exp(-i s.A)^dagger at -s is
     exp(-i s.A) for Hermitian A.
@@ -104,10 +105,11 @@ def diag_equality_check(spec, observables) -> bool:
 
     Two-level systems only. Equal diagonals mean the scheme assigns the
     same distribution to both z eigenstates, i.e. cannot tell them apart.
-    That holds exactly when every atom has A_p[0,0] = A_p[1,1] (within
-    ``linalg.DEFECT_TOL``). For the symmetric scheme, exp(-i H) with
-    H = h_0 + h.sigma has diagonal difference -2i exp(-i h_0) sin|h| h_z/|h|,
-    so it holds exactly when every observable has A[0,0] = A[1,1].
+    By the linear independence of the exp(-i s.x_p), that holds exactly
+    when every atom has A_p[0,0] = A_p[1,1] (within ``linalg.DEFECT_TOL``).
+    For the symmetric scheme, exp(-i H) with H = h_0 + h.sigma has
+    diagonal difference -2i exp(-i h_0) sin|h| h_z/|h|, so it holds
+    exactly when every observable has A[0,0] = A[1,1].
     """
     if observables[0].dim != 2:
         raise DomainError("diagonal-equality probe is defined for two-level systems")
