@@ -73,10 +73,8 @@ def verify_support(
         gap = np.abs(o.eigenvalues[None, :] - dist.points[:, v, None]).min(axis=1)
         off |= gap > linalg.COORD_TOL
     off &= ~(np.abs(dist.weights) <= tol)
-    offending = tuple(
-        (tuple(float(x) for x in p), complex(w))
-        for p, w in zip(dist.points[off], dist.weights[off])
-    )
+    weights = dist.weights[off].astype(complex, copy=False)
+    offending = tuple(zip(map(tuple, dist.points[off].tolist()), weights.tolist()))
     return SupportReport(not offending, offending)
 
 
@@ -111,10 +109,10 @@ def diag_equality_check(spec, observables) -> bool:
     diagonal difference -2i exp(-i h_0) sin|h| h_z/|h|, so it holds
     exactly when every observable has A[0,0] = A[1,1].
     """
+    _check_observables(spec.n_vars, observables)
     if observables[0].dim != 2:
         raise DomainError("diagonal-equality probe is defined for two-level systems")
     if isinstance(spec, WignerScheme):
-        _check_observables(spec.n_vars, observables)
         gaps = [o.matrix[0, 0] - o.matrix[1, 1] for o in observables]
     else:
         gaps = build_atoms(spec, observables).weights_for(np.diag([1.0, -1.0]))

@@ -12,14 +12,18 @@ coordinate vector of coefficient-weighted eigenvalue sums.
 Those products are fixed by the overlaps U_k^dagger U_{k+1} between the
 eigenbases of consecutive factors, so all products of a word come from
 one array contraction of the overlaps (summed within degenerate
-eigenspaces), and all coordinates from one broadcast sum. Coordinates
-within ``linalg.COORD_TOL`` merge into one atom and atoms below
-``linalg.ROUNDING_TOL`` are dropped; these rules are the same as for the
-scalar definition.
+eigenspaces), the overlap chain, and all coordinates from one broadcast
+sum. Coordinates within ``linalg.COORD_TOL`` merge into one atom and
+atoms below ``linalg.ROUNDING_TOL`` are dropped; these rules are the same
+as for the scalar definition.
 
-Pairing atoms with a state by the trace gives the (generally complex)
-joint weights; integrating a classical function against the atoms gives
-the matching operator quantization. Both sides of that duality live here.
+An atom set stores the chains, not the N x N atoms. Pairing atoms with a
+state by the trace gives the (generally complex) joint weights; each
+chain is closed with the state once, so weights, like the identity check
+and the prune, form no atom matrix. Integrating a classical function
+against the atoms gives the matching operator quantization, which builds
+the dense atoms from the chains on first use. Both sides of that duality
+live here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -34,7 +38,8 @@ the identity at s = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -222,31 +227,136 @@ def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0, label: str = None
     return SchemeSpec(2, ((1.0, word),), label=label or "alternating")
 
 
+class _Term(NamedTuple):
+    """One scheme term as an atom set stores it."""
+
+    seq: tuple  # observable sequence whose chain the term reads
+    flipped: bool  # the term's word visits ``seq`` in reverse order
+    weight: complex
+    targets: np.ndarray  # atom of each group choice; len(points) where pruned
+    fresh: np.ndarray  # True where a choice writes its atom first
+
+
 @dataclass(frozen=True)
 class OperatorAtomSet:
-    """Operator-valued atoms on a finite support.
+    """Operator-valued atoms on a finite support, stored by their factors.
 
-    ``points`` has shape (P, n_vars) with rows sorted lexicographically;
-    ``matrices`` has shape (P, N, N). Atoms sum to the identity, and for
-    each variable the atoms sharing an eigenvalue coordinate sum to the
-    corresponding spectral projector.
+    ``points`` has shape (P, n_vars) with rows sorted lexicographically.
+    Atoms sum to the identity, and for each variable the atoms sharing an
+    eigenvalue coordinate sum to the corresponding spectral projector.
+
+    The atoms are kept as the factors they are made of: the observables'
+    eigensystems ``eigs``, one overlap chain per observable sequence
+    (``chains``; a word visiting a sequence in reverse reads its chain)
+    and, per scheme term, its weight and the atom each group choice lands
+    in. Joint weights (:meth:`weights_for`) and the identity check close
+    those chains and form no N x N atom. ``matrices``, shape (P, N, N), is
+    built from the same chains on first use and cached; only
+    :func:`quantize`, :meth:`marginal_operator`,
+    :meth:`hermiticity_defect` and the reconstruction map read it.
     """
 
     n_vars: int
     points: np.ndarray
-    matrices: np.ndarray
+    eigs: tuple
+    chains: dict = field(repr=False)
+    terms: tuple = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
-        return self.matrices.shape[1]
+        return self.eigs[0].dim
 
     def __len__(self):
         return self.points.shape[0]
 
+    def _collect(self, table, weights) -> np.ndarray:
+        """Per atom, the sum of weight * table(seq, flipped)[g] over every term's group choices g."""
+        out = np.zeros(len(self) + 1, dtype=complex)  # the last slot takes pruned choices
+        tables = {}
+        for term, weight in zip(self.terms, weights):
+            key = term.seq, term.flipped
+            if key not in tables:
+                tables[key] = table(*key).reshape(-1)
+            vals = tables[key] if weight == 1 else weight * tables[key]
+            _scatter_add(out, term.targets, vals, term.fresh)
+        return out[:-1]
+
+    def weights_for(self, matrix) -> np.ndarray:
+        """Trace of each atom against a matrix (the raw joint weights).
+
+        Each observable sequence closes its chain with the matrix once
+        (:func:`_word_weights`); a reversed word reads
+        Tr(M P_L ... P_1) = conj Tr(M^dagger P_1 ... P_L) off the same
+        chain.
+        """
+        m = np.asarray(matrix, dtype=complex)
+
+        def table(seq, flipped):
+            eigs = [self.eigs[o] for o in seq]
+            if flipped:
+                return _word_weights(eigs, m.conj().T, self.chains[seq]).conj().transpose()
+            return _word_weights(eigs, m, self.chains[seq])
+
+        return self._collect(table, [t.weight for t in self.terms])
+
+    def _block_norms(self, seq, flipped) -> np.ndarray:
+        """Per group choice, the sum of |chain| over its block.
+
+        Eigenvectors have unit norm, so this bounds every entry of the
+        choice's projector product.
+        """
+        first, last = self.eigs[seq[0]], self.eigs[seq[-1]]
+        chain = self.chains[seq]
+        if chain is None:
+            return np.asarray(first.multiplicities, dtype=float)
+        norms = _group_sum(_group_sum(np.abs(chain), first, axis=0), last, axis=-1)
+        return norms.transpose() if flipped else norms
+
     def identity_defect(self) -> float:
-        """Max-norm distance of the atom sum from the identity."""
-        return float(np.abs(self.matrices.sum(axis=0) - np.eye(self.dim)).max())
+        """Max-norm distance of the atom sum from the identity.
+
+        A word's products summed over all group choices are
+        U_1 (chain summed over its middle groups) U_L^dagger, so the sum is
+        read off the chains. Pruned atoms, each below
+        ``linalg.ROUNDING_TOL`` in max-norm, are included.
+        """
+        total = -np.eye(self.dim, dtype=complex)
+        sums = {}
+        for seq, flipped, weight, _, _ in self.terms:
+            if seq not in sums:
+                first, last = self.eigs[seq[0]], self.eigs[seq[-1]]
+                chain = self.chains[seq]
+                inner = np.eye(self.dim) if chain is None else chain.sum(
+                    axis=tuple(range(1, chain.ndim - 1))
+                )
+                sums[seq] = first.vectors @ inner @ last.vectors.conj().T
+            total += weight * (sums[seq].conj().T if flipped else sums[seq])
+        return float(np.abs(total).max())
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """Dense atoms, shape (P, N, N), built from the stored chains on first use.
+
+        Terms that read the same chain share one :func:`_word_atoms` stack;
+        a reversed word takes its adjoints, P_L ... P_1 = (P_1 ... P_L)^dagger.
+        """
+        dim = self.dim
+        out = np.zeros((len(self) + 1, dim, dim), dtype=complex)  # last: pruned choices
+        shared = {}  # observable sequence -> products of every group choice
+        for seq, flipped, weight, targets, fresh in self.terms:
+            if seq not in shared:
+                shared[seq] = _word_atoms([self.eigs[o] for o in seq], self.chains[seq])
+            vals = shared[seq]
+            if flipped:
+                n = len(seq)
+                adjoint = vals.transpose(tuple(range(n))[::-1] + (n + 1, n))
+                vals = np.conjugate(adjoint, out=np.empty(adjoint.shape, dtype=complex))
+            vals = vals.reshape(-1, dim, dim)
+            if weight != 1:
+                vals = weight * vals
+            _scatter_add(out, targets, vals, fresh)
+        return out[:-1]
 
     def hermiticity_defect(self) -> float:
         """Largest hermiticity defect over all atoms."""
@@ -260,10 +370,6 @@ class OperatorAtomSet:
             raise IndexError(f"variable index {var} out of range")
         mask = np.abs(self.points[:, var] - value) <= linalg.COORD_TOL
         return self.matrices[mask].sum(axis=0)
-
-    def weights_for(self, matrix) -> np.ndarray:
-        """Trace of each atom against a matrix (the raw joint weights)."""
-        return np.einsum("pij,ji->p", self.matrices, np.asarray(matrix, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -341,14 +447,17 @@ def _batch_phase_exponential(eig: linalg.EigenSystem, scales) -> np.ndarray:
     return np.einsum("mk,kij->mij", phases, projs)
 
 
-def _cluster_values(values, tol) -> np.ndarray:
-    """Cluster representative of each value (sorted values within tol merge).
+def _cluster_values(values, tol):
+    """Clusters of values (sorted values within tol merge).
 
-    Representatives are cluster means rounded to a 1e-12 grid so that
-    coordinates arising from different rounding paths key identically.
-    Means and rounding go through numpy's slice ``mean`` and Python's
-    correctly rounded ``round``, one call per cluster, so representatives
-    do not depend on how the clusters were found.
+    Returns ``(reps, ids)``: the ascending cluster representatives and the
+    cluster of each value, so ``reps[ids]`` maps every value to its
+    representative. Representatives are cluster means rounded to a 1e-12
+    grid so that coordinates arising from different rounding paths key
+    identically. Means and rounding go through numpy's slice ``mean`` and
+    Python's correctly rounded ``round``, one call per cluster, so
+    representatives do not depend on how the clusters were found.
+    Clusters lie more than ``tol`` apart, so rounding keeps them in order.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
     opens = np.concatenate(([True], np.diff(uniq) > tol))
@@ -359,7 +468,18 @@ def _cluster_values(values, tol) -> np.ndarray:
     for c in np.flatnonzero(sizes > 1):
         means[c] = uniq[starts[c] : starts[c] + sizes[c]].mean()
     reps = np.array([round(m, 12) for m in means.tolist()]) + 0.0  # no negative zero
-    return reps[cluster[inverse.reshape(-1)]]
+    return reps, cluster[inverse.reshape(-1)]
+
+
+def _row_keys(index, grid) -> np.ndarray:
+    """One integer key per row of per-variable value indices.
+
+    ``index[v]`` holds each row's index into the ``grid[v]`` sorted values
+    of variable v. The keys are ``np.ravel_multi_index`` of those indices,
+    so they sort as the rows do lexicographically, and an integer
+    ``np.unique`` of the keys replaces a row-wise one.
+    """
+    return np.ravel_multi_index(index, grid)
 
 
 def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
@@ -369,8 +489,8 @@ def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
     return np.add.reduceat(x, eig.group_starts, axis=axis)
 
 
-def _overlap_chain(eigs) -> np.ndarray:
-    """Chained overlaps of a word of two or more factors.
+def _overlap_chain(eigs):
+    """Chained overlaps of a word, or None for a one-factor word.
 
     Returns c of shape (N, G_2, ..., G_{L-1}, N): with eigenvector matrices
     U_k, c[i, g_2, ..., g_{L-1}, j] is the product of the overlaps
@@ -379,6 +499,8 @@ def _overlap_chain(eigs) -> np.ndarray:
     group. Then P_1[g_1] ... P_L[g_L] is the sum over i in g_1, j in g_L of
     u_i c[i, g_2, ..., g_{L-1}, j] v_j^dagger.
     """
+    if len(eigs) == 1:
+        return None
     chain = eigs[0].vectors.conj().T @ eigs[1].vectors
     for k in range(1, len(eigs) - 1):
         overlap = eigs[k].vectors.conj().T @ eigs[k + 1].vectors
@@ -386,38 +508,42 @@ def _overlap_chain(eigs) -> np.ndarray:
     return chain
 
 
-def _word_atoms(eigs) -> np.ndarray:
+def _word_atoms(eigs, chain=None) -> np.ndarray:
     """Ordered projector products for every choice of one group per factor.
 
     Returns shape (G_1, ..., G_L, N, N) with entry [g_1, ..., g_L] equal to
-    P_1[g_1] P_2[g_2] ... P_L[g_L], assembled from :func:`_overlap_chain`
-    as group-summed outer products of the first and last eigenvectors; the
-    product is never formed directly.
+    P_1[g_1] P_2[g_2] ... P_L[g_L], assembled from the word's
+    :func:`_overlap_chain` (computed here unless given) as group-summed
+    outer products of the first and last eigenvectors; the product is
+    never formed directly.
     """
     first, last = eigs[0], eigs[-1]
     if len(eigs) == 1:
         return np.stack(first.projectors)
-    chain = _overlap_chain(eigs)
+    if chain is None:
+        chain = _overlap_chain(eigs)
     # right[i, ..., g_L, q] = sum over j in g_L of c[i, ..., j] conj(v_j[q])
     right = _group_sum(chain[..., :, None] * last.vectors.conj().T, last, axis=-2)
     left = first.vectors.T.reshape((first.dim,) + (1,) * (right.ndim - 2) + (first.dim, 1))
     return _group_sum(np.multiply(left, right[..., None, :], order="C"), first, axis=0)
 
 
-def _word_weights(eigs, rho) -> np.ndarray:
-    """Trace of a state against every projector product of a word.
+def _word_weights(eigs, rho, chain=None) -> np.ndarray:
+    """Trace of a matrix against every projector product of a word.
 
     Returns shape (G_1, ..., G_L) with entry [g_1, ..., g_L] equal to
     Tr(rho P_1[g_1] ... P_L[g_L]): the trace of u_i c[...] v_j^dagger is
-    c[...] (U_L^dagger rho U_1)[j, i], so the overlap chain is closed with
-    that one matrix and summed over the first and last groups. No
-    projector product and no atom matrix is formed.
+    c[...] (U_L^dagger rho U_1)[j, i], so the word's overlap chain
+    (computed here unless given) is closed with that one matrix and summed
+    over the first and last groups. No projector product and no atom
+    matrix is formed.
     """
     first, last = eigs[0], eigs[-1]
     closing = last.vectors.conj().T @ rho @ first.vectors
     if len(eigs) == 1:
         return _group_sum(np.diagonal(closing), first, axis=0)
-    chain = _overlap_chain(eigs)
+    if chain is None:
+        chain = _overlap_chain(eigs)
     closing = closing.T.reshape((first.dim,) + (1,) * (chain.ndim - 2) + (last.dim,))
     return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=-1)
 
@@ -478,10 +604,45 @@ def _scatter_add(out, targets, vals, fresh):
         out[targets] = vals
         return
     out[targets[fresh]] = vals[fresh]
+    rest = ~fresh
+    if out.ndim == 1:
+        np.add.at(out, targets[rest], vals[rest])
+        return
     # ufunc.at is only fast on scalar elements, so scatter flat entry indices
     size = out[0].size
-    flat = (targets[~fresh, None] * size + np.arange(size)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, vals[~fresh].reshape(-1))
+    flat = (targets[rest, None] * size + np.arange(size)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, vals[rest].reshape(-1))
+
+
+def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
+    """|Tr(A_p M)| / sum |M| for one fixed M: at most each atom's max-norm.
+
+    M has unit-modulus entries with quasi-random phases, 2 pi frac(k phi)
+    over the golden ratio phi, so sum |M| = N^2; it needs no random
+    generator, whose import costs about 15 ms in a fresh process.
+    """
+    n = atoms.dim
+    golden = (1 + 5**0.5) / 2
+    m = np.exp(2j * np.pi * (np.arange(1, n * n + 1) * golden % 1.0)).reshape(n, n)
+    return np.abs(atoms.weights_for(m)) / (n * n)
+
+
+def _prune_mask(atoms: OperatorAtomSet) -> np.ndarray:
+    """Atoms whose max-norm reaches ``linalg.ROUNDING_TOL``, decided without forming them.
+
+    An atom is dropped when an upper bound on its entries, the sum over
+    its group choices of |term weight| times the choice's
+    :meth:`~OperatorAtomSet._block_norms`, lies below the tolerance, and
+    kept when the lower bound :func:`_probe_lower_bound` reaches it. If
+    any atom lies between its bounds, the verdict for all is read off the
+    dense atoms.
+    """
+    tol = linalg.ROUNDING_TOL
+    upper = atoms._collect(atoms._block_norms, [abs(t.weight) for t in atoms.terms]).real
+    keep = _probe_lower_bound(atoms) >= tol
+    if not (keep | (upper < tol)).all():
+        keep = np.abs(atoms.matrices).max(axis=(1, 2)) >= tol
+    return keep
 
 
 def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
@@ -493,16 +654,19 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     v-th entry is the coefficient-weighted sum of chosen eigenvalues over
     the factors of variable v.
 
-    All products of one word come from a single contraction of the
-    eigenvector overlaps U_k^dagger U_{k+1} (see :func:`_word_atoms`), so
+    All products of one word are fixed by one contraction of the
+    eigenvector overlaps U_k^dagger U_{k+1} (:func:`_overlap_chain`), so
     no projector is multiplied per choice. Terms whose words visit the same
     observables in the same order, or in reverse order (the products are
     then adjoints), share that contraction and differ only in coordinates
-    and weight. The merge and prune rules are those of the scalar
-    definition: coordinates within ``linalg.COORD_TOL`` of each other (per
-    variable, chained over sorted values) merge into one atom at the
-    rounded cluster mean, and merged atoms below ``linalg.ROUNDING_TOL`` in
-    max-norm are dropped.
+    and weight. The returned set stores the chains, not the products (see
+    :class:`OperatorAtomSet`). The merge and prune rules are those of the
+    scalar definition: coordinates within ``linalg.COORD_TOL`` of each
+    other (per variable, chained over sorted values) merge into one atom at
+    the rounded cluster mean, and merged atoms below ``linalg.ROUNDING_TOL``
+    in max-norm are dropped; the prune reads bounds off the chains
+    (:func:`_prune_mask`). The atom sum must be the identity within
+    ``linalg.DEFECT_TOL``.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -510,53 +674,44 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
             "use its characteristic function instead"
         )
     _check_observables(spec.n_vars, observables)
-    dim = observables[0].dim
+    eigs = tuple(o.eig for o in observables)
 
-    coords = []
+    seqs, coords = [], []
     for _, word in spec.terms:
-        eigs = [observables[f.obs].eig for f in word]
-        coords.append(_word_coordinates(word, eigs, spec.n_vars))
-    sizes = [c.shape[0] for c in coords]
+        seqs.append(tuple(f.obs for f in word))
+        coords.append(_word_coordinates(word, [eigs[o] for o in seqs[-1]], spec.n_vars))
+    offsets = np.cumsum([0] + [c.shape[0] for c in coords])
     all_coords = np.concatenate(coords)
-    keys = np.column_stack(
-        [_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)]
+    reps, ids = zip(
+        *(_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars))
     )
-    points, targets = np.unique(keys, axis=0, return_inverse=True)
-    targets = targets.reshape(-1)
+    _, first, targets = np.unique(
+        _row_keys(ids, [r.size for r in reps]), return_index=True, return_inverse=True
+    )
+    points = np.column_stack([r[i[first]] for r, i in zip(reps, ids)])
     fresh = np.zeros(targets.size, dtype=bool)
-    fresh[np.unique(targets, return_index=True)[1]] = True
+    fresh[first] = True
 
-    matrices = np.zeros((points.shape[0], dim, dim), dtype=complex)
-    shared = {}  # observable sequence -> products of every group choice
-    offset = 0
-    for (weight, word), size in zip(spec.terms, sizes):
-        seq = tuple(f.obs for f in word)
-        if seq in shared:
-            vals = shared[seq]
-        elif seq[::-1] in shared:
-            # reversed word: P_L ... P_1 = (P_1 ... P_L)^dagger
-            n = len(seq)
-            flipped = shared[seq[::-1]].transpose(tuple(range(n))[::-1] + (n + 1, n))
-            vals = np.conjugate(flipped, out=np.empty(flipped.shape, dtype=complex))
-        else:
-            vals = shared[seq] = _word_atoms([observables[o].eig for o in seq])
-        vals = vals.reshape(size, dim, dim)
-        if weight != 1:
-            vals = weight * vals
-        part = slice(offset, offset + size)
-        _scatter_add(matrices, targets[part], vals, fresh[part])
-        offset += size
-    del shared, vals  # release the products before the prune pass
-
-    keep = np.abs(matrices).max(axis=(1, 2)) >= linalg.ROUNDING_TOL
-    if not keep.all():
-        points, matrices = points[keep], matrices[keep]
+    chains = {}  # observable sequence -> overlap chain, also read by its reversal
+    terms = []
+    for (weight, _), seq, lo, hi in zip(spec.terms, seqs, offsets[:-1], offsets[1:]):
+        flipped = seq not in chains and seq[::-1] in chains
+        if flipped:
+            seq = seq[::-1]
+        elif seq not in chains:
+            chains[seq] = _overlap_chain([eigs[o] for o in seq])
+        terms.append(_Term(seq, flipped, weight, targets[lo:hi], fresh[lo:hi]))
     meta = {
         "scheme": spec.label,
         "observables": tuple(o.label for o in observables),
         "approximate": spec.approximate,
     }
-    atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
+    atoms = OperatorAtomSet(spec.n_vars, points, eigs, chains, tuple(terms), meta)
+    keep = _prune_mask(atoms)
+    if not keep.all():
+        index = np.where(keep, np.cumsum(keep) - 1, np.count_nonzero(keep))
+        terms = [t._replace(targets=index[t.targets]) for t in terms]
+        atoms = replace(atoms, points=points[keep], terms=tuple(terms))
     defect = atoms.identity_defect()
     if not defect <= linalg.DEFECT_TOL:
         raise QuasiJointError(
@@ -698,7 +853,7 @@ def _match_rows(points, support) -> np.ndarray:
         grid.append(values.size)
         row_index.append(inverse.reshape(-1))
     # distinct row keys, sorted, with the first row holding each
-    row_keys, first = np.unique(np.ravel_multi_index(row_index, grid), return_index=True)
+    row_keys, first = np.unique(_row_keys(row_index, grid), return_index=True)
     best = np.full(len(points), len(support))
     # one pass per candidate offset: a run holds more than one value only
     # where support values lie within 2 * COORD_TOL of each other

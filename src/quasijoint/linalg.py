@@ -12,6 +12,7 @@ every module reads them from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,21 +67,21 @@ class EigenSystem:
     """Spectral decomposition with nearly equal eigenvalues merged.
 
     ``eigenvalues`` is sorted descending and holds one entry per distinct
-    eigenvalue after grouping; ``projectors[k]`` is the orthogonal projector
-    onto the corresponding eigenspace and ``multiplicities[k]`` its dimension.
-    ``vectors`` holds orthonormal eigenvectors as columns in the same
-    descending order, so group ``k`` occupies ``multiplicities[k]``
-    contiguous columns starting at ``group_starts[k]``.
+    eigenvalue after grouping, ``multiplicities[k]`` the dimension of its
+    eigenspace. ``vectors`` holds orthonormal eigenvectors as columns in
+    the same descending order, so group ``k`` occupies
+    ``multiplicities[k]`` contiguous columns starting at
+    ``group_starts[k]``. ``projectors[k]``, the orthogonal projector onto
+    eigenspace ``k``, is formed from those columns on first use.
     """
 
     eigenvalues: np.ndarray
-    projectors: tuple
     multiplicities: tuple
     vectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.vectors.shape[0]
 
     @property
     def group_starts(self) -> np.ndarray:
@@ -92,13 +93,25 @@ class EigenSystem:
         """True when some eigenvalue group spans more than one column."""
         return len(self.multiplicities) < self.dim
 
+    @cached_property
+    def projectors(self) -> tuple:
+        """Read-only eigenprojectors, Hermitian by construction."""
+        out = []
+        for start, mult in zip(self.group_starts, self.multiplicities):
+            block = self.vectors[:, start : start + mult]
+            proj = block @ block.conj().T
+            proj = (proj + proj.conj().T) / 2
+            proj.setflags(write=False)
+            out.append(proj)
+        return tuple(out)
+
 
 def eigensystem(matrix) -> EigenSystem:
     """Diagonalize a Hermitian matrix, merging nearly equal eigenvalues.
 
     Eigenvalues closer than ``DEGENERACY_TOL`` (scaled by the spectral
     radius when that radius exceeds one) are grouped into a single
-    projector with summed multiplicity.
+    eigenspace with summed multiplicity.
     """
     m = require_hermitian(matrix)
     try:
@@ -106,30 +119,23 @@ def eigensystem(matrix) -> EigenSystem:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dim <= 64 always converges
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     vals = vals[::-1]
-    vecs = vecs[:, ::-1]
     scale = max(1.0, float(np.abs(vals).max()))
     tol = DEGENERACY_TOL * scale
 
     eigenvalues = []
-    projectors = []
     multiplicities = []
     start = 0
     n = vals.size
     for i in range(1, n + 1):
         if i == n or vals[i - 1] - vals[i] > tol:
-            block = vecs[:, start:i]
-            proj = block @ block.conj().T
-            proj = (proj + proj.conj().T) / 2
-            proj.setflags(write=False)
             eigenvalues.append(float(vals[start:i].mean()))
-            projectors.append(proj)
             multiplicities.append(i - start)
             start = i
     evals = np.array(eigenvalues)
     evals.setflags(write=False)
-    vecs = np.ascontiguousarray(vecs)
+    vecs = np.ascontiguousarray(vecs[:, ::-1])
     vecs.setflags(write=False)
-    return EigenSystem(evals, tuple(projectors), tuple(multiplicities), vecs)
+    return EigenSystem(evals, tuple(multiplicities), vecs)
 
 
 def real_rank_and_pinv(matrix):

@@ -10,16 +10,12 @@ count and points exactly and its matrices to rounding.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
 from quasijoint import linalg
-from quasijoint.distributions import (
-    OperatorAtomSet,
-    SchemeSpec,
-    WignerScheme,
-    _check_observables,
-)
+from quasijoint.distributions import SchemeSpec, WignerScheme, _check_observables
 from quasijoint.errors import QuasiJointError, UnsupportedSchemeError
 
 
@@ -42,7 +38,24 @@ def _cluster_values(values, tol):
     return rep
 
 
-def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
+@dataclass(frozen=True)
+class DenseAtoms:
+    """Atom points, shape (P, n_vars), and dense atom matrices, shape (P, N, N)."""
+
+    n_vars: int
+    points: np.ndarray
+    matrices: np.ndarray
+    meta: dict
+
+    def __len__(self):
+        return self.points.shape[0]
+
+    def identity_defect(self) -> float:
+        """Max-norm distance of the atom sum from the identity."""
+        return float(np.abs(self.matrices.sum(axis=0) - np.eye(self.matrices.shape[1])).max())
+
+
+def build_atoms(spec: SchemeSpec, observables) -> DenseAtoms:
     """Exact operator atoms of a product-form scheme.
 
     Every factor exp(-i s c A) expands over the eigenprojectors of A; each
@@ -97,7 +110,7 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
         "observables": tuple(o.label for o in observables),
         "approximate": spec.approximate,
     }
-    atoms = OperatorAtomSet(spec.n_vars, points, matrices, meta)
+    atoms = DenseAtoms(spec.n_vars, points, matrices, meta)
     defect = atoms.identity_defect()
     if defect > linalg.DEFECT_TOL:
         raise QuasiJointError(

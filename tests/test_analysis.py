@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import quasijoint as qj
 from quasijoint.errors import (
+    DimensionMismatchError,
     DomainError,
     RankDeficientError,
     SupportMismatchError,
@@ -106,6 +107,13 @@ def test_diag_equality(spin_half):
 def test_diag_equality_needs_two_levels(spin_one):
     with pytest.raises(DomainError):
         qj.diag_equality_check(qj.scheme_kirkwood(2), (spin_one.j1, spin_one.j2))
+
+
+def test_diag_equality_checks_observable_count(spin_half):
+    with pytest.raises(DimensionMismatchError):
+        qj.diag_equality_check(qj.scheme_kirkwood(2), ())
+    with pytest.raises(DimensionMismatchError):
+        qj.diag_equality_check(qj.WignerScheme(2), (spin_half.j1,))
 
 
 # ---------------------------------------------------------------------------

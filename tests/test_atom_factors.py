@@ -1,0 +1,147 @@
+"""Atom sets stored by their factors against the dense oracle.
+
+``build_atoms`` keeps the overlap chains, not the atom matrices: joint
+weights, the identity check and the prune verdict are read off the
+chains. On random pairs under every scheme constructor and on spin pairs
+up to j = 3, they must match the brute-force oracle within 1e-12 (points
+exactly), and none of them may form the dense atoms.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quasijoint as qj
+from quasijoint import distributions
+
+import atoms_oracle
+from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
+
+
+def _traces(matrices, m):
+    return np.einsum("pij,ji->p", matrices, m)
+
+
+def assert_factors_match_oracle(spec, obs, seed):
+    got = qj.build_atoms(spec, obs)
+    want = atoms_oracle.build_atoms(spec, obs)
+    assert np.array_equal(got.points, want.points)
+    n = obs[0].dim
+    rng = np.random.default_rng(seed)
+    rho = qj.random_density(n, rng)
+    dist = qj.evaluate_distribution(got, rho, prune_tol=0.0)
+    assert np.array_equal(dist.points, want.points)
+    assert np.abs(dist.weights - _traces(want.matrices, rho.matrix)).max() <= 1e-12
+    # diag(1, -1) on two levels; a non-Hermitian matrix tells M from M^dagger
+    # on reversed words
+    sign = np.diag([(-1.0) ** k for k in range(n)])
+    general = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for m in (sign, general):
+        assert np.abs(got.weights_for(m) - _traces(want.matrices, m)).max() <= 1e-12
+    assert abs(got.identity_defect() - want.identity_defect()) <= 1e-12
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(spec=TWO_VAR_SCHEMES, obs=observables(2), seed=SEEDS)
+def test_two_variable_schemes_match_dense_oracle(spec, obs, seed):
+    assert_factors_match_oracle(spec, obs, seed)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(spec=TWO_VAR_SCHEMES, j_times_two=st.integers(1, 6), pair=st.sampled_from([(0, 1), (2, 0)]),
+       seed=SEEDS)
+def test_spin_pairs_match_dense_oracle(spec, j_times_two, pair, seed):
+    spin = qj.spin_operators(j_times_two).components
+    assert_factors_match_oracle(spec, (spin[pair[0]], spin[pair[1]]), seed)
+
+
+SPIN_SCHEMES = (
+    qj.scheme_kirkwood(2),
+    qj.scheme_s_alpha(0.25),
+    qj.scheme_margenau_hill(0.3),
+    qj.scheme_born_jordan(5),
+    qj.scheme_alternating([0.3, 0.7], [0.6, 0.4]),
+)
+
+
+def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense atoms formed")
+
+    monkeypatch.setattr(distributions, "_word_atoms", forbidden)
+    rng = np.random.default_rng(4)
+    for j_times_two in (1, 2, 3):
+        spin = qj.spin_operators(j_times_two)
+        pair = (spin.j1, spin.j2)
+        for spec in SPIN_SCHEMES:
+            atoms = qj.build_atoms(spec, pair)
+            assert atoms.identity_defect() <= 1e-12
+            dist = qj.evaluate_distribution(atoms, qj.random_density(spin.dim, rng))
+            assert abs(dist.total() - 1.0) <= 1e-12
+            if spin.dim == 2:
+                qj.diag_equality_check(spec, pair)
+            assert "matrices" not in vars(atoms)
+
+
+def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
+    calls = []
+    word_atoms = distributions._word_atoms
+
+    def counted(*args):
+        calls.append(1)
+        return word_atoms(*args)
+
+    monkeypatch.setattr(distributions, "_word_atoms", counted)
+    monkeypatch.setattr(distributions, "_probe_lower_bound", lambda atoms: np.zeros(len(atoms)))
+    # on the spin-1 pair each of these schemes drops 1 to 21 atoms below the prune level
+    for spec in SPIN_SCHEMES:
+        calls.clear()
+        got = qj.build_atoms(spec, (spin_one.j1, spin_one.j2))
+        assert calls, "the prune did not read the dense atoms"
+        want = atoms_oracle.build_atoms(spec, (spin_one.j1, spin_one.j2))
+        assert len(got) == len(want)
+        assert np.array_equal(got.points, want.points)
+        assert np.abs(got.matrices - want.matrices).max() <= 1e-12
+
+
+def test_reversed_word_bounds_follow_its_order(monkeypatch):
+    # B's eigenbasis has a zero overlap with A's at one index pair but not at
+    # the mirrored pair: a reversed word must read its entry bounds transposed
+    # for the bounds alone to drop the zero atom
+    c, s = np.cos(0.4), np.sin(0.4)
+    r01 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    r12 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    v = r01 @ r12
+    pair = (
+        qj.HermitianObservable(np.diag([3.0, 2.0, 1.0]), "A"),
+        qj.HermitianObservable(v @ np.diag([1.5, -0.5, 0.25]) @ v.T, "B"),
+    )
+    for alpha in (-1.0, 1.0):
+        spec = qj.scheme_margenau_hill(alpha)
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_word_atoms", None)
+            got = qj.build_atoms(spec, pair)
+        want = atoms_oracle.build_atoms(spec, pair)
+        assert len(got) == len(want) < 9
+        assert np.array_equal(got.points, want.points)
+        assert np.abs(got.matrices - want.matrices).max() <= 1e-12
+
+
+def test_prune_matches_oracle_near_the_prune_level():
+    # a split word of tiny weight puts atoms of max-norm about its weight at
+    # points no other atom reaches
+    rng = np.random.default_rng(8)
+    pair = tuple(qj.HermitianObservable(qj.random_hermitian(3, rng), f"O{v}") for v in range(2))
+    for eps in (1e-15, 1e-14, 1e-13, 1e-12, 1e-11):
+        spec = qj.SchemeSpec(2, (
+            (1.0 - eps, [(0, 1.0, 0), (1, 1.0, 1)]),
+            (eps, [(0, 0.5, 0), (1, 1.0, 1), (0, 0.5, 0)]),
+        ))
+        got = qj.build_atoms(spec, pair)
+        want = atoms_oracle.build_atoms(spec, pair)
+        assert len(got) == len(want)
+        assert np.array_equal(got.points, want.points)
+        assert np.abs(got.matrices - want.matrices).max() <= 1e-12

@@ -3,7 +3,7 @@
 These are the original definitions: ``parametrize`` and ``embed`` walk the
 index pairs in a Python double loop, and the map's columns are finite
 differences of the coefficient vector along the coordinate basis, one
-``embed`` and one weight evaluation per coordinate. The library reads the
+``embed`` and one trace of the dense atoms per coordinate. The library reads the
 same map off the atom entries in closed form; it must match these columns
 to rounding, the offset exactly, and the rank.
 """
@@ -54,8 +54,11 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
 
 
 def _stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
-    """Interleaved (Re, Im) weight vector on the atom support, length 2P."""
-    w = atoms.weights_for(matrix)
+    """Interleaved (Re, Im) weight vector on the atom support, length 2P.
+
+    The weights are traces of the dense atoms against the matrix.
+    """
+    w = np.einsum("pij,ji->p", atoms.matrices, np.asarray(matrix, dtype=complex))
     return np.column_stack([w.real, w.imag]).ravel()
 
 
