@@ -37,10 +37,10 @@ from .quantum import (
     DensityState,
     SpinTriple,
     bloch_state,
+    chart_basis,
     embed,
     expectation,
     random_density,
-    trace_affine_form,
 )
 
 
@@ -132,10 +132,10 @@ class ReconstructionMap:
     """Affine map from state coordinates to stacked distribution coefficients.
 
     For any state, the interleaved (Re, Im) weight vector over ``support``
-    equals ``map_matrix @ parametrize(state) + offset``; both are read off
-    the atom matrices in closed form. Full rank (N^2 - 1) means the
-    distribution determines the state; ``pinv`` then inverts the map in
-    the least-squares sense.
+    equals ``map_matrix @ parametrize(state) + offset``; both are the
+    atoms' weights against the coordinate chart (:func:`reconstruction_map`).
+    Full rank (N^2 - 1) means the distribution determines the state;
+    ``pinv`` then inverts the map in the least-squares sense.
     """
 
     observables: tuple
@@ -164,20 +164,22 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
     The weight of atom A_p is Tr(A_p rho(x)), affine in the state
-    coordinates x, so the map is read off the atom entries in closed form
-    (:func:`~quasijoint.quantum.trace_affine_form`): columns are the coordinate
-    derivatives and the offset is the weight vector at x = 0, each with
-    Re and Im rows interleaved. Rank and pseudo-inverse come from the real
-    SVD with threshold ``linalg.RANK_RATIO`` times max(s_0, 1)
-    (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
-    but for rounding, as for two multiples of the identity, has rank 0.
+    coordinates x, so the map is one stacked
+    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` against
+    :func:`~quasijoint.quantum.chart_basis`: column 0, the weights of
+    rho(0), is the offset and the other columns, the weights of the
+    coordinate derivatives, are the map, each with Re and Im rows
+    interleaved. No dense atom is formed. Rank and pseudo-inverse come
+    from the real SVD with threshold ``linalg.RANK_RATIO`` times
+    max(s_0, 1) (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map
+    that is zero but for rounding, as for two multiples of the identity,
+    has rank 0.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
     atoms = build_atoms(spec, (a, b))
-    offset, slope = trace_affine_form(atoms.matrices)
-    offset, map_matrix = _re_im_rows(offset), _re_im_rows(slope)
-    del slope  # keep complex temporaries out of the SVD's peak memory
+    weights = _re_im_rows(atoms.weights_for(chart_basis(a.dim)))
+    offset, map_matrix = weights[:, 0], weights[:, 1:]
     rank, pinv = linalg.real_rank_and_pinv(map_matrix)
     return ReconstructionMap(
         observables=(a, b),

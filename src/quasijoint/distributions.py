@@ -20,10 +20,12 @@ as for the scalar definition.
 An atom set stores the chains, not the N x N atoms. Pairing atoms with a
 state by the trace gives the (generally complex) joint weights; each
 chain is closed with the state once, so weights, like the identity check
-and the prune, form no atom matrix. Integrating a classical function
-against the atoms gives the matching operator quantization, which builds
-the dense atoms from the chains on first use. Both sides of that duality
-live here.
+and the prune, form no atom matrix. Closing the chains against a stack of
+matrices in one broadcast serves every other read: the dense atoms are
+the weights against the N^2 matrix units, and the reconstruction map the
+weights against the coordinate chart. Integrating a classical function
+against the atoms gives the matching operator quantization, which reads
+those dense atoms. Both sides of that duality live here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -249,11 +251,12 @@ class OperatorAtomSet:
     eigensystems ``eigs``, one overlap chain per observable sequence
     (``chains``; a word visiting a sequence in reverse reads its chain)
     and, per scheme term, its weight and the atom each group choice lands
-    in. Joint weights (:meth:`weights_for`) and the identity check close
-    those chains and form no N x N atom. ``matrices``, shape (P, N, N), is
-    built from the same chains on first use and cached; only
-    :func:`quantize`, :meth:`marginal_operator`,
-    :meth:`hermiticity_defect` and the reconstruction map read it.
+    in. Joint weights (:meth:`weights_for`, against one matrix or a
+    stack) and the identity check close those chains and form no N x N
+    atom. ``matrices``, shape (P, N, N), is the weights against the matrix
+    units, built on first use and cached; only :func:`quantize`,
+    :meth:`marginal_operator`, :meth:`hermiticity_defect` and the prune
+    fallback read it.
     """
 
     n_vars: int
@@ -270,35 +273,43 @@ class OperatorAtomSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def _collect(self, table, weights) -> np.ndarray:
-        """Per atom, the sum of weight * table(seq, flipped)[g] over every term's group choices g."""
-        out = np.zeros(len(self) + 1, dtype=complex)  # the last slot takes pruned choices
+    def _collect(self, table, weights, stack=()) -> np.ndarray:
+        """Per atom, the sum of weight * table(seq, flipped)[g] over every term's group choices g.
+
+        A table has the group axes of its sequence followed by ``stack``.
+        """
+        out = np.zeros((len(self) + 1,) + stack, dtype=complex)  # the last slot takes pruned choices
         tables = {}
         for term, weight in zip(self.terms, weights):
             key = term.seq, term.flipped
             if key not in tables:
-                tables[key] = table(*key).reshape(-1)
+                tables[key] = table(*key).reshape((-1,) + stack)
             vals = tables[key] if weight == 1 else weight * tables[key]
             _scatter_add(out, term.targets, vals, term.fresh)
         return out[:-1]
 
     def weights_for(self, matrix) -> np.ndarray:
-        """Trace of each atom against a matrix (the raw joint weights).
+        """Trace of each atom against a matrix, shape (P,), or a stack of K matrices, shape (P, K).
 
-        Each observable sequence closes its chain with the matrix once
+        Each observable sequence closes its chain with every matrix at once
         (:func:`_word_weights`); a reversed word reads
         Tr(M P_L ... P_1) = conj Tr(M^dagger P_1 ... P_L) off the same
-        chain.
+        chain. Every read of the atoms goes through here: the raw joint
+        weights, :attr:`matrices` and the reconstruction map.
         """
         m = np.asarray(matrix, dtype=complex)
+        stack = m.shape[:-2]
 
         def table(seq, flipped):
             eigs = [self.eigs[o] for o in seq]
-            if flipped:
-                return _word_weights(eigs, m.conj().T, self.chains[seq]).conj().transpose()
-            return _word_weights(eigs, m, self.chains[seq])
+            if not flipped:
+                return _word_weights(eigs, m, self.chains[seq])
+            adjoint = np.swapaxes(m, -1, -2).conj()
+            w = _word_weights(eigs, adjoint, self.chains[seq]).conj()
+            n = len(seq)
+            return w.transpose(tuple(range(n))[::-1] + tuple(range(n, w.ndim)))
 
-        return self._collect(table, [t.weight for t in self.terms])
+        return self._collect(table, [t.weight for t in self.terms], stack)
 
     def _block_norms(self, seq, flipped) -> np.ndarray:
         """Per group choice, the sum of |chain| over its block.
@@ -336,27 +347,14 @@ class OperatorAtomSet:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        """Dense atoms, shape (P, N, N), built from the stored chains on first use.
+        """Dense atoms, shape (P, N, N), built on first use.
 
-        Terms that read the same chain share one :func:`_word_atoms` stack;
-        a reversed word takes its adjoints, P_L ... P_1 = (P_1 ... P_L)^dagger.
+        Entry [p, i, j] is Tr(A_p E_ji) for the matrix unit E_ji, so the
+        atoms are :meth:`weights_for` the stack of all N^2 units.
         """
-        dim = self.dim
-        out = np.zeros((len(self) + 1, dim, dim), dtype=complex)  # last: pruned choices
-        shared = {}  # observable sequence -> products of every group choice
-        for seq, flipped, weight, targets, fresh in self.terms:
-            if seq not in shared:
-                shared[seq] = _word_atoms([self.eigs[o] for o in seq], self.chains[seq])
-            vals = shared[seq]
-            if flipped:
-                n = len(seq)
-                adjoint = vals.transpose(tuple(range(n))[::-1] + (n + 1, n))
-                vals = np.conjugate(adjoint, out=np.empty(adjoint.shape, dtype=complex))
-            vals = vals.reshape(-1, dim, dim)
-            if weight != 1:
-                vals = weight * vals
-            _scatter_add(out, targets, vals, fresh)
-        return out[:-1]
+        n = self.dim
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
+        return self.weights_for(units).reshape(-1, n, n)
 
     def hermiticity_defect(self) -> float:
         """Largest hermiticity defect over all atoms."""
@@ -471,17 +469,6 @@ def _cluster_values(values, tol):
     return reps, cluster[inverse.reshape(-1)]
 
 
-def _row_keys(index, grid) -> np.ndarray:
-    """One integer key per row of per-variable value indices.
-
-    ``index[v]`` holds each row's index into the ``grid[v]`` sorted values
-    of variable v. The keys are ``np.ravel_multi_index`` of those indices,
-    so they sort as the rows do lexicographically, and an integer
-    ``np.unique`` of the keys replaces a row-wise one.
-    """
-    return np.ravel_multi_index(index, grid)
-
-
 def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
     """Sum ``x`` along ``axis`` (indexed by eigenvector columns) within eigenvalue groups."""
     if not eig.degenerate:
@@ -508,44 +495,30 @@ def _overlap_chain(eigs):
     return chain
 
 
-def _word_atoms(eigs, chain=None) -> np.ndarray:
-    """Ordered projector products for every choice of one group per factor.
-
-    Returns shape (G_1, ..., G_L, N, N) with entry [g_1, ..., g_L] equal to
-    P_1[g_1] P_2[g_2] ... P_L[g_L], assembled from the word's
-    :func:`_overlap_chain` (computed here unless given) as group-summed
-    outer products of the first and last eigenvectors; the product is
-    never formed directly.
-    """
-    first, last = eigs[0], eigs[-1]
-    if len(eigs) == 1:
-        return np.stack(first.projectors)
-    if chain is None:
-        chain = _overlap_chain(eigs)
-    # right[i, ..., g_L, q] = sum over j in g_L of c[i, ..., j] conj(v_j[q])
-    right = _group_sum(chain[..., :, None] * last.vectors.conj().T, last, axis=-2)
-    left = first.vectors.T.reshape((first.dim,) + (1,) * (right.ndim - 2) + (first.dim, 1))
-    return _group_sum(np.multiply(left, right[..., None, :], order="C"), first, axis=0)
-
-
 def _word_weights(eigs, rho, chain=None) -> np.ndarray:
-    """Trace of a matrix against every projector product of a word.
+    """Trace of a matrix, or of each matrix of a stack, against every projector product of a word.
 
-    Returns shape (G_1, ..., G_L) with entry [g_1, ..., g_L] equal to
-    Tr(rho P_1[g_1] ... P_L[g_L]): the trace of u_i c[...] v_j^dagger is
-    c[...] (U_L^dagger rho U_1)[j, i], so the word's overlap chain
-    (computed here unless given) is closed with that one matrix and summed
-    over the first and last groups. No projector product and no atom
-    matrix is formed.
+    For one matrix, returns shape (G_1, ..., G_L) with entry
+    [g_1, ..., g_L] equal to Tr(rho P_1[g_1] ... P_L[g_L]); a stack of
+    shape (K, N, N) adds a last axis of length K. The trace of
+    u_i c[...] v_j^dagger is c[...] (U_L^dagger rho U_1)[j, i], so the
+    word's overlap chain (computed here unless given) is closed with that
+    one matrix per stack entry, in one broadcast, and summed over the first
+    and last groups. No projector product and no atom matrix is formed.
     """
     first, last = eigs[0], eigs[-1]
-    closing = last.vectors.conj().T @ rho @ first.vectors
+    stack = rho.shape[:-2]
+    # closing[i, j, k] = (U_L^dagger rho_k U_1)[j, i]; one matrix product
+    # over the whole stack would be faster at small N but hands large
+    # stacks to threaded BLAS, whose buffers raise the peak memory
+    closing = (last.vectors.conj().T @ rho @ first.vectors).T
     if len(eigs) == 1:
-        return _group_sum(np.diagonal(closing), first, axis=0)
+        return _group_sum(np.einsum("ii...->i...", closing), first, axis=0)
     if chain is None:
         chain = _overlap_chain(eigs)
-    closing = closing.T.reshape((first.dim,) + (1,) * (chain.ndim - 2) + (last.dim,))
-    return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=-1)
+    chain = chain.reshape(chain.shape + (1,) * len(stack))
+    closing = closing.reshape((first.dim,) + (1,) * (len(eigs) - 2) + (last.dim,) + stack)
+    return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=len(eigs) - 1)
 
 
 def _complex_matmul(a, b) -> np.ndarray:
@@ -685,8 +658,10 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     reps, ids = zip(
         *(_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars))
     )
+    # integer row keys sort as the rows of cluster ids do lexicographically,
+    # so an integer np.unique replaces a row-wise one
     _, first, targets = np.unique(
-        _row_keys(ids, [r.size for r in reps]), return_index=True, return_inverse=True
+        np.ravel_multi_index(ids, [r.size for r in reps]), return_index=True, return_inverse=True
     )
     points = np.column_stack([r[i[first]] for r, i in zip(reps, ids)])
     fresh = np.zeros(targets.size, dtype=bool)
@@ -853,7 +828,7 @@ def _match_rows(points, support) -> np.ndarray:
         grid.append(values.size)
         row_index.append(inverse.reshape(-1))
     # distinct row keys, sorted, with the first row holding each
-    row_keys, first = np.unique(_row_keys(row_index, grid), return_index=True)
+    row_keys, first = np.unique(np.ravel_multi_index(row_index, grid), return_index=True)
     best = np.full(len(points), len(support))
     # one pass per candidate offset: a run holds more than one value only
     # where support values lie within 2 * COORD_TOL of each other

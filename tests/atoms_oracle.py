@@ -2,9 +2,10 @@
 
 This is the original scalar definition of ``build_atoms``: it loops over
 every choice of one eigenvalue per factor, multiplies the dense
-projectors, and merges atoms through a dict keyed on clustered
-coordinates. The library's vectorized builder must reproduce its atom
-count and points exactly and its matrices to rounding.
+projectors (:func:`projector_products`), and merges atoms through a dict
+keyed on clustered coordinates. The library's vectorized builder must
+reproduce its atom count and points exactly and its matrices to
+rounding.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ class DenseAtoms:
         return float(np.abs(self.matrices.sum(axis=0) - np.eye(self.matrices.shape[1])).max())
 
 
+def projector_products(eigs) -> np.ndarray:
+    """Ordered projector products of a word, shape (G_1, ..., G_L, N, N).
+
+    Entry [g_1, ..., g_L] is P_1[g_1] ... P_L[g_L], multiplied out from
+    the dense projectors left to right, one choice at a time.
+    """
+    grid = tuple(e.eigenvalues.size for e in eigs)
+    out = np.empty(grid + 2 * (eigs[0].dim,), dtype=complex)
+    for choice in itertools.product(*map(range, grid)):
+        mat = eigs[0].projectors[choice[0]]
+        for eig, k in zip(eigs[1:], choice[1:]):
+            mat = mat @ eig.projectors[k]
+        out[choice] = mat
+    return out
+
+
 def build_atoms(spec: SchemeSpec, observables) -> DenseAtoms:
     """Exact operator atoms of a product-form scheme.
 
@@ -77,17 +94,12 @@ def build_atoms(spec: SchemeSpec, observables) -> DenseAtoms:
     candidates = []  # (coords ndarray, matrix)
     for weight, word in spec.terms:
         eigs = [observables[f.obs].eig for f in word]
-        index_ranges = [range(e.eigenvalues.size) for e in eigs]
-        for choice in itertools.product(*index_ranges):
+        products = projector_products(eigs)
+        for choice in itertools.product(*(range(e.eigenvalues.size) for e in eigs)):
             coords = np.zeros(spec.n_vars)
-            mat = None
             for f, eig, k in zip(word, eigs, choice):
                 coords[f.var] += f.coeff * eig.eigenvalues[k]
-                proj = eig.projectors[k]
-                mat = proj if mat is None else mat @ proj
-            if mat is None:
-                mat = np.eye(dim, dtype=complex)
-            candidates.append((coords, weight * mat))
+            candidates.append((coords, weight * products[choice]))
 
     all_coords = np.array([c for c, _ in candidates])
     reps = [_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)]

@@ -186,6 +186,8 @@ def test_reconstruct_round_trip(spin_half, spin_one):
             dist = qj.evaluate_distribution(rmap.atoms, rho)
             rec = qj.reconstruct_state(rmap, dist)
             assert np.abs(rec.matrix - rho.matrix).max() <= 1e-9
+        # the map, the weights and the inversion read the atoms through their chains
+        assert "matrices" not in vars(rmap.atoms)
 
 
 def test_reconstruct_requires_full_rank(spin_half, z_plus):

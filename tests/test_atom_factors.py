@@ -4,7 +4,8 @@
 weights, the identity check and the prune verdict are read off the
 chains. On random pairs under every scheme constructor and on spin pairs
 up to j = 3, they must match the brute-force oracle within 1e-12 (points
-exactly), and none of them may form the dense atoms.
+exactly), and none of them may form the dense atoms. Weights against a
+stack of matrices must match the weights against each matrix alone.
 """
 
 import numpy as np
@@ -58,6 +59,20 @@ def test_spin_pairs_match_dense_oracle(spec, j_times_two, pair, seed):
     assert_factors_match_oracle(spec, (spin[pair[0]], spin[pair[1]]), seed)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(spec=TWO_VAR_SCHEMES, obs=observables(2), k=st.integers(1, 4), seed=SEEDS)
+def test_stacked_weights_match_one_matrix_at_a_time(spec, obs, k, seed):
+    # a non-Hermitian stack tells M from M^dagger on reversed words
+    atoms = qj.build_atoms(spec, obs)
+    n = obs[0].dim
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    got = atoms.weights_for(stack)
+    assert got.shape == (len(atoms), k)
+    for i in range(k):
+        assert np.abs(got[:, i] - atoms.weights_for(stack[i])).max() <= 1e-12
+
+
 SPIN_SCHEMES = (
     qj.scheme_kirkwood(2),
     qj.scheme_s_alpha(0.25),
@@ -67,11 +82,15 @@ SPIN_SCHEMES = (
 )
 
 
-def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
-    def forbidden(*args, **kwargs):
+def _forbid_dense_atoms(patch):
+    def forbidden(self):
         raise AssertionError("dense atoms formed")
 
-    monkeypatch.setattr(distributions, "_word_atoms", forbidden)
+    patch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
+
+
+def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
+    _forbid_dense_atoms(monkeypatch)
     rng = np.random.default_rng(4)
     for j_times_two in (1, 2, 3):
         spin = qj.spin_operators(j_times_two)
@@ -88,13 +107,13 @@ def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
 
 def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
     calls = []
-    word_atoms = distributions._word_atoms
+    matrices = distributions.OperatorAtomSet.matrices
 
-    def counted(*args):
+    def counted(self):
         calls.append(1)
-        return word_atoms(*args)
+        return matrices.func(self)
 
-    monkeypatch.setattr(distributions, "_word_atoms", counted)
+    monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(counted))
     monkeypatch.setattr(distributions, "_probe_lower_bound", lambda atoms: np.zeros(len(atoms)))
     # on the spin-1 pair each of these schemes drops 1 to 21 atoms below the prune level
     for spec in SPIN_SCHEMES:
@@ -122,7 +141,7 @@ def test_reversed_word_bounds_follow_its_order(monkeypatch):
     for alpha in (-1.0, 1.0):
         spec = qj.scheme_margenau_hill(alpha)
         with monkeypatch.context() as m:
-            m.setattr(distributions, "_word_atoms", None)
+            _forbid_dense_atoms(m)
             got = qj.build_atoms(spec, pair)
         want = atoms_oracle.build_atoms(spec, pair)
         assert len(got) == len(want) < 9

@@ -3,7 +3,8 @@
 For a product scheme, ``characteristic_function`` contracts one weight
 table per observable sequence with the factor phases; it must agree with
 the trace of the state against ``hashed_operator_batch`` within 1e-12, and
-each weight table with the trace of the state against the word's atoms.
+each weight table with the trace of the state against the word's
+projector products, multiplied out as in the atoms oracle.
 Random Hermitian observables of dimension 2-6, half with degenerate
 spectra, random states, and random frequencies that sometimes repeat a
 coordinate value, as on a grid.
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import distributions
-from quasijoint.distributions import _word_atoms, _word_weights
+from quasijoint.distributions import _word_weights
 
+import atoms_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
 
 
@@ -54,7 +56,7 @@ def assert_matches_mixture(spec, obs, seed):
     for _, word in spec.terms:
         eigs = [obs[f.obs].eig for f in word]
         table = _word_weights(eigs, rho.matrix)
-        traced = np.einsum("...ij,ji->...", _word_atoms(eigs), rho.matrix)
+        traced = np.einsum("...ij,ji->...", atoms_oracle.projector_products(eigs), rho.matrix)
         assert table.shape == traced.shape
         assert np.abs(table - traced).max() <= 1e-12
 
@@ -89,6 +91,6 @@ def test_product_schemes_form_no_mixture_and_no_atoms(spin_one, monkeypatch):
     pts = np.array([[0.0, 0.0], [1.5, -2.0]])
     want = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
     monkeypatch.setattr(qj.SchemeSpec, "hashed_operator_batch", forbidden)
-    monkeypatch.setattr(distributions, "_word_atoms", forbidden)
+    monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
     got = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
     assert np.array_equal(got, want)

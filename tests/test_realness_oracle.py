@@ -7,6 +7,12 @@ of ``TWO_VAR_SCHEMES`` and ``WignerScheme(2)`` over random observables,
 half with degenerate spectra, and never evaluate the mixture h(s). At two
 levels a scheme is real exactly when its reconstruction map is rank
 deficient, the paper's statement that the imaginary part is essential.
+That equivalence holds away from the thresholds only: realness is judged
+by the absolute ``DEFECT_TOL`` and rank by the relative ``RANK_RATIO``,
+so on the spin-1/2 pair (J1, J2) ``scheme_margenau_hill(alpha)`` for
+alpha = 1e-9 and 1e-8 is not real yet has rank 2 (alpha = 1e-7 gives
+rank 3). The derandomized draws of the two-level property below hold no
+such alpha.
 """
 
 import numpy as np

@@ -1,10 +1,11 @@
-"""The closed-form reconstruction map and coordinate chart against the loop oracle.
+"""The reconstruction map and coordinate chart against the loop oracle.
 
 Random Hermitian pairs of dimension 2-6, half of them with degenerate
 spectra, under every scheme constructor (including the rank-deficient
 ``s_alpha(0.5)``). The map must match the finite-difference columns within
 1e-12, with a bit-identical offset and the same rank; ``parametrize`` and
-``embed`` must equal the double-loop versions exactly.
+``embed`` must equal the double-loop versions exactly, and ``embed`` must
+be the affine combination of ``chart_basis`` the map is traced against.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
+from quasijoint.quantum import chart_basis
 
 import tomography_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
@@ -68,5 +70,7 @@ def test_chart_matches_loop_oracle(dim, seed):
     assert np.array_equal(rho.matrix, tomography_oracle.embed(x, dim).matrix)
     assert np.array_equal(qj.parametrize(rho), tomography_oracle.parametrize(rho))
     assert np.array_equal(qj.parametrize(rho), x)
+    basis = chart_basis(dim)
+    assert np.abs(rho.matrix - (basis[0] + np.tensordot(x, basis[1:], 1))).max() <= 1e-15
     state = qj.random_density(dim, rng)
     assert np.array_equal(qj.parametrize(state), tomography_oracle.parametrize(state))

@@ -3,9 +3,9 @@
 These are the original definitions: ``parametrize`` and ``embed`` walk the
 index pairs in a Python double loop, and the map's columns are finite
 differences of the coefficient vector along the coordinate basis, one
-``embed`` and one trace of the dense atoms per coordinate. The library reads the
-same map off the atom entries in closed form; it must match these columns
-to rounding, the offset exactly, and the rank.
+``embed`` and one trace of the dense atoms per coordinate. The library
+traces the atoms against the whole chart in one stacked closing; it must
+match these columns to rounding, the offset exactly, and the rank.
 """
 
 from __future__ import annotations
