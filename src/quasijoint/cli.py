@@ -100,7 +100,7 @@ def _spin_component(token: str, component, where: str) -> quantum.HermitianObser
     j_times_two = 2 * j
     if j_times_two.denominator != 1 or j_times_two < 1:
         raise ValidationError(f"spin must be a positive multiple of 1/2, got {j}", field=where)
-    if component not in (1, 2, 3):
+    if not isinstance(component, int) or component not in (1, 2, 3):
         raise ValidationError(f"component must be 1, 2 or 3, got {component}", field=where)
     triple = quantum.spin_operators(int(j_times_two))
     return triple.components[component - 1]
@@ -141,7 +141,7 @@ def parse_state(doc, where: str) -> quantum.DensityState:
                 float(b.get("phi", 0.0)),
                 float(b.get("m", 1.0)),
             )
-        except DomainError as exc:
+        except (DomainError, TypeError, ValueError) as exc:
             raise ValidationError(str(exc), field=f"{where}:bloch") from exc
     if "density" not in doc:
         raise ValidationError("need either 'density' or 'bloch'", field=where)
@@ -161,15 +161,20 @@ def _scheme_from_name(name: str, n_vars: int, alpha, nodes, where: str):
         raise ValidationError(
             f"scheme {name!r} is defined for two observables, got {n_vars}", field=where
         )
-    if name == "s_alpha":
-        return distributions.scheme_s_alpha(0.5 if alpha is None else float(alpha))
-    if name == "margenau_hill":
-        return distributions.scheme_margenau_hill(0.0 if alpha is None else float(alpha))
-    if name == "born_jordan":
+    if name not in SCHEME_NAMES:
+        raise ValidationError(
+            f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}", field=where
+        )
+    # a parameter that is no number, or that makes no valid scheme (born_jordan:0,
+    # s_alpha:nan), is a bad input, not a numerical failure
+    try:
+        if name == "s_alpha":
+            return distributions.scheme_s_alpha(0.5 if alpha is None else float(alpha))
+        if name == "margenau_hill":
+            return distributions.scheme_margenau_hill(0.0 if alpha is None else float(alpha))
         return distributions.scheme_born_jordan(201 if nodes is None else int(nodes))
-    raise ValidationError(
-        f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}", field=where
-    )
+    except (DomainError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {name} parameter: {exc}", field=where) from exc
 
 
 def parse_scheme(doc, n_vars: int, where: str):
@@ -181,14 +186,22 @@ def parse_scheme(doc, n_vars: int, where: str):
         )
     if "terms" not in doc:
         raise ValidationError("need either 'name' or 'terms'", field=where)
+    if not isinstance(doc["terms"], list):
+        raise ValidationError("'terms' must be a list", field=f"{where}:terms")
     terms = []
     for t_idx, term in enumerate(doc["terms"]):
         tw = f"{where}:terms[{t_idx}]"
         if not isinstance(term, dict) or "weight" not in term or "word" not in term:
             raise ValidationError("each term needs 'weight' and 'word'", field=tw)
         w = term["weight"]
-        if not isinstance(w, list) or len(w) != 2:
-            raise ValidationError("weight must be a [re, im] pair", field=f"{tw}:weight")
+        if (
+            not isinstance(w, list)
+            or len(w) != 2
+            or not all(isinstance(v, (int, float)) for v in w)
+        ):
+            raise ValidationError("weight must be a [re, im] number pair", field=f"{tw}:weight")
+        if not isinstance(term["word"], list):
+            raise ValidationError("word must be a list of factors", field=f"{tw}:word")
         word = []
         for f_idx, factor in enumerate(term["word"]):
             fw = f"{tw}:word[{f_idx}]"
@@ -253,6 +266,8 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
             lo, hi, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as exc:
             raise ValidationError(f"range {part!r} is not numeric", field="--grid") from exc
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValidationError(f"range {part!r} has a non-finite end", field="--grid")
         if steps < 1:
             raise ValidationError("steps must be at least 1", field="--grid")
         axes.append(np.linspace(lo, hi, steps))
@@ -472,6 +487,9 @@ def run_degeneracy(args):
 
 
 def run_scan_realness(args):
+    for flag in ("theta", "phi", "m"):
+        if getattr(args, f"{flag}_steps") < 0:
+            raise ValidationError("step count must not be negative", field=f"--{flag}-steps")
     triple = quantum.spin_operators(1)
     if args.obs:
         observables = tuple(parse_observable(_load_json(p), p) for p in args.obs)
@@ -531,8 +549,11 @@ def _write_output(args, header, rows, footers, payload):
         lines.extend("# " + foot for foot in footers)
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:  # exit 2, as for an unreadable input file
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -18,14 +18,14 @@ atoms below ``linalg.ROUNDING_TOL`` are dropped; these rules are the same
 as for the scalar definition.
 
 An atom set stores the chains, not the N x N atoms. Pairing atoms with a
-state by the trace gives the (generally complex) joint weights; each
-chain is closed with the state once, so weights, like the identity check
-and the prune, form no atom matrix. Closing the chains against a stack of
-matrices in one broadcast serves every other read: the dense atoms are
-the weights against the N^2 matrix units, and the reconstruction map the
-weights against the coordinate chart. Integrating a classical function
-against the atoms gives the matching operator quantization, which reads
-those dense atoms. Both sides of that duality live here.
+state by the trace gives the (generally complex) joint weights; each chain
+is closed with the state once, so weights, like the prune, form no atom
+matrix. Closing the chains against a stack of matrices serves every other
+trace: the dense atoms are the weights against the N^2 matrix units, the
+reconstruction map the weights against the coordinate chart. The adjoint
+sums the chains against one coefficient per atom: the identity check, and
+the quantization of a classical function, whose trace with a state is its
+quasi-expectation. Both sides of that duality live here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -41,7 +41,7 @@ the identity at s = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -97,16 +97,14 @@ class SchemeSpec:
         object.__setattr__(self, "terms", tuple(terms))
 
         total = sum(w for w, _ in self.terms)
-        if abs(total - 1.0) > linalg.ROUNDING_TOL:
+        if not abs(total - 1.0) <= linalg.ROUNDING_TOL:  # "not <=" also fails NaN
             raise DomainError(f"term weights must sum to 1, got {total}")
         for t_idx, (_, word) in enumerate(self.terms):
-            sums = np.zeros(self.n_vars)
-            for f in word:
-                sums[f.var] += f.coeff
-            bad = np.abs(sums - 1.0) > linalg.ROUNDING_TOL
-            if bad.any():
+            # Python floats sum inf and -inf to NaN silently
+            sums = [sum((f.coeff for f in word if f.var == v), 0.0) for v in range(self.n_vars)]
+            if not all(abs(v - 1.0) <= linalg.ROUNDING_TOL for v in sums):
                 raise DomainError(
-                    f"term {t_idx}: coefficients per variable must sum to 1, got {sums.tolist()}"
+                    f"term {t_idx}: coefficients per variable must sum to 1, got {sums}"
                 )
 
     def hashed_operator_batch(self, observables, s_points) -> np.ndarray:
@@ -119,15 +117,11 @@ class SchemeSpec:
         dim = observables[0].dim
         out = np.zeros((pts.shape[0], dim, dim), dtype=complex)
         for weight, word in self.terms:
-            acc = None
-            for f in word:
-                u = _batch_phase_exponential(
-                    observables[f.obs].eig, pts[:, f.var] * f.coeff
-                )
-                acc = u if acc is None else acc @ u
-            if acc is None:
-                acc = np.broadcast_to(np.eye(dim, dtype=complex), out.shape)
-            out += weight * acc
+            # every variable's coefficients sum to 1, so no word is empty
+            out += weight * reduce(np.matmul, (
+                _batch_phase_exponential(observables[f.obs].eig, pts[:, f.var] * f.coeff)
+                for f in word
+            ))
         return out
 
 
@@ -251,12 +245,12 @@ class OperatorAtomSet:
     eigensystems ``eigs``, one overlap chain per observable sequence
     (``chains``; a word visiting a sequence in reverse reads its chain)
     and, per scheme term, its weight and the atom each group choice lands
-    in. Joint weights (:meth:`weights_for`, against one matrix or a
-    stack) and the identity check close those chains and form no N x N
-    atom. ``matrices``, shape (P, N, N), is the weights against the matrix
-    units, built on first use and cached; only :func:`quantize`,
-    :meth:`marginal_operator`, :meth:`hermiticity_defect` and the prune
-    fallback read it.
+    in. Joint weights (:meth:`weights_for`, against one matrix or a stack)
+    close those chains and sums of atoms (:meth:`operator_for`: the
+    identity check, :func:`quantize`, marginal operators) sum them, so
+    neither forms an N x N atom. ``matrices``, shape (P, N, N), is the
+    weights against the matrix units, built on every read and never kept;
+    only :meth:`hermiticity_defect` and the prune fallback read it.
     """
 
     n_vars: int
@@ -294,8 +288,8 @@ class OperatorAtomSet:
         Each observable sequence closes its chain with every matrix at once
         (:func:`_word_weights`); a reversed word reads
         Tr(M P_L ... P_1) = conj Tr(M^dagger P_1 ... P_L) off the same
-        chain. Every read of the atoms goes through here: the raw joint
-        weights, :attr:`matrices` and the reconstruction map.
+        chain. Every trace of the atoms goes through here (joint weights,
+        :attr:`matrices`, the reconstruction map); :meth:`operator_for` is its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
         stack = m.shape[:-2]
@@ -324,30 +318,45 @@ class OperatorAtomSet:
         norms = _group_sum(_group_sum(np.abs(chain), first, axis=0), last, axis=-1)
         return norms.transpose() if flipped else norms
 
-    def identity_defect(self) -> float:
-        """Max-norm distance of the atom sum from the identity.
+    def operator_for(self, values) -> np.ndarray:
+        """Sum of values[p] * A_p over the atoms, shape (N, N): the adjoint of :meth:`weights_for`.
 
-        A word's products summed over all group choices are
-        U_1 (chain summed over its middle groups) U_L^dagger, so the sum is
-        read off the chains. Pruned atoms, each below
-        ``linalg.ROUNDING_TOL`` in max-norm, are included.
+        Per chain key, the terms gather weight * values[targets] into one table
+        over the group choices (pruned choices carry nothing). With the products
+        as in :func:`_overlap_chain`, the sum of table[g] P_1[g_1] ... P_L[g_L]
+        is U_1 X U_L^dagger, X the chain times the table expanded from groups to
+        columns on its end axes, summed over the middle groups (diag(table) for
+        one factor). A reversed word's products are adjoints: its key sums the
+        conjugate table, in sequence order, and takes the adjoint.
         """
-        total = -np.eye(self.dim, dtype=complex)
-        sums = {}
-        for seq, flipped, weight, _, _ in self.terms:
-            if seq not in sums:
-                first, last = self.eigs[seq[0]], self.eigs[seq[-1]]
-                chain = self.chains[seq]
-                inner = np.eye(self.dim) if chain is None else chain.sum(
-                    axis=tuple(range(1, chain.ndim - 1))
-                )
-                sums[seq] = first.vectors @ inner @ last.vectors.conj().T
-            total += weight * (sums[seq].conj().T if flipped else sums[seq])
-        return float(np.abs(total).max())
+        c = np.zeros(len(self) + 1, dtype=complex)
+        c[:-1] = values  # one value per atom: a wrong length raises
+        tables = {}
+        for t in self.terms:
+            tables[t.seq, t.flipped] = tables.get((t.seq, t.flipped), 0.0) + t.weight * c[t.targets]
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for (seq, flipped), table in tables.items():
+            first, last, chain = self.eigs[seq[0]], self.eigs[seq[-1]], self.chains[seq]
+            groups = [len(self.eigs[o].multiplicities) for o in seq]
+            # the table in sequence order; a reversed word's is in word order
+            x = table.reshape(groups[::-1]).transpose().conj() if flipped else table.reshape(groups)
+            x = np.repeat(x, first.multiplicities, axis=0) if first.degenerate else x
+            if chain is None:
+                x = np.diag(x)
+            else:
+                x = (np.repeat(x, last.multiplicities, axis=-1) if last.degenerate else x) * chain
+                x = x.sum(axis=tuple(range(1, x.ndim - 1)))
+            word = first.vectors @ x @ last.vectors.conj().T
+            total += word.conj().T if flipped else word
+        return total
 
-    @cached_property
+    def identity_defect(self) -> float:
+        """Max-norm distance of the kept atoms' sum from the identity (:meth:`operator_for`)."""
+        return float(np.abs(self.operator_for(np.ones(len(self))) - np.eye(self.dim)).max())
+
+    @property
     def matrices(self) -> np.ndarray:
-        """Dense atoms, shape (P, N, N), built on first use.
+        """Dense atoms, shape (P, N, N), built on every read.
 
         Entry [p, i, j] is Tr(A_p E_ji) for the matrix unit E_ji, so the
         atoms are :meth:`weights_for` the stack of all N^2 units.
@@ -358,16 +367,8 @@ class OperatorAtomSet:
 
     def hermiticity_defect(self) -> float:
         """Largest hermiticity defect over all atoms."""
-        return float(
-            np.abs(self.matrices - self.matrices.conj().transpose(0, 2, 1)).max()
-        )
-
-    def marginal_operator(self, var: int, value: float) -> np.ndarray:
-        """Sum of atoms whose coordinate for ``var`` is ``value`` within ``linalg.COORD_TOL``."""
-        if not 0 <= var < self.n_vars:
-            raise IndexError(f"variable index {var} out of range")
-        mask = np.abs(self.points[:, var] - value) <= linalg.COORD_TOL
-        return self.matrices[mask].sum(axis=0)
+        m = self.matrices
+        return float(np.abs(m - m.conj().transpose(0, 2, 1)).max())
 
 
 @dataclass(frozen=True)
@@ -754,10 +755,9 @@ def quantize(f, atoms: OperatorAtomSet) -> np.ndarray:
     """Operator for a classical function: sum over x of f(x) atom(x).
 
     ``f`` is called with the coordinates unpacked, e.g. ``f(x, y)`` for two
-    variables.
+    variables; the sum is read off the chains (:meth:`OperatorAtomSet.operator_for`).
     """
-    values = np.array([f(*p) for p in atoms.points], dtype=complex)
-    return np.einsum("p,pij->ij", values, atoms.matrices)
+    return atoms.operator_for([f(*p) for p in atoms.points])
 
 
 def quasi_expectation(f, dist: QuasiDistribution) -> complex:

@@ -2,13 +2,16 @@
 
 ``build_atoms`` keeps the overlap chains, not the atom matrices: joint
 weights, the identity check and the prune verdict are read off the
-chains. On random pairs under every scheme constructor and on spin pairs
-up to j = 3, they must match the brute-force oracle within 1e-12 (points
-exactly), and none of them may form the dense atoms. Weights against a
-stack of matrices must match the weights against each matrix alone.
+chains, and so are sums of atoms (``operator_for``, the adjoint of
+``weights_for``). On random pairs under every scheme constructor and on
+spin pairs up to j = 3, they must match the brute-force oracle within
+1e-12 (points exactly), and none of them may form the dense atoms.
+Weights against a stack of matrices must match the weights against each
+matrix alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +43,8 @@ def assert_factors_match_oracle(spec, obs, seed):
     for m in (sign, general):
         assert np.abs(got.weights_for(m) - _traces(want.matrices, m)).max() <= 1e-12
     assert abs(got.identity_defect() - want.identity_defect()) <= 1e-12
+    c = rng.normal(size=len(got)) + 1j * rng.normal(size=len(got))
+    assert np.abs(got.operator_for(c) - np.einsum("p,pij->ij", c, want.matrices)).max() <= 1e-12
 
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -73,6 +78,27 @@ def test_stacked_weights_match_one_matrix_at_a_time(spec, obs, k, seed):
         assert np.abs(got[:, i] - atoms.weights_for(stack[i])).max() <= 1e-12
 
 
+@PROPERTY
+@given(spec=TWO_VAR_SCHEMES, obs=observables(2), seed=SEEDS)
+def test_operator_for_is_the_adjoint_of_weights_for(spec, obs, seed):
+    # Tr(sum_p c_p A_p M) = sum_p c_p Tr(A_p M); a non-Hermitian M tells a
+    # reversed word's products from their adjoints
+    atoms = qj.build_atoms(spec, obs)
+    n = obs[0].dim
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=len(atoms)) + 1j * rng.normal(size=len(atoms))
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert abs(np.trace(atoms.operator_for(c) @ m) - c @ atoms.weights_for(m)) <= 1e-12
+
+
+def test_operator_for_takes_one_value_per_atom(kd_one_atoms):
+    # the last slot of the gathered values belongs to the pruned choices, so
+    # a vector one entry short or long would be misread, not rejected
+    for length in (len(kd_one_atoms) - 1, len(kd_one_atoms) + 1):
+        with pytest.raises(ValueError):
+            kd_one_atoms.operator_for(np.ones(length))
+
+
 SPIN_SCHEMES = (
     qj.scheme_kirkwood(2),
     qj.scheme_s_alpha(0.25),
@@ -98,11 +124,14 @@ def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
         for spec in SPIN_SCHEMES:
             atoms = qj.build_atoms(spec, pair)
             assert atoms.identity_defect() <= 1e-12
-            dist = qj.evaluate_distribution(atoms, qj.random_density(spin.dim, rng))
+            rho = qj.random_density(spin.dim, rng)
+            dist = qj.evaluate_distribution(atoms, rho)
             assert abs(dist.total() - 1.0) <= 1e-12
+            full = qj.evaluate_distribution(atoms, rho, prune_tol=0.0)
+            xy = np.trace(qj.quantize(lambda x, y: x * y, atoms) @ rho.matrix)
+            assert abs(xy - qj.quasi_expectation(lambda x, y: x * y, full)) <= 1e-12
             if spin.dim == 2:
                 qj.diag_equality_check(spec, pair)
-            assert "matrices" not in vars(atoms)
 
 
 def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
@@ -111,7 +140,7 @@ def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
 
     def counted(self):
         calls.append(1)
-        return matrices.func(self)
+        return matrices.fget(self)
 
     monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(counted))
     monkeypatch.setattr(distributions, "_probe_lower_bound", lambda atoms: np.zeros(len(atoms)))

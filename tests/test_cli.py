@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasijoint import cli
 
@@ -430,3 +435,152 @@ def test_non_finite_state_exits_validation(fixtures, tmp_path, capsys):
             "--state", str(path)]
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert "not finite" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command line ends in exit code 0-3, never in a traceback
+
+KD_WORD = [{"var": 0, "coeff": 1.0, "obs": 0}, {"var": 1, "coeff": 1.0, "obs": 1}]
+FUZZ_DOCS = {
+    "obs_spin_one": {"builtin": "spin:1", "component": 3},
+    "obs_float_component": {"builtin": "spin:1/2", "component": 1.0},
+    "obs_bad_spin": {"builtin": "spin:x"},
+    "obs_list": [1, 2],
+    "state_theta_x": {"bloch": {"theta": "x"}},
+    "state_theta_null": {"bloch": {"theta": None}},
+    "state_m_out_of_range": {"bloch": {"theta": 0.5, "m": 2}},
+    "scheme_weight_string": {"terms": [{"weight": ["a", 0], "word": KD_WORD}]},
+    "scheme_word_int": {"terms": [{"weight": [1, 0], "word": 5}]},
+    "scheme_terms_int": {"terms": 5},
+    "scheme_nan_weight": {"terms": [{"weight": [float("nan"), 0], "word": KD_WORD}]},
+    "scheme_alpha_string": {"name": "s_alpha", "alpha": "x"},
+    "scheme_alpha_nan": {"name": "margenau_hill", "alpha": float("nan")},
+    "scheme_nodes_string": {"name": "born_jordan", "nodes": "x"},
+    "scheme_nodes_zero": {"name": "born_jordan", "nodes": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(fixtures):
+    root = fixtures["root"]
+    kept = ("j1", "j2", "z_plus", "y_plus", "bad_json", "non_hermitian", "scheme_custom")
+    paths = {name: fixtures[name] for name in kept}
+    for name, doc in FUZZ_DOCS.items():
+        path = root / f"fuzz_{name}.json"
+        path.write_text(json.dumps(doc))  # NaN is written as the token NaN
+        paths[name] = str(path)
+    paths["missing"] = str(root / "nope.json")
+    paths["out_in_missing_dir"] = str(root / "no_such_dir" / "out.csv")
+    return paths
+
+
+def exit_code(argv):
+    """``cli.main`` in-process with its output discarded; argparse's own exit counts as 2.
+
+    Warnings are errors, as under ``python -W error``.
+    """
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                assert exc.code == 2, argv
+                return 2
+
+
+SCHEME_TOKENS = [
+    "kirkwood", "wigner", "s_alpha:0.25", "s_alpha:0.5", "margenau_hill:0.3", "born_jordan:3",
+    "s_alpha:nan", "s_alpha:inf", "s_alpha:-inf", "s_alpha:1e308", "s_alpha:x",
+    "margenau_hill:nan", "margenau_hill:inf", "born_jordan:0", "born_jordan:-2",
+    "born_jordan:1e308", "born_jordan:nan", "kirkwood:nan", "no_such_scheme",
+]
+GRIDS = [
+    "-1:1:3,0:2:2", "0:nan:3,0:1:2", "0:1:3,-inf:1:2", "inf:inf:1,0:1:1", "0:1:0,0:1:2",
+    "0:1:-3,0:1:2", "0:1:3", "a:b:c,0:1:2", "0:1,0:1:2", "0:1:2,0:1:2,0:1:2",
+]
+STEP_FLAGS = {
+    "degeneracy": ["--n", "--na", "--nb"],
+    "scan-realness": ["--theta-steps", "--phi-steps", "--m-steps"],
+}
+
+
+@st.composite
+def command_lines_to_fuzz(draw, files):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    doc = st.sampled_from(sorted(files)).map(files.get)
+    steps = st.integers(-3, 6).map(str)
+    options = [
+        st.tuples(st.just("--scheme"), st.sampled_from(SCHEME_TOKENS)),
+        st.tuples(st.sampled_from(["--scheme", "--obs", "--state"]), doc),
+        st.tuples(st.just("--format"), st.sampled_from(["csv", "json"])),
+        st.tuples(st.just("--out"), st.just(files["out_in_missing_dir"])),
+    ]
+    # only flags the command accepts, so that few draws end in argparse's exit
+    if command == "charfunc":
+        options.append(st.tuples(st.just("--grid"), st.sampled_from(GRIDS)))
+    if command in STEP_FLAGS:  # weighted up: they are all these commands take
+        options += [st.tuples(st.sampled_from(STEP_FLAGS[command]), steps)] * 2
+    # most draws start from a well-formed spin-1/2 problem, so that the
+    # later stages, not only the parsers, see the drawn values
+    argv = [command]
+    if draw(st.integers(0, 3)):
+        if command == "degeneracy":
+            argv += ["--n=3", "--na=3", "--nb=2"]
+        elif command != "scan-realness":
+            argv += ["--obs", files["j1"], "--obs", files["j2"], "--state", files["y_plus"]]
+            argv += ["--scheme", draw(st.sampled_from(SCHEME_TOKENS))]
+            argv += ["--grid=0:1:2,0:1:2"] if command == "charfunc" else []
+    for flag, value in draw(st.lists(st.one_of(options), max_size=5)):
+        argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_with_a_code(fuzz_files, data):
+    argv = data.draw(command_lines_to_fuzz(fuzz_files), label="argv")
+    assert exit_code(argv) in (0, 1, 2, 3)
+
+
+INVALID_INPUTS = [
+    (["compute", "--scheme=s_alpha:nan"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=s_alpha:inf"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=s_alpha:1e308"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=born_jordan:0"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=margenau_hill:nan"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_alpha_string"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_alpha_nan"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_nodes_string"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_nodes_zero"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_weight_string"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_word_int"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_terms_int"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_nan_weight"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=kirkwood", "--state", "state_theta_x"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=kirkwood", "--state", "state_theta_null"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=kirkwood", "--obs", "obs_float_component"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=kirkwood", "--out", "out_in_missing_dir"], cli.EXIT_PARSE),
+    (["charfunc", "--scheme=kirkwood", "--grid=0:nan:3,0:1:2"], cli.EXIT_VALIDATION),
+    (["charfunc", "--scheme=kirkwood", "--grid=0:1:3,-inf:1:2"], cli.EXIT_VALIDATION),
+    (["scan-realness", "--theta-steps=-1"], cli.EXIT_VALIDATION),
+    (["scan-realness", "--phi-steps=-2"], cli.EXIT_VALIDATION),
+    (["scan-realness", "--m-steps=-3"], cli.EXIT_VALIDATION),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, want", INVALID_INPUTS, ids=[" ".join(argv) for argv, _ in INVALID_INPUTS]
+)
+def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
+    # a bare file name names a fuzz document; spin-1/2 observables and a
+    # state fill in what the command line leaves out
+    argv = [fuzz_files.get(a, a) for a in argv]
+    if argv[0] != "scan-realness":
+        if "--obs" not in argv:
+            argv += ["--obs", fuzz_files["j1"], "--obs", fuzz_files["j2"]]
+        if "--state" not in argv:
+            argv += ["--state", fuzz_files["y_plus"]]
+    if "--obs" in argv and argv.count("--obs") == 1:
+        argv += ["--obs", fuzz_files["j2"]]
+    assert exit_code(argv) == want
