@@ -22,8 +22,8 @@ for name, spec in (
     dist = qj.evaluate_distribution(atoms, y_plus)
     report = qj.verify_support(dist, pair)
     print(f"{name}: weight only on eigenvalue pairs? {report.ok}")
-    for point, weight in report.offending:
-        print(f"  off-grid atom at {point} with weight {weight.real:+.3f}")
+    for point, weight in zip(report.offending.tolist(), report.weights):
+        print(f"  off-grid atom at {tuple(point)} with weight {weight.real:+.3f}")
 
 print()
 print("Marginals against Born statistics (random observables, random state):")

@@ -44,12 +44,17 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: a field-wise == has no truth value
 class SupportReport:
-    """Outcome of a support check; ``offending`` lists (point, weight) pairs."""
+    """Outcome of a support check.
+
+    ``offending`` holds the offending points, shape (k, n_vars), in support
+    order, and ``weights`` their weights, shape (k,).
+    """
 
     ok: bool
-    offending: tuple
+    offending: np.ndarray
+    weights: np.ndarray
 
     def __bool__(self):
         return self.ok
@@ -62,7 +67,9 @@ def verify_support(
 
     An atom counts as offending when its weight magnitude exceeds ``tol``
     and some coordinate is farther than ``linalg.COORD_TOL`` from every
-    eigenvalue of the matching observable.
+    eigenvalue of the matching observable. The nearest eigenvalue of a
+    coordinate is one of its two neighbours in the ascending spectrum,
+    found by ``np.searchsorted``.
     """
     if len(observables) != dist.n_vars:
         raise DimensionMismatchError(
@@ -70,12 +77,15 @@ def verify_support(
         )
     off = np.zeros(len(dist), dtype=bool)
     for v, o in enumerate(observables):
-        gap = np.abs(o.eigenvalues[None, :] - dist.points[:, v, None]).min(axis=1)
+        spectrum = o.eigenvalues[::-1]  # distinct eigenvalues, ascending
+        x = dist.points[:, v]
+        right = np.minimum(np.searchsorted(spectrum, x), spectrum.size - 1)
+        left = np.maximum(right - 1, 0)
+        gap = np.minimum(np.abs(spectrum[left] - x), np.abs(spectrum[right] - x))
         off |= gap > linalg.COORD_TOL
     off &= ~(np.abs(dist.weights) <= tol)
     weights = dist.weights[off].astype(complex, copy=False)
-    offending = tuple(zip(map(tuple, dist.points[off].tolist()), weights.tolist()))
-    return SupportReport(not offending, offending)
+    return SupportReport(not off.any(), dist.points[off], weights)
 
 
 def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:

@@ -411,6 +411,12 @@ def run_rank(args):
 
 
 def run_verify(args):
+    for flag in ("support", "real"):
+        tol = getattr(args, f"tol_{flag}")
+        if not (np.isfinite(tol) and tol >= 0):
+            raise ValidationError(
+                f"tolerance must be finite and not negative, got {tol}", field=f"--tol-{flag}"
+            )
     observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
@@ -419,7 +425,7 @@ def run_verify(args):
     scheme_real = analysis.scheme_is_real(scheme, observables)
     header = ["check", "result", "detail"]
     offending = ";".join(
-        "(" + " ".join(fmt_g(c) for c in p) + ")" for p, _ in support.offending
+        "(" + " ".join(fmt_g(c) for c in p) + ")" for p in support.offending
     )
     rows = [
         ["support_on_eigenvalues", str(support.ok).lower(), offending],
@@ -428,7 +434,7 @@ def run_verify(args):
     ]
     payload = {
         "support_on_eigenvalues": support.ok,
-        "offending_points": [list(p) for p, _ in support.offending],
+        "offending_points": support.offending.tolist(),
         "distribution_real": real,
         "max_abs_imag": dist.max_imag(),
         "scheme_real_for_all_states": scheme_real,

@@ -17,15 +17,19 @@ sum. Coordinates within ``linalg.COORD_TOL`` merge into one atom and
 atoms below ``linalg.ROUNDING_TOL`` are dropped; these rules are the same
 as for the scalar definition.
 
-An atom set stores the chains, not the N x N atoms. Pairing atoms with a
-state by the trace gives the (generally complex) joint weights; each chain
-is closed with the state once, so weights, like the prune, form no atom
-matrix. Closing the chains against a stack of matrices serves every other
-trace: the dense atoms are the weights against the N^2 matrix units, the
+An atom set stores the chains, not the N x N atoms: one record per
+observable sequence, holding its chain and, for all terms that visit it in
+that order, their weights and the atom each choice lands in. Pairing atoms
+with a state by the trace gives the (generally complex) joint weights; each
+chain is closed with the state once and its terms are scattered onto the
+atoms in one step, so weights, like the prune, form no atom matrix.
+Closing the chains against a stack of matrices serves every other trace:
+the dense atoms are the weights against the N^2 matrix units, the
 reconstruction map the weights against the coordinate chart. The adjoint
-sums the chains against one coefficient per atom: the identity check, and
-the quantization of a classical function, whose trace with a state is its
-quasi-expectation. Both sides of that duality live here.
+gathers one coefficient per atom back onto each chain and sums it: the
+identity check, and the quantization of a classical function, whose trace
+with a state is its quasi-expectation. Both sides of that duality live
+here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -223,14 +227,13 @@ def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0, label: str = None
     return SchemeSpec(2, ((1.0, word),), label=label or "alternating")
 
 
-class _Term(NamedTuple):
-    """One scheme term as an atom set stores it."""
+class _Sequence(NamedTuple):
+    """The scheme terms whose words visit one observable sequence, as an atom set stores them."""
 
-    seq: tuple  # observable sequence whose chain the term reads
-    flipped: bool  # the term's word visits ``seq`` in reverse order
-    weight: complex
-    targets: np.ndarray  # atom of each group choice; len(points) where pruned
-    fresh: np.ndarray  # True where a choice writes its atom first
+    obs: tuple  # observable index of each factor
+    chain: np.ndarray  # overlap chain of the sequence (:func:`_overlap_chain`), None for one factor
+    weights: np.ndarray  # term weights, shape (T,)
+    targets: np.ndarray  # atom of each term's group choices, shape (T, G); len(points) where pruned
 
 
 @dataclass(frozen=True)
@@ -242,22 +245,22 @@ class OperatorAtomSet:
     eigenvalue coordinate sum to the corresponding spectral projector.
 
     The atoms are kept as the factors they are made of: the observables'
-    eigensystems ``eigs``, one overlap chain per observable sequence
-    (``chains``; a word visiting a sequence in reverse reads its chain)
-    and, per scheme term, its weight and the atom each group choice lands
-    in. Joint weights (:meth:`weights_for`, against one matrix or a stack)
-    close those chains and sums of atoms (:meth:`operator_for`: the
-    identity check, :func:`quantize`, marginal operators) sum them, so
-    neither forms an N x N atom. ``matrices``, shape (P, N, N), is the
-    weights against the matrix units, built on every read and never kept;
-    only :meth:`hermiticity_defect` and the prune fallback read it.
+    eigensystems ``eigs`` and one record per observable sequence
+    (``sequences``): its overlap chain and, for every scheme term whose word
+    visits it in that order, the term weight and the atom each group choice
+    lands in. A reversed word is a sequence of its own. Joint weights
+    (:meth:`weights_for`, against one matrix or a stack) close those chains
+    and sums of atoms (:meth:`operator_for`: the identity check,
+    :func:`quantize`, marginal operators) sum them, one scatter or gather per
+    sequence, so neither forms an N x N atom. ``matrices``, shape (P, N, N),
+    is the weights against the matrix units, built on every read and never
+    kept; only :meth:`hermiticity_defect` and the prune fallback read it.
     """
 
     n_vars: int
     points: np.ndarray
     eigs: tuple
-    chains: dict = field(repr=False)
-    terms: tuple = field(repr=False)
+    sequences: tuple = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -268,86 +271,68 @@ class OperatorAtomSet:
         return self.points.shape[0]
 
     def _collect(self, table, weights, stack=()) -> np.ndarray:
-        """Per atom, the sum of weight * table(seq, flipped)[g] over every term's group choices g.
+        """Per atom, the sum of weight * table(sequence)[g] over every term's group choices g.
 
-        A table has the group axes of its sequence followed by ``stack``.
+        ``weights`` holds one array of term weights per sequence. A table has
+        the group axes of its sequence followed by ``stack``; each sequence
+        scatters all its terms at once.
         """
         out = np.zeros((len(self) + 1,) + stack, dtype=complex)  # the last slot takes pruned choices
-        tables = {}
-        for term, weight in zip(self.terms, weights):
-            key = term.seq, term.flipped
-            if key not in tables:
-                tables[key] = table(*key).reshape((-1,) + stack)
-            vals = tables[key] if weight == 1 else weight * tables[key]
-            _scatter_add(out, term.targets, vals, term.fresh)
+        for s, w in zip(self.sequences, weights):
+            vals = w.reshape((-1,) + (1,) * (1 + len(stack))) * table(s).reshape((1, -1) + stack)
+            _scatter_add(out, s.targets, vals)
         return out[:-1]
 
     def weights_for(self, matrix) -> np.ndarray:
         """Trace of each atom against a matrix, shape (P,), or a stack of K matrices, shape (P, K).
 
         Each observable sequence closes its chain with every matrix at once
-        (:func:`_word_weights`); a reversed word reads
-        Tr(M P_L ... P_1) = conj Tr(M^dagger P_1 ... P_L) off the same
-        chain. Every trace of the atoms goes through here (joint weights,
-        :attr:`matrices`, the reconstruction map); :meth:`operator_for` is its adjoint.
+        (:func:`_word_weights`). Every trace of the atoms goes through here
+        (joint weights, :attr:`matrices`, the reconstruction map);
+        :meth:`operator_for` is its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
-        stack = m.shape[:-2]
+        return self._collect(
+            lambda s: _word_weights([self.eigs[o] for o in s.obs], m, s.chain),
+            [s.weights for s in self.sequences],
+            m.shape[:-2],
+        )
 
-        def table(seq, flipped):
-            eigs = [self.eigs[o] for o in seq]
-            if not flipped:
-                return _word_weights(eigs, m, self.chains[seq])
-            adjoint = np.swapaxes(m, -1, -2).conj()
-            w = _word_weights(eigs, adjoint, self.chains[seq]).conj()
-            n = len(seq)
-            return w.transpose(tuple(range(n))[::-1] + tuple(range(n, w.ndim)))
-
-        return self._collect(table, [t.weight for t in self.terms], stack)
-
-    def _block_norms(self, seq, flipped) -> np.ndarray:
-        """Per group choice, the sum of |chain| over its block.
+    def _block_norms(self, s: _Sequence) -> np.ndarray:
+        """Per group choice of a sequence, the sum of |chain| over its block.
 
         Eigenvectors have unit norm, so this bounds every entry of the
         choice's projector product.
         """
-        first, last = self.eigs[seq[0]], self.eigs[seq[-1]]
-        chain = self.chains[seq]
-        if chain is None:
+        first, last = self.eigs[s.obs[0]], self.eigs[s.obs[-1]]
+        if s.chain is None:
             return np.asarray(first.multiplicities, dtype=float)
-        norms = _group_sum(_group_sum(np.abs(chain), first, axis=0), last, axis=-1)
-        return norms.transpose() if flipped else norms
+        return _group_sum(_group_sum(np.abs(s.chain), first, axis=0), last, axis=-1)
 
     def operator_for(self, values) -> np.ndarray:
         """Sum of values[p] * A_p over the atoms, shape (N, N): the adjoint of :meth:`weights_for`.
 
-        Per chain key, the terms gather weight * values[targets] into one table
-        over the group choices (pruned choices carry nothing). With the products
+        Per sequence, one gather weights @ values[targets] gives a table over
+        the group choices (pruned choices carry nothing). With the products
         as in :func:`_overlap_chain`, the sum of table[g] P_1[g_1] ... P_L[g_L]
         is U_1 X U_L^dagger, X the chain times the table expanded from groups to
         columns on its end axes, summed over the middle groups (diag(table) for
-        one factor). A reversed word's products are adjoints: its key sums the
-        conjugate table, in sequence order, and takes the adjoint.
+        one factor).
         """
         c = np.zeros(len(self) + 1, dtype=complex)
         c[:-1] = values  # one value per atom: a wrong length raises
-        tables = {}
-        for t in self.terms:
-            tables[t.seq, t.flipped] = tables.get((t.seq, t.flipped), 0.0) + t.weight * c[t.targets]
         total = np.zeros((self.dim, self.dim), dtype=complex)
-        for (seq, flipped), table in tables.items():
-            first, last, chain = self.eigs[seq[0]], self.eigs[seq[-1]], self.chains[seq]
-            groups = [len(self.eigs[o].multiplicities) for o in seq]
-            # the table in sequence order; a reversed word's is in word order
-            x = table.reshape(groups[::-1]).transpose().conj() if flipped else table.reshape(groups)
+        for s in self.sequences:
+            eigs = [self.eigs[o] for o in s.obs]
+            first, last = eigs[0], eigs[-1]
+            x = (s.weights @ c[s.targets]).reshape([len(e.multiplicities) for e in eigs])
             x = np.repeat(x, first.multiplicities, axis=0) if first.degenerate else x
-            if chain is None:
+            if s.chain is None:
                 x = np.diag(x)
             else:
-                x = (np.repeat(x, last.multiplicities, axis=-1) if last.degenerate else x) * chain
+                x = (np.repeat(x, last.multiplicities, axis=-1) if last.degenerate else x) * s.chain
                 x = x.sum(axis=tuple(range(1, x.ndim - 1)))
-            word = first.vectors @ x @ last.vectors.conj().T
-            total += word.conj().T if flipped else word
+            total += first.vectors @ x @ last.vectors.conj().T
         return total
 
     def identity_defect(self) -> float:
@@ -572,20 +557,15 @@ def _word_coordinates(word, eigs, n_vars) -> np.ndarray:
     return coords.reshape(n_vars, -1).T
 
 
-def _scatter_add(out, targets, vals, fresh):
-    """out[targets] += vals; plain assignment where ``fresh`` marks a target's first write."""
-    if fresh.all():
-        out[targets] = vals
-        return
-    out[targets[fresh]] = vals[fresh]
-    rest = ~fresh
-    if out.ndim == 1:
-        np.add.at(out, targets[rest], vals[rest])
-        return
-    # ufunc.at is only fast on scalar elements, so scatter flat entry indices
-    size = out[0].size
-    flat = (targets[rest, None] * size + np.arange(size)).reshape(-1)
-    np.add.at(out.reshape(-1), flat, vals[rest].reshape(-1))
+def _scatter_add(out, targets, vals):
+    """out[targets] += vals along the first axis, repeated targets adding up."""
+    if out.ndim > 1:
+        # ufunc.at is only fast on scalar elements, so scatter flat entry indices
+        size = out[0].size
+        targets = targets.reshape(-1, 1) * size + np.arange(size)
+        out = out.reshape(-1)
+    # ufunc.at also leaves its fast path when it has to cast, say real into complex
+    np.add.at(out, targets.reshape(-1), vals.reshape(-1).astype(out.dtype, copy=False))
 
 
 def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
@@ -593,7 +573,7 @@ def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
 
     M has unit-modulus entries with quasi-random phases, 2 pi frac(k phi)
     over the golden ratio phi, so sum |M| = N^2; it needs no random
-    generator, whose import costs about 15 ms in a fresh process.
+    generator, whose import costs about 15 ms in a new process.
     """
     n = atoms.dim
     golden = (1 + 5**0.5) / 2
@@ -612,7 +592,7 @@ def _prune_mask(atoms: OperatorAtomSet) -> np.ndarray:
     dense atoms.
     """
     tol = linalg.ROUNDING_TOL
-    upper = atoms._collect(atoms._block_norms, [abs(t.weight) for t in atoms.terms]).real
+    upper = atoms._collect(atoms._block_norms, [np.abs(s.weights) for s in atoms.sequences]).real
     keep = _probe_lower_bound(atoms) >= tol
     if not (keep | (upper < tol)).all():
         keep = np.abs(atoms.matrices).max(axis=(1, 2)) >= tol
@@ -631,16 +611,17 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     All products of one word are fixed by one contraction of the
     eigenvector overlaps U_k^dagger U_{k+1} (:func:`_overlap_chain`), so
     no projector is multiplied per choice. Terms whose words visit the same
-    observables in the same order, or in reverse order (the products are
-    then adjoints), share that contraction and differ only in coordinates
-    and weight. The returned set stores the chains, not the products (see
-    :class:`OperatorAtomSet`). The merge and prune rules are those of the
-    scalar definition: coordinates within ``linalg.COORD_TOL`` of each
-    other (per variable, chained over sorted values) merge into one atom at
-    the rounded cluster mean, and merged atoms below ``linalg.ROUNDING_TOL``
-    in max-norm are dropped; the prune reads bounds off the chains
-    (:func:`_prune_mask`). The atom sum must be the identity within
-    ``linalg.DEFECT_TOL``.
+    observables in the same order share that contraction and differ only in
+    coordinates and weight, so the returned set keeps one record per
+    observable sequence: its chain, the term weights and the atom of each
+    term's group choices, not the products (see :class:`OperatorAtomSet`).
+    A reversed word is a sequence of its own with its own chain. The merge
+    and prune rules are those of the scalar definition: coordinates within
+    ``linalg.COORD_TOL`` of each other (per variable, chained over sorted
+    values) merge into one atom at the rounded cluster mean, and merged
+    atoms below ``linalg.ROUNDING_TOL`` in max-norm are dropped; the prune
+    reads bounds off the chains (:func:`_prune_mask`). The atom sum must be
+    the identity within ``linalg.DEFECT_TOL``.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -665,29 +646,27 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
         np.ravel_multi_index(ids, [r.size for r in reps]), return_index=True, return_inverse=True
     )
     points = np.column_stack([r[i[first]] for r, i in zip(reps, ids)])
-    fresh = np.zeros(targets.size, dtype=bool)
-    fresh[first] = True
 
-    chains = {}  # observable sequence -> overlap chain, also read by its reversal
-    terms = []
+    grouped = {}  # observable sequence -> weights and target rows of its terms
     for (weight, _), seq, lo, hi in zip(spec.terms, seqs, offsets[:-1], offsets[1:]):
-        flipped = seq not in chains and seq[::-1] in chains
-        if flipped:
-            seq = seq[::-1]
-        elif seq not in chains:
-            chains[seq] = _overlap_chain([eigs[o] for o in seq])
-        terms.append(_Term(seq, flipped, weight, targets[lo:hi], fresh[lo:hi]))
+        ws, rows = grouped.setdefault(seq, ([], []))
+        ws.append(weight)
+        rows.append(targets[lo:hi])
+    sequences = tuple(
+        _Sequence(seq, _overlap_chain([eigs[o] for o in seq]), np.array(ws), np.stack(rows))
+        for seq, (ws, rows) in grouped.items()
+    )
     meta = {
         "scheme": spec.label,
         "observables": tuple(o.label for o in observables),
         "approximate": spec.approximate,
     }
-    atoms = OperatorAtomSet(spec.n_vars, points, eigs, chains, tuple(terms), meta)
+    atoms = OperatorAtomSet(spec.n_vars, points, eigs, sequences, meta)
     keep = _prune_mask(atoms)
     if not keep.all():
         index = np.where(keep, np.cumsum(keep) - 1, np.count_nonzero(keep))
-        terms = [t._replace(targets=index[t.targets]) for t in terms]
-        atoms = replace(atoms, points=points[keep], terms=tuple(terms))
+        sequences = tuple(s._replace(targets=index[s.targets]) for s in sequences)
+        atoms = replace(atoms, points=points[keep], sequences=sequences)
     defect = atoms.identity_defect()
     if not defect <= linalg.DEFECT_TOL:
         raise QuasiJointError(
@@ -880,8 +859,13 @@ def wigner_density_estimate(
     inverse transform. Returns
     ``(density, meta)`` where ``density[i, j]`` estimates the value at
     ``(x_grid[i], y_grid[j])`` and ``meta`` flags the result as
-    approximate and possibly divergent.
+    approximate and possibly divergent. ``s_extent`` must be finite and
+    positive and ``s_steps`` at least 2, or no grid step exists.
     """
+    if not (np.isfinite(s_extent) and s_extent > 0):
+        raise DomainError(f"s_extent must be finite and positive, got {s_extent}")
+    if s_steps < 2:
+        raise DomainError(f"s_steps must be at least 2, got {s_steps}")
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     svals = np.linspace(-s_extent, s_extent, s_steps)

@@ -101,7 +101,7 @@ def test_criterion_03_support_theorem(spin_half, y_plus):
             qj.evaluate_distribution(split, y_plus), (spin_half.j1, spin_half.j2)
         )
         assert not report.ok
-        offending = sorted(p for p, _ in report.offending)
+        offending = sorted(map(tuple, report.offending.tolist()))
         assert np.abs(np.asarray(offending) - [(0.0, -0.5), (0.0, 0.5)]).max() <= 1e-12
 
 

@@ -503,6 +503,8 @@ STEP_FLAGS = {
     "degeneracy": ["--n", "--na", "--nb"],
     "scan-realness": ["--theta-steps", "--phi-steps", "--m-steps"],
 }
+TOL_FLAGS = ["--tol-support", "--tol-real"]
+TOLERANCES = ["0", "1e-10", "0.3", "nan", "inf", "-1", "-0.0", "x"]
 
 
 @st.composite
@@ -521,6 +523,8 @@ def command_lines_to_fuzz(draw, files):
         options.append(st.tuples(st.just("--grid"), st.sampled_from(GRIDS)))
     if command in STEP_FLAGS:  # weighted up: they are all these commands take
         options += [st.tuples(st.sampled_from(STEP_FLAGS[command]), steps)] * 2
+    if command == "verify":
+        options.append(st.tuples(st.sampled_from(TOL_FLAGS), st.sampled_from(TOLERANCES)))
     # most draws start from a well-formed spin-1/2 problem, so that the
     # later stages, not only the parsers, see the drawn values
     argv = [command]
@@ -566,6 +570,12 @@ INVALID_INPUTS = [
     (["scan-realness", "--theta-steps=-1"], cli.EXIT_VALIDATION),
     (["scan-realness", "--phi-steps=-2"], cli.EXIT_VALIDATION),
     (["scan-realness", "--m-steps=-3"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-support=nan"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-support=-1"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-support=inf"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-real=nan"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-real=-1"], cli.EXIT_VALIDATION),
+    (["verify", "--scheme=s_alpha:0.5", "--tol-real=inf"], cli.EXIT_VALIDATION),
 ]
 
 

@@ -458,6 +458,25 @@ def test_wigner_density_estimate_smoke(spin_half, z_plus):
     assert meta["approximate"] and meta["possibly_divergent"]
 
 
+def _wigner_density(spin_half, z_plus, **window):
+    grid = np.linspace(-1, 1, 3)
+    return qj.wigner_density_estimate((spin_half.j1, spin_half.j2), z_plus, grid, grid, **window)
+
+
+@pytest.mark.parametrize("s_steps", [0, 1])
+def test_wigner_density_rejects_fewer_than_two_steps(spin_half, z_plus, s_steps):
+    # one step leaves no grid spacing, zero steps no grid
+    with pytest.raises(DomainError, match="s_steps"):
+        _wigner_density(spin_half, z_plus, s_steps=s_steps)
+
+
+@pytest.mark.parametrize("s_extent", [0.0, float("nan"), float("inf"), -10.0])
+def test_wigner_density_rejects_extent_not_finite_and_positive(spin_half, z_plus, s_extent):
+    # a zero extent makes a zero-width window: 0/0 in the Gaussian
+    with pytest.raises(DomainError, match="s_extent"):
+        _wigner_density(spin_half, z_plus, s_extent=s_extent)
+
+
 def test_identity_gate_rejects_nan_defect(spin_half, monkeypatch):
     monkeypatch.setattr(qj.OperatorAtomSet, "identity_defect", lambda self: float("nan"))
     with pytest.raises(QuasiJointError, match="identity defect"):
