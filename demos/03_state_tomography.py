@@ -1,9 +1,17 @@
 """State reconstruction from joint weights of two spin directions.
 
 The joint weights depend affinely on the state coordinates. When that map
-has full rank N^2 - 1, two observables determine the whole state, and the
-pseudo-inverse recovers it by linear inversion. Rank deficits mean whole
-families of states share one distribution.
+has full rank N^2 - 1, two observables determine the whole state, and
+linear inversion recovers it. Rank deficits mean whole families of states
+share one distribution.
+
+For Kirkwood-Dirac and Margenau-Hill weights on nondegenerate pairs, each
+weight is one overlap c[a, b] times one entry of the state in the mixed
+eigenbasis, so bounds on the overlaps certify full rank and the state is
+inverted per atom, with no SVD; a state that does not reproduce the weights
+falls back to the pseudo-inverse. Other schemes, and pairs with a vanishing
+overlap, build the dense map and use its SVD. ``rmap.diagnostics`` names
+the route taken.
 """
 
 import numpy as np
@@ -18,9 +26,10 @@ for j2x, label in ((1, "spin 1/2"), (2, "spin 1")):
     spin = qj.spin_operators(j2x)
     full = spin.dim**2 - 1
     for spec in (kd, qj.scheme_s_alpha(0.5), qj.scheme_margenau_hill(0.0)):
-        rank = qj.reconstruction_map(spin.j1, spin.j2, spec).rank
+        rmap = qj.reconstruction_map(spin.j1, spin.j2, spec)
+        rank, route = rmap.rank, rmap.diagnostics["inversion"]
         verdict = "determines the state" if rank == full else "rank deficient"
-        print(f"  {label}, {spec.label:18s}: rank {rank}/{full}  ({verdict})")
+        print(f"  {label}, {spec.label:18s}: rank {rank}/{full} by {route:11s} ({verdict})")
 
 print()
 print("Round trip at spin 1: state -> joint weights -> state")

@@ -11,17 +11,19 @@ and an identity in h(s) for all s holds atom by atom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .distributions import (
+    KirkwoodForm,
     OperatorAtomSet,
     QuasiDistribution,
     SchemeSpec,
     WignerScheme,
+    _SupportIndex,
     _check_observables,
-    _match_rows,
     build_atoms,
     evaluate_distribution,
     scheme_kirkwood,
@@ -146,16 +148,31 @@ class ReconstructionMap:
     atoms' weights against the coordinate chart (:func:`reconstruction_map`).
     Full rank (N^2 - 1) means the distribution determines the state;
     ``pinv`` then inverts the map in the least-squares sense.
+
+    ``closed_form`` is the atoms' :class:`~quasijoint.distributions.KirkwoodForm`
+    when its singular-value bounds certify full rank and an accurate
+    per-atom inversion (:func:`reconstruction_map`), and None otherwise.
+    The rank is then N^2 - 1 and :func:`reconstruct_state` inverts per
+    atom; every other map counts its rank by the SVD of the dense map when
+    built. ``map_matrix``, ``offset`` and ``pinv`` are computed on first
+    read, the same way for both. ``diagnostics`` holds ``inversion``
+    ("closed_form" or "svd") and ``rank_margin``: the certified lower bound
+    on the smallest singular value over the rank cut
+    (:func:`~quasijoint.linalg.rank_threshold`), or for the SVD the
+    smallest kept singular value (the largest when none is kept) over it.
     """
 
     observables: tuple
     scheme: SchemeSpec
     atoms: OperatorAtomSet
     support: np.ndarray
-    map_matrix: np.ndarray
-    offset: np.ndarray
-    rank: int
-    pinv: np.ndarray
+    closed_form: KirkwoodForm = field(default=None, repr=False)
+    rank: int = None  # None: N^2 - 1 for a closed form, else counted by the SVD
+
+    def __post_init__(self):
+        if self.rank is None:
+            rank = self.dim**2 - 1 if self.closed_form is not None else self._svd[0]
+            object.__setattr__(self, "rank", rank)
 
     @property
     def dim(self) -> int:
@@ -165,9 +182,58 @@ class ReconstructionMap:
     def full_rank(self) -> bool:
         return self.rank == self.dim**2 - 1
 
+    @cached_property
+    def _chart_weights(self) -> np.ndarray:
+        return _re_im_rows(self.atoms.weights_for(chart_basis(self.dim)))
+
+    @property
+    def offset(self) -> np.ndarray:
+        return self._chart_weights[:, 0]
+
+    @property
+    def map_matrix(self) -> np.ndarray:
+        return self._chart_weights[:, 1:]
+
+    @cached_property
+    def _svd(self):
+        return linalg._real_svd_rank(self.map_matrix)
+
+    @property
+    def pinv(self) -> np.ndarray:
+        return self._svd[1]
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        if self.closed_form is not None:
+            lower, upper = _singular_value_bounds(self.closed_form)
+            return {"inversion": "closed_form", "rank_margin": lower / linalg.rank_threshold(upper)}
+        rank, _, s = self._svd
+        margin = s[max(rank, 1) - 1] / linalg.rank_threshold(s[0])
+        return {"inversion": "svd", "rank_margin": float(margin)}
+
+    @cached_property
+    def _support_index(self) -> _SupportIndex:
+        return _SupportIndex(self.support)
+
     def coefficients(self, rho: DensityState) -> np.ndarray:
         """Stacked coefficient vector of a state on this support."""
         return _re_im_rows(self.atoms.weights_for(rho.matrix))
+
+
+def _singular_value_bounds(form: KirkwoodForm):
+    """(lower, upper) bounds on the singular values of the map of a Kirkwood form.
+
+    The map is a chain: the chart x -> rho(x) - rho(0), with singular
+    values in [1, sqrt(N)]; H -> U_B^dagger H U_A, which keeps the
+    Frobenius norm; entry [b, a] times c[a, b], with |c[a, b]| <= 1; and
+    z -> beta z + gamma conj(z) per atom, with singular values
+    |beta| + |gamma| and ||beta| - |gamma||. So the smallest singular value
+    is at least ||beta| - |gamma|| min |c| and the largest at most
+    (|beta| + |gamma|) sqrt(N).
+    """
+    b, g = abs(form.beta), abs(form.gamma)
+    lower = abs(b - g) * float(np.abs(form.overlaps).min())
+    return lower, (b + g) * float(np.sqrt(form.overlaps.shape[0]))
 
 
 def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
@@ -179,39 +245,76 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     :func:`~quasijoint.quantum.chart_basis`: column 0, the weights of
     rho(0), is the offset and the other columns, the weights of the
     coordinate derivatives, are the map, each with Re and Im rows
-    interleaved. No dense atom is formed. Rank and pseudo-inverse come
-    from the real SVD with threshold ``linalg.RANK_RATIO`` times
-    max(s_0, 1) (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map
-    that is zero but for rounding, as for two multiples of the identity,
-    has rank 0.
+    interleaved. No dense atom is formed.
+
+    Atoms in Kirkwood form
+    (:meth:`~quasijoint.distributions.OperatorAtomSet.kirkwood_form`:
+    Kirkwood-Dirac, Margenau-Hill, a lone reversed word, on nondegenerate
+    pairs) bound the map's singular values (:func:`_singular_value_bounds`).
+    A lower bound above twice the rank cut certifies full rank N^2 - 1, the
+    factor 2 leaving room for the SVD's rounding; one of at least
+    ``linalg.INVERSION_FLOOR`` also keeps the closed-form inversion
+    accurate. Such a map is neither built nor decomposed here. Every other
+    map, and these where the bound falls short (vanishing overlaps,
+    Margenau-Hill near alpha = 0), is built and its rank and
+    pseudo-inverse come from the real SVD with threshold
+    ``linalg.RANK_RATIO`` times max(s_0, 1)
+    (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
+    but for rounding, as for two multiples of the identity, has rank 0.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
     atoms = build_atoms(spec, (a, b))
-    weights = _re_im_rows(atoms.weights_for(chart_basis(a.dim)))
-    offset, map_matrix = weights[:, 0], weights[:, 1:]
-    rank, pinv = linalg.real_rank_and_pinv(map_matrix)
-    return ReconstructionMap(
-        observables=(a, b),
-        scheme=spec,
-        atoms=atoms,
-        support=atoms.points,
-        map_matrix=map_matrix,
-        offset=offset,
-        rank=rank,
-        pinv=pinv,
-    )
+    form = atoms.kirkwood_form()
+    if form is not None:
+        lower, upper = _singular_value_bounds(form)
+        if not (lower > 2 * linalg.rank_threshold(upper) and lower >= linalg.INVERSION_FLOOR):
+            form = None
+    return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form)
+
+
+def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
+    """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
+
+    Per atom, w = beta K + gamma conj(K) gives
+    K = (conj(beta) w - gamma conj(w)) / (|beta|^2 - |gamma|^2); then
+    Z[b, a] = K[a, b] / c[a, b] and rho = U_B Z U_A^dagger, of which the
+    Hermitian part with its trace set to 1 in the last diagonal entry
+    (as in ``embed``) is kept. None unless its weights reproduce
+    ``aligned`` within ``linalg.DEFECT_TOL``.
+    """
+    form = rmap.closed_form
+    u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
+    beta, gamma = form.beta, form.gamma
+    w = aligned[form.index]
+    k = (beta.conjugate() * w - gamma * w.conj()) / (abs(beta) ** 2 - abs(gamma) ** 2)
+    rho = u_b @ (k / form.overlaps).T @ u_a.conj().T
+    rho = (rho + rho.conj().T) / 2
+    rho[-1, -1] += 1.0 - rho.trace().real
+    k = form.overlaps * (u_b.conj().T @ rho @ u_a).T
+    if not np.abs(beta * k + gamma * k.conj() - w).max() <= linalg.DEFECT_TOL:
+        return None
+    return rho
 
 
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:
     """Invert the coefficient map on a distribution.
 
     Each distribution point adds its weight to the first support point
-    within ``linalg.COORD_TOL`` in every coordinate (one vectorized lookup,
+    within ``linalg.COORD_TOL`` in every coordinate (one vectorized lookup
+    against the map's cached support index,
     :func:`~quasijoint.distributions._match_rows`). Support points missing
     from the distribution count as weight zero; distribution atoms off the
     map support beyond ``linalg.DEFECT_TOL`` raise SupportMismatchError.
     Requires a full-rank map; the result must be a positive state.
+
+    The result is the least-squares solution ``pinv`` gives. A map with a
+    closed form inverts per atom instead (:func:`_closed_form_state`), in
+    O(N^3) and with no SVD, and keeps that state when its weights
+    reproduce the aligned ones within ``linalg.DEFECT_TOL``: it then fits
+    them as well as the least-squares solution but for that tolerance.
+    Weights that no state reproduces fall back to ``pinv``, built on
+    demand.
     """
     n = rmap.dim
     if rmap.rank < n * n - 1:
@@ -219,7 +322,7 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
             f"rank {rmap.rank} < {n * n - 1}: states are not distinguishable "
             f"by scheme {rmap.scheme.label!r} on this observable pair"
         )
-    idx = _match_rows(dist.points, rmap.support)
+    idx = rmap._support_index.match(dist.points)
     hit = idx >= 0
     off = np.flatnonzero(~hit & (np.abs(dist.weights) > linalg.DEFECT_TOL))
     if off.size:
@@ -229,6 +332,10 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
         )
     aligned = np.zeros(len(rmap.support), dtype=complex)
     np.add.at(aligned, idx[hit], dist.weights[hit])
+    if rmap.closed_form is not None:
+        rho = _closed_form_state(rmap, aligned)
+        if rho is not None:
+            return DensityState(rho)
     coords = rmap.pinv @ (_re_im_rows(aligned) - rmap.offset)
     return embed(coords, n, require_positive=True)
 

@@ -236,6 +236,18 @@ class _Sequence(NamedTuple):
     targets: np.ndarray  # atom of each term's group choices, shape (T, G); len(points) where pruned
 
 
+class KirkwoodForm(NamedTuple):
+    """Atom weights as beta K + gamma conj(K), K the Kirkwood-Dirac weights.
+
+    See :meth:`OperatorAtomSet.kirkwood_form`.
+    """
+
+    overlaps: np.ndarray  # c = U_A^dagger U_B, shape (N, N)
+    beta: complex  # total weight of the words A then B
+    gamma: complex  # total weight of the words B then A
+    index: np.ndarray  # atom of the eigenvector pair [a, b], shape (N, N)
+
+
 @dataclass(frozen=True)
 class OperatorAtomSet:
     """Operator-valued atoms on a finite support, stored by their factors.
@@ -354,6 +366,38 @@ class OperatorAtomSet:
         """Largest hermiticity defect over all atoms."""
         m = self.matrices
         return float(np.abs(m - m.conj().transpose(0, 2, 1)).max())
+
+    def kirkwood_form(self):
+        """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
+
+        For nondegenerate A (observable 0) and B (observable 1) with
+        eigenvectors u_a and v_b, the word A then B has the weight
+        K[a, b] = Tr(M P_a Q_b) = c[a, b] (U_B^dagger M U_A)[b, a] with
+        c = U_A^dagger U_B, and the word B then A has conj(K[a, b]) for
+        Hermitian M. Returns a :class:`KirkwoodForm` when every sequence is
+        one of these two, every term of a sequence lands its choices on the
+        same atoms, and there are N^2 atoms with choice (a, b) of the one
+        and (b, a) of the other on atom index[a, b]: N^2 choices then fill
+        N^2 atoms, so ``index`` is a permutation and the weight of atom
+        index[a, b] is beta K[a, b] + gamma conj(K[a, b]). Returns None
+        otherwise (split words, degenerate spectra, merged or pruned atoms).
+        """
+        n = self.dim
+        if len(self) != n * n or any(e.degenerate for e in self.eigs[:2]):
+            return None
+        weights = {(0, 1): 0.0, (1, 0): 0.0}
+        index = overlaps = None
+        for s in self.sequences:
+            if s.obs not in weights or (s.targets != s.targets[0]).any():
+                return None
+            forward = s.obs == (0, 1)
+            pairs = s.targets[0].reshape(n, n)
+            pairs = pairs if forward else pairs.T
+            if index is not None and not np.array_equal(index, pairs):
+                return None
+            weights[s.obs] = complex(s.weights.sum())
+            index, overlaps = pairs, s.chain if forward else s.chain.conj().T
+        return KirkwoodForm(overlaps, weights[(0, 1)], weights[(1, 0)], index)
 
 
 @dataclass(frozen=True)
@@ -787,38 +831,57 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     return out
 
 
+class _SupportIndex:
+    """The support side of :func:`_match_rows`, built once per support.
+
+    Per variable the sorted distinct support values; per row a key, its
+    position in the grid of those values; the sorted distinct keys, with
+    the first row holding each.
+    """
+
+    def __init__(self, support):
+        self.rows = len(support)
+        self.values, row_index = [], []
+        for v in range(support.shape[1]):
+            values, inverse = np.unique(support[:, v], return_inverse=True)
+            self.values.append(values)
+            row_index.append(inverse.reshape(-1))
+        self.grid = [values.size for values in self.values]
+        self.keys, self.first = np.unique(
+            np.ravel_multi_index(row_index, self.grid), return_index=True
+        )
+
+    def match(self, points) -> np.ndarray:
+        """Index of the first support row matching each point, or -1 (:func:`_match_rows`)."""
+        lo = np.empty(points.shape, dtype=np.intp)
+        span = np.empty_like(lo)
+        for v, values in enumerate(self.values):
+            lo[:, v] = np.searchsorted(values, points[:, v] - linalg.COORD_TOL)
+            span[:, v] = np.searchsorted(values, points[:, v] + linalg.COORD_TOL, "right") - lo[:, v]
+        best = np.full(len(points), self.rows)
+        # one pass per candidate offset: a run holds more than one value only
+        # where support values lie within 2 * COORD_TOL of each other
+        for offset in np.ndindex(*span.max(axis=0, initial=0)):
+            ok = np.flatnonzero((span > offset).all(axis=1))
+            keys = np.ravel_multi_index((lo[ok] + offset).T, self.grid)
+            pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+            row = np.where(self.keys[pos] == keys, self.first[pos], self.rows)
+            best[ok] = np.minimum(best[ok], row)
+        best[best == self.rows] = -1
+        return best
+
+
 def _match_rows(points, support) -> np.ndarray:
     """Index of the first support row matching each point, or -1.
 
     A row matches when every coordinate is within ``linalg.COORD_TOL`` of
     the point's. Per variable, a point's candidates are a run of the sorted
     distinct support values, found by ``np.searchsorted``; a combination of
-    candidates is a row key, looked up among the support rows' keys, and
-    the smallest matching row wins. Nothing of size points x support is
-    formed.
+    candidates is a row key, looked up among the support rows' keys
+    (:class:`_SupportIndex`), and the smallest matching row wins. Nothing
+    of size points x support is formed.
     """
-    lo = np.empty(points.shape, dtype=np.intp)
-    span = np.empty_like(lo)
-    grid, row_index = [], []
-    for v in range(support.shape[1]):
-        values, inverse = np.unique(support[:, v], return_inverse=True)
-        lo[:, v] = np.searchsorted(values, points[:, v] - linalg.COORD_TOL)
-        span[:, v] = np.searchsorted(values, points[:, v] + linalg.COORD_TOL, "right") - lo[:, v]
-        grid.append(values.size)
-        row_index.append(inverse.reshape(-1))
-    # distinct row keys, sorted, with the first row holding each
-    row_keys, first = np.unique(np.ravel_multi_index(row_index, grid), return_index=True)
-    best = np.full(len(points), len(support))
-    # one pass per candidate offset: a run holds more than one value only
-    # where support values lie within 2 * COORD_TOL of each other
-    for offset in np.ndindex(*span.max(axis=0, initial=0)):
-        ok = np.flatnonzero((span > offset).all(axis=1))
-        keys = np.ravel_multi_index((lo[ok] + offset).T, grid)
-        pos = np.minimum(np.searchsorted(row_keys, keys), row_keys.size - 1)
-        row = np.where(row_keys[pos] == keys, first[pos], len(support))
-        best[ok] = np.minimum(best[ok], row)
-    best[best == len(support)] = -1
-    return best
+    return _SupportIndex(support).match(points)
 
 
 def max_weight_deviation(a: QuasiDistribution, b: QuasiDistribution) -> float:

@@ -29,6 +29,12 @@ ROUNDING_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 # singular value cut, relative to max(s_0, 1), for ranks and pseudo-inverses
 RANK_RATIO = 1e-8
+# least certified singular value at which a reconstruction map is inverted
+# per atom rather than by its SVD: per-atom inversion grows weight errors
+# (rounding, weights pruned below ROUNDING_TOL) by up to its inverse, where
+# the SVD can spread them over the map's redundancy; at 1e-3 a pruned weight
+# costs at most 1e-9
+INVERSION_FLOOR = 1e-3
 # imaginary weight still counted as real by the realness-vs-z report
 REAL_TOL = 1e-9
 # most negative eigenvalue a density matrix may have
@@ -138,6 +144,11 @@ def eigensystem(matrix) -> EigenSystem:
     return EigenSystem(evals, tuple(multiplicities), vecs)
 
 
+def rank_threshold(largest: float) -> float:
+    """Cut at or below which a singular value counts as zero, given the largest one."""
+    return RANK_RATIO * max(largest, 1.0)
+
+
 def real_rank_and_pinv(matrix):
     """Singular-value rank and Moore-Penrose pseudo-inverse of a real matrix.
 
@@ -152,6 +163,12 @@ def real_rank_and_pinv(matrix):
     Returns:
         (rank, pinv) with ``pinv`` of shape (cols, rows).
     """
+    rank, pinv, _ = _real_svd_rank(matrix)
+    return rank, pinv
+
+
+def _real_svd_rank(matrix):
+    """(rank, pinv, singular values) of :func:`real_rank_and_pinv`, from one SVD."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise EmptyMatrixError(f"need a nonempty 2-d matrix, got shape {m.shape}")
@@ -159,6 +176,6 @@ def real_rank_and_pinv(matrix):
         u, s, vt = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"SVD failed: {exc}") from exc
-    rank = int(np.count_nonzero(s > RANK_RATIO * max(s[0], 1.0)))
+    rank = int(np.count_nonzero(s > rank_threshold(s[0])))
     pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
-    return rank, pinv
+    return rank, pinv, s

@@ -157,8 +157,9 @@ def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
 
 def test_reversed_word_bounds_follow_its_order(monkeypatch):
     # B's eigenbasis has a zero overlap with A's at one index pair but not at
-    # the mirrored pair: a reversed word must read its entry bounds transposed
-    # for the bounds alone to drop the zero atom
+    # the mirrored pair: the reversed word's entry bounds, read off its own
+    # chain U_B^dagger U_A, must follow its (B, A) order for the bounds alone
+    # to drop the zero atom
     c, s = np.cos(0.4), np.sin(0.4)
     r01 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     r12 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])

@@ -52,7 +52,7 @@ def alternating(draw):
 
 @st.composite
 def reversed_mixture(draw):
-    """A split word and its reversal: the builder shares one contraction between them."""
+    """A split word and its reversal: two observable sequences, each with its own chain."""
     a = draw(st.floats(0.0, 1.0))
     w = draw(st.floats(0.0, 1.0))
     word = [(0, a, 0), (0, 1.0 - a, 0), (1, 1.0, 1)]
