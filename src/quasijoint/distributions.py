@@ -33,9 +33,13 @@ here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
-Tr(rho P_1 ... P_L) per observable sequence, contracted with each term's
-factor phases, so no matrix is formed per frequency. The symmetric scheme
-has no such expansion and traces the state against its mixed exponential.
+Tr(rho P_1 ... P_L) per observable sequence, contracted with the factor
+phases of all its terms at once, so no matrix is formed per frequency and
+no term is visited on its own. The symmetric scheme has no such expansion
+and traces the state against its mixed exponential.
+
+Both sides read a scheme's terms through its grouping by observable
+sequence (:attr:`SchemeSpec.groups`), computed once per scheme.
 
 Conventions: no 2*pi factors are materialized anywhere; normalization is
 fixed by requiring the weights to sum to one, i.e. the mixture reduces to
@@ -68,6 +72,50 @@ class Factor(NamedTuple):
     obs: int
 
 
+class _Block(NamedTuple):
+    """Terms of one group with equal variables and equal coefficients off variable 0."""
+
+    terms: np.ndarray  # their rows in the group
+    free: np.ndarray  # positions of the variable-0 factors
+    shared: np.ndarray  # positions of the other factors, whose phases the terms share
+
+
+class _TermGroup(NamedTuple):
+    """The terms of a scheme whose words visit one observable sequence, in their order."""
+
+    obs: tuple  # observable index of each factor, length L
+    weights: np.ndarray  # term weights, shape (T,)
+    vars: np.ndarray  # variable of each factor, shape (T, L)
+    coeffs: np.ndarray  # coefficient of each factor, shape (T, L)
+    blocks: tuple  # the terms split into :class:`_Block`
+
+
+def _group_terms(terms) -> tuple:
+    """One :class:`_TermGroup` per observable sequence, in order of first appearance.
+
+    Within a sequence, terms with the same variable pattern whose
+    coefficients differ only on variable-0 factors form one block, so a
+    characteristic function contracts their other factors once.
+    """
+    grouped = {}
+    for t, (_, word) in enumerate(terms):
+        grouped.setdefault(tuple(f.obs for f in word), []).append(t)
+    groups = []
+    for seq, rows in grouped.items():
+        weights = np.array([terms[t][0] for t in rows])
+        factor_vars = np.array([[f.var for f in terms[t][1]] for t in rows], dtype=np.intp)
+        coeffs = np.array([[f.coeff for f in terms[t][1]] for t in rows])
+        keyed = {}
+        for t, (v, c) in enumerate(zip(factor_vars, coeffs)):
+            keyed.setdefault((v.tobytes(), np.where(v == 0, 0.0, c).tobytes()), []).append(t)
+        blocks = []
+        for b in keyed.values():
+            v = factor_vars[b[0]]
+            blocks.append(_Block(np.array(b), np.flatnonzero(v == 0), np.flatnonzero(v)))
+        groups.append(_TermGroup(seq, weights, factor_vars, coeffs, tuple(blocks)))
+    return tuple(groups)
+
+
 @dataclass(frozen=True)
 class SchemeSpec:
     """Convex mixture of product words of observable exponentials.
@@ -79,12 +127,21 @@ class SchemeSpec:
     coefficients attached to each variable sum to one (freezing all other
     variables reduces the word to the plain exponential of one observable,
     which pins the marginals to the Born distributions).
+
+    ``groups`` is derived once from ``terms``: one :class:`_TermGroup` per
+    observable sequence, holding its terms' weights, factor variables and
+    coefficients as arrays, and their blocks, the terms that differ only in
+    their variable-0 coefficients. :func:`build_atoms` and
+    :func:`characteristic_function` read the terms only through it, so
+    neither loops over terms; all 201 terms of ``scheme_born_jordan(201)``
+    form one group and one block.
     """
 
     n_vars: int
     terms: tuple
     label: str = "custom"
     approximate: bool = False
+    groups: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_vars < 1:
@@ -110,6 +167,7 @@ class SchemeSpec:
                 raise DomainError(
                     f"term {t_idx}: coefficients per variable must sum to 1, got {sums}"
                 )
+        object.__setattr__(self, "groups", _group_terms(self.terms))
 
     def hashed_operator_batch(self, observables, s_points) -> np.ndarray:
         """Mixture of exponential products at each frequency vector.
@@ -455,6 +513,9 @@ def _check_points(n_vars, s_points) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected frequency vectors of length {n_vars}, got shape {pts.shape}"
         )
+    if not np.isfinite(pts).all():
+        m, v = (int(k) for k in np.argwhere(~np.isfinite(pts))[0])
+        raise DomainError(f"frequency {v} of point {m} is not finite: {pts[m, v]}")
     return pts
 
 
@@ -557,9 +618,10 @@ def _complex_matmul(a, b) -> np.ndarray:
     ``a`` is read as real with Re/Im interleaved along its columns and
     ``b`` is expanded to the matching real block form, so the result is
     written straight into the real view of a complex array. Used where one
-    side spans the frequency points: complex BLAS products of that shape
-    cost about 8 ms on a 2-core host (OpenBLAS 0.3.31, 2 threads) whatever
-    their size, real ones a small fraction of that.
+    side spans frequencies (the distinct variable-0 frequencies of the
+    points, as many as the points at worst): complex BLAS products of that
+    shape cost about 8 ms on a 2-core host (OpenBLAS 0.3.31, 2 threads)
+    whatever their size, real ones a small fraction of that.
     """
     a = np.ascontiguousarray(a, dtype=complex).view(float)
     b = np.asarray(b, dtype=complex)
@@ -572,33 +634,24 @@ def _complex_matmul(a, b) -> np.ndarray:
     return out
 
 
-def _contract_phases(table, phases) -> np.ndarray:
-    """Sum over g of table[g] * prod over k of phases[k][g_k, m], for every m.
+def _group_coordinates(group: _TermGroup, eigs, n_vars) -> np.ndarray:
+    """Coordinate vector of every term's group choices, shape (T * G_1 * ... * G_L, n_vars).
 
-    ``phases[k]`` has shape (G_k, M). The factors are contracted one at a
-    time from the last, so the largest temporary has shape
-    (G_1, ..., G_{L-1}, M).
-    """
-    x = _complex_matmul(table.reshape(-1, table.shape[-1]), phases[-1])
-    x = x.reshape(table.shape[:-1] + x.shape[-1:])
-    for p in phases[-2::-1]:
-        x = np.einsum("...gm,gm->...m", x, p)
-    return x
-
-
-def _word_coordinates(word, eigs, n_vars) -> np.ndarray:
-    """Coordinate vector of every group choice, shape (G_1 * ... * G_L, n_vars).
-
-    Coefficient-weighted eigenvalues are added in word order, starting from
-    zero, so each coordinate is rounded exactly as a scalar running sum.
+    Rows run over the terms, then over their choices. Coefficient-weighted
+    eigenvalues are added in word order, starting from zero, for all terms
+    in one broadcast per factor, so each coordinate is rounded exactly as a
+    scalar running sum.
     """
     grid = tuple(e.eigenvalues.size for e in eigs)
-    coords = np.zeros((n_vars,) + grid)
-    for k, (f, eig) in enumerate(zip(word, eigs)):
-        shape = [1] * len(grid)
-        shape[k] = grid[k]
-        coords[f.var] += f.coeff * eig.eigenvalues.reshape(shape)
-    return coords.reshape(n_vars, -1).T
+    terms = np.arange(len(group.weights))
+    coords = np.zeros((terms.size, n_vars) + grid)
+    for k, eig in enumerate(eigs):
+        shape = [terms.size] + [1] * len(grid)
+        shape[1 + k] = grid[k]
+        # each term adds to its own variable of factor k
+        step = group.coeffs[:, k, None] * eig.eigenvalues
+        coords[terms, group.vars[:, k]] += step.reshape(shape)
+    return coords.reshape(terms.size, n_vars, -1).transpose(0, 2, 1).reshape(-1, n_vars)
 
 
 def _scatter_add(out, targets, vals):
@@ -655,10 +708,12 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     All products of one word are fixed by one contraction of the
     eigenvector overlaps U_k^dagger U_{k+1} (:func:`_overlap_chain`), so
     no projector is multiplied per choice. Terms whose words visit the same
-    observables in the same order share that contraction and differ only in
-    coordinates and weight, so the returned set keeps one record per
-    observable sequence: its chain, the term weights and the atom of each
-    term's group choices, not the products (see :class:`OperatorAtomSet`).
+    observables in the same order (one of ``spec.groups``) share that
+    contraction and differ only in weight and coordinates, which are
+    computed for all of them in one broadcast (:func:`_group_coordinates`).
+    So the returned set keeps one record per observable sequence: its
+    chain, the term weights and the atom of each term's group choices, not
+    the products (see :class:`OperatorAtomSet`).
     A reversed word is a sequence of its own with its own chain. The merge
     and prune rules are those of the scalar definition: coordinates within
     ``linalg.COORD_TOL`` of each other (per variable, chained over sorted
@@ -675,10 +730,7 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     _check_observables(spec.n_vars, observables)
     eigs = tuple(o.eig for o in observables)
 
-    seqs, coords = [], []
-    for _, word in spec.terms:
-        seqs.append(tuple(f.obs for f in word))
-        coords.append(_word_coordinates(word, [eigs[o] for o in seqs[-1]], spec.n_vars))
+    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], spec.n_vars) for g in spec.groups]
     offsets = np.cumsum([0] + [c.shape[0] for c in coords])
     all_coords = np.concatenate(coords)
     reps, ids = zip(
@@ -691,14 +743,14 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     )
     points = np.column_stack([r[i[first]] for r, i in zip(reps, ids)])
 
-    grouped = {}  # observable sequence -> weights and target rows of its terms
-    for (weight, _), seq, lo, hi in zip(spec.terms, seqs, offsets[:-1], offsets[1:]):
-        ws, rows = grouped.setdefault(seq, ([], []))
-        ws.append(weight)
-        rows.append(targets[lo:hi])
     sequences = tuple(
-        _Sequence(seq, _overlap_chain([eigs[o] for o in seq]), np.array(ws), np.stack(rows))
-        for seq, (ws, rows) in grouped.items()
+        _Sequence(
+            g.obs,
+            _overlap_chain([eigs[o] for o in g.obs]),
+            g.weights,
+            targets[lo:hi].reshape(len(g.weights), -1),
+        )
+        for g, lo, hi in zip(spec.groups, offsets[:-1], offsets[1:])
     )
     meta = {
         "scheme": spec.label,
@@ -798,9 +850,13 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     sum over g of Tr(rho P_1[g_1] ... P_L[g_L]) times the product of the
     factor phases exp(-i c s[var] a_{g_k}), so each observable sequence
     gets one weight table (:func:`_word_weights`), shared by every term
-    that visits it, and each term contracts that table with its phases
-    (:func:`_contract_phases`). A phase array is reused while consecutive
-    terms share its factor, such as the middle factor of Born-Jordan.
+    that visits it. Its terms are contracted a block at a time
+    (:func:`_contract_block`), never one term at a time: the terms of a
+    block differ only on their variable-0 factors, whose phases are summed
+    over the terms on the distinct variable-0 frequencies into one kernel;
+    the table is contracted with that kernel, and then with the phases of
+    the factors the terms share, per point. All the terms of a Born-Jordan
+    scheme form one block.
     """
     _check_observables(spec.n_vars, observables)
     if observables[0].dim != rho.dim:
@@ -813,21 +869,58 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     pts = _check_points(spec.n_vars, s_points)
     # phases depend on one frequency each: evaluate them once per distinct value
     axes = [np.unique(pts[:, v], return_inverse=True) for v in range(spec.n_vars)]
-
-    def factor_phases(f):
-        values, inverse = axes[f.var]
-        lam = observables[f.obs].eigenvalues[:, None]
-        return np.exp(-1j * (lam * (values * f.coeff))).take(inverse, axis=1)
-
     out = np.zeros(pts.shape[0], dtype=complex)
-    tables = {}  # observable sequence -> weight table
-    phases = {}  # factor -> phase array, kept for the next term only
-    for weight, word in spec.terms:
-        seq = tuple(f.obs for f in word)
-        if seq not in tables:
-            tables[seq] = _word_weights([observables[o].eig for o in seq], rho.matrix)
-        phases = {f: phases[f] if f in phases else factor_phases(f) for f in dict.fromkeys(word)}
-        out += weight * _contract_phases(tables[seq], [phases[f] for f in word])
+    for group in spec.groups:
+        eigs = [observables[o].eig for o in group.obs]
+        table = _word_weights(eigs, rho.matrix)
+        for block in group.blocks:
+            out += _contract_block(table, eigs, group, block, axes)
+    return out
+
+
+def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
+    """Sum over a block's terms t of w_t sum over g of table[g] prod_k phase_{t,k}[g_k, m].
+
+    The terms of a block share the variable and coefficient of every factor
+    off variable 0, so they differ only in the phases of the variable-0
+    factors (axes g_0), which depend on the point through its variable-0
+    frequency alone. The terms therefore enter through one kernel
+    K[g_0, s] = sum_t w_t prod_k exp(-i s c[t, k] lambda_k[g_k]) on the
+    distinct variable-0 frequencies s, built from per-factor phases of
+    shape (T, G_k, S) with one matrix product over t per frequency. The
+    table is contracted with K over g_0 in one real matrix product
+    (:func:`_complex_matmul`), giving Y[g_1, s] on the shared axes g_1,
+    and the shared factors' phases are then summed in per point, one
+    factor at a time from the last. Only the shared axes span the points.
+    """
+    free, shared = block.free, block.shared
+    pattern, coeffs = group.vars[block.terms[0]], group.coeffs[block.terms]
+    values, inverse = axes[0]
+    free_phases = [
+        _unit_phases(eigs[k].eigenvalues[:, None] * (coeffs[:, k, None] * values)[:, None, :])
+        for k in free
+    ]
+    # left[t, (g_0 but the last), s] carries the weight and all free factors but the last
+    left = group.weights[block.terms].reshape(-1, 1, 1)
+    for p in free_phases[:-1]:
+        left = (left[:, :, None, :] * p[:, None, :, :]).reshape(len(block.terms), -1, values.size)
+    kernel = np.matmul(left.transpose(2, 1, 0), free_phases[-1].transpose(2, 0, 1))
+    kernel = kernel.reshape(values.size, -1).T  # rows: the free axes in word order
+    table = table.transpose(np.concatenate([shared, free]))
+    y = _complex_matmul(table.reshape(-1, kernel.shape[0]), kernel)
+    y = y.reshape(table.shape[: shared.size] + (values.size,)).take(inverse, axis=-1)
+    for k in shared[::-1]:
+        vals, inv = axes[pattern[k]]
+        phases = _unit_phases(eigs[k].eigenvalues[:, None] * (vals * coeffs[0, k]))
+        y = np.einsum("...gm,gm->...m", y, phases.take(inv, axis=1))
+    return y
+
+
+def _unit_phases(theta) -> np.ndarray:
+    """exp(-i theta) for a real array, from its cosine and sine (a complex exp is slower)."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.negative(np.sin(theta, out=out.imag), out=out.imag)
     return out
 
 

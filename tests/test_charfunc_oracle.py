@@ -7,7 +7,9 @@ each weight table with the trace of the state against the word's
 projector products, multiplied out as in the atoms oracle.
 Random Hermitian observables of dimension 2-6, half with degenerate
 spectra, random states, and random frequencies that sometimes repeat a
-coordinate value, as on a grid.
+coordinate value, as on a grid. Mixtures of words on one observable
+sequence exercise the blocks the contraction sums at once: terms whose
+coefficients differ only on variable-0 factors.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from quasijoint import distributions
 from quasijoint.distributions import _word_weights
 
 import atoms_oracle
-from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
+from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, _simplex, observables
 
 
 @st.composite
@@ -34,6 +36,24 @@ def shared_sequence_mixture(draw):
         [(0, 1.0 - a, 0), (1, 1.0, 1), (0, a, 0)],
     )
     return qj.SchemeSpec(2, tuple(zip(w, words)))
+
+
+@st.composite
+def same_pattern_mixture(draw):
+    """2-4 words on one alternating sequence, with coefficients that differ on both variables.
+
+    Every word has the same variable pattern, two or more factors per
+    variable. Each word draws its variable-0 coefficients afresh and takes
+    its variable-1 coefficients from a pool of two, so words sharing them
+    form a multi-term block and the others one-term blocks.
+    """
+    pattern = draw(st.sampled_from([(0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1, 0), (1, 0, 1, 0, 1)]))
+    pool = [_simplex(draw, pattern.count(1)) for _ in range(2)]
+    words = []
+    for _ in range(draw(st.integers(2, 4))):
+        coeffs = {0: iter(_simplex(draw, pattern.count(0))), 1: iter(pool[draw(st.integers(0, 1))])}
+        words.append([(v, next(coeffs[v]), v) for v in pattern])
+    return qj.SchemeSpec(2, tuple(zip(_simplex(draw, len(words)), words)))
 
 
 def _state_and_points(seed, dim, n_vars):
@@ -79,6 +99,15 @@ def test_kirkwood_one_and_three_variables_match_mixture(n_vars, seed, data):
 @settings(PROPERTY, max_examples=40)
 @given(spec=shared_sequence_mixture(), obs=observables(2, max_dim=6), seed=SEEDS)
 def test_terms_sharing_a_sequence_match_mixture(spec, obs, seed):
+    assert_matches_mixture(spec, obs, seed)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(spec=same_pattern_mixture(), obs=observables(2), seed=SEEDS)
+def test_blocks_on_one_pattern_match_mixture(spec, obs, seed):
+    (group,) = spec.groups
+    var1_coeffs = {tuple(f.coeff for f in word if f.var == 1) for _, word in spec.terms}
+    assert len(group.blocks) == len(var1_coeffs)
     assert_matches_mixture(spec, obs, seed)
 
 

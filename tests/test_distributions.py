@@ -377,6 +377,27 @@ def test_characteristic_matches_atom_fourier_sum():
         assert np.abs(direct - from_atoms).max() <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "point", [[float("nan"), 1.0], [float("inf"), 0.0], [0.5, -float("inf")]], ids=str
+)
+@pytest.mark.parametrize(
+    "spec",
+    [qj.scheme_kirkwood(2), qj.scheme_born_jordan(5), qj.WignerScheme(2)],
+    ids=lambda spec: spec.label,
+)
+def test_non_finite_frequencies_are_rejected(spin_half, spec, point):
+    # NaN used to come back silently, inf after "invalid value" warnings
+    pair = (spin_half.j1, spin_half.j2)
+    rho = qj.bloch_state(0.7, 0.3, 0.9)
+    pts = [[0.0, 0.0], point]
+    with pytest.raises(DomainError, match="point 1 is not finite"):
+        qj.characteristic_function(spec, pair, rho, pts)
+    if not isinstance(spec, qj.WignerScheme):
+        dist = qj.evaluate_distribution(qj.build_atoms(spec, pair), rho)
+        with pytest.raises(DomainError, match="point 1 is not finite"):
+            dist.characteristic(pts)
+
+
 # ---------------------------------------------------------------------------
 # structural invariances
 

@@ -4,6 +4,8 @@ Random observable pairs of dimension 2-5, half of them with degenerate
 spectra, under every scheme constructor, reversed words included, and a
 random state each:
 
+- the atoms sum to the identity, and for each variable the atoms on one
+  eigenvalue coordinate sum to that eigenvalue's spectral projector;
 - every marginal matches the Born distribution of its observable;
 - schemes with one factor per variable put no weight off the eigenvalue
   grid;
@@ -39,6 +41,19 @@ def _state(obs, seed):
 
 def _one_factor_per_variable(spec):
     return all(sorted(f.var for f in word) == list(range(spec.n_vars)) for _, word in spec.terms)
+
+
+@PROPERTY
+@given(spec=TWO_VAR_SCHEMES, obs=observables(2))
+def test_atoms_sum_to_identity_and_spectral_projectors(spec, obs):
+    atoms = qj.build_atoms(spec, obs)
+    identity = atoms.operator_for(np.ones(len(atoms)))
+    assert np.abs(identity - np.eye(atoms.dim)).max() <= linalg.DEFECT_TOL
+    for v, o in enumerate(obs):
+        for value, projector in zip(o.eig.eigenvalues, o.eig.projectors):
+            on_value = np.abs(atoms.points[:, v] - value) <= linalg.COORD_TOL
+            assert on_value.any()
+            assert np.abs(atoms.operator_for(on_value) - projector).max() <= linalg.DEFECT_TOL
 
 
 @PROPERTY
