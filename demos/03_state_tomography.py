@@ -9,7 +9,10 @@ For Kirkwood-Dirac and Margenau-Hill weights on nondegenerate pairs, each
 weight is one overlap c[a, b] times one entry of the state in the mixed
 eigenbasis, so bounds on the overlaps certify full rank and the state is
 inverted per atom, with no SVD; a state that does not reproduce the weights
-falls back to the pseudo-inverse. Other schemes, and pairs with a vanishing
+falls back to the pseudo-inverse. Split words and Born-Jordan open and close
+on the first observable, so each weight touches one entry pair of the state
+in its eigenbasis: the map splits into small blocks, decomposed and inverted
+block by block. Other schemes, and Kirkwood-Dirac pairs with a vanishing
 overlap, build the dense map and use its SVD. ``rmap.diagnostics`` names
 the route taken.
 """

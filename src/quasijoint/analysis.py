@@ -11,7 +11,8 @@ and an identity in h(s) for all s holds atom by atom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 from .quantum import (
     DensityState,
     SpinTriple,
+    _pairs,
     bloch_state,
     chart_basis,
     embed,
@@ -139,6 +141,168 @@ def _re_im_rows(z) -> np.ndarray:
     return out
 
 
+class _BlockGroup(NamedTuple):
+    """The C blocks of one shape, 2R rows by U unknowns, stacked."""
+
+    atoms: np.ndarray  # atom of each (Re, Im) row pair, shape (C, R)
+    unknowns: np.ndarray  # unknown of each column, shape (C, U)
+    pinv: np.ndarray  # pseudo-inverse at the map's rank cut, shape (C, U, 2R)
+
+
+class EntryBlocks(NamedTuple):
+    """A reconstruction map split into independent real blocks (:func:`_entry_blocks`).
+
+    ``vectors`` are the eigenvectors U_A of the observable every sequence
+    opens and closes on, ``groups`` the blocks by shape
+    (:class:`_BlockGroup`), ``singular_values`` those of all blocks,
+    descending, and ``kept`` how many lie above the rank cut of the
+    largest one.
+    """
+
+    vectors: np.ndarray
+    groups: tuple
+    singular_values: np.ndarray
+    kept: int
+
+    @property
+    def largest(self) -> tuple:
+        """(rows, unknowns) of the block with the most unknowns, then the most rows."""
+        shapes = [(2 * g.atoms.shape[1], g.unknowns.shape[1]) for g in self.groups]
+        return max(shapes, key=lambda shape: shape[::-1])
+
+
+@lru_cache(maxsize=16)
+def _entry_unknowns(n: int):
+    """The Frobenius-orthonormal real unknowns v of a Hermitian Z, as tables over [i, j].
+
+    The unknowns are Z[i, i] (unknown i) and, for pair k = (i, j), i < j,
+    of ``quantum._pairs``, sqrt2 Re Z[j, i] (unknown N + 2k) and
+    sqrt2 Im Z[j, i] (unknown N + 2k + 1). Returns read-only ``unknown``
+    and ``factor``, both of shape (2, N, 1, N), with
+    Z[j, i] = sum over r of factor[r, i, 0, j] v[unknown[r, i, 0, j]];
+    on the diagonal the second term has factor 0.
+    """
+    i, j = _pairs(n)
+    k = n + 2 * np.arange(i.size)
+    unknown = np.empty((2, n, n), dtype=np.intp)
+    unknown[:, np.arange(n), np.arange(n)] = np.arange(n)
+    unknown[:, i, j] = unknown[:, j, i] = (k, k + 1)
+    factor = np.zeros((2, n, n), dtype=complex)
+    factor[0] = np.eye(n)
+    factor[0, i, j] = factor[0, j, i] = 2**-0.5
+    factor[1, i, j] = 1j * 2**-0.5
+    factor[1, j, i] = -1j * 2**-0.5
+    unknown.setflags(write=False)
+    factor.setflags(write=False)
+    return unknown[:, :, None], factor[:, :, None]
+
+
+def _by_component(comp, start):
+    """Members ordered by component, stably, and each member's position within its component."""
+    order = np.argsort(comp, kind="stable")
+    local = np.empty_like(order)
+    local[order] = np.arange(comp.size) - start[comp[order]]
+    return order, local
+
+
+def _entry_blocks(atoms: OperatorAtomSet):
+    """The reconstruction map as independent real blocks, or None.
+
+    Applies when every sequence opens and closes on the same nondegenerate
+    observable A (split words, Born-Jordan and their mixtures): a group
+    choice (i, mid, j) then adds weight * chain[i, mid, j] * Z[j, i] to its
+    atom, with Z = U_A^dagger rho U_A, so it touches one Hermitian entry
+    pair {Z[i, j], Z[j, i]}, one or two real unknowns
+    (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
+    its connected components, labelled by propagating the least unknown
+    (``np.minimum.at`` over the edges), are the blocks: rows Re and Im of
+    the component's atoms, columns its unknowns. The unknowns are
+    Frobenius-orthonormal, so the blocks' singular values are those of the
+    map on Hermitian matrices; blocks of one shape share one batched SVD.
+    An unknown no atom touches lies in the kernel. Returns None for any
+    other atom set (mixed closings, a degenerate A).
+    """
+    closing = {o for seq in atoms.sequences for o in (seq.obs[0], seq.obs[-1])}
+    if len(closing) != 1 or any(seq.chain is None for seq in atoms.sequences):
+        return None
+    eig = atoms.eigs[closing.pop()]
+    if eig.degenerate:
+        return None
+    n, p = atoms.dim, len(atoms)
+    unknown, factor = _entry_unknowns(n)
+    # one edge per term, group choice and unknown it touches, shape (T, 2, N, M, N)
+    keys, coefs = [], []
+    for seq in atoms.sequences:
+        chain = seq.chain.reshape(n, -1, n)
+        keys.append((seq.targets.reshape(-1, 1, *chain.shape) * (n * n) + unknown).ravel())
+        coefs.append((seq.weights.reshape(-1, 1, 1, 1, 1) * (chain * factor)).ravel())
+    edge_atom, edge_unknown = np.divmod(np.concatenate(keys), n * n)
+    coef = np.concatenate(coefs)
+    kept = edge_atom < p  # a pruned choice targets atom p
+    edge_atom, edge_unknown, coef = edge_atom[kept], edge_unknown[kept], coef[kept]
+
+    label = np.arange(n * n)
+    while True:
+        atom_label = np.full(p, n * n)
+        np.minimum.at(atom_label, edge_atom, label[edge_unknown])
+        new = label.copy()
+        np.minimum.at(new, edge_unknown, atom_label[edge_atom])
+        new = new[new]  # labels are unknowns of the same component
+        if np.array_equal(new, label):
+            break
+        label = new
+    root = np.zeros(n * n, dtype=bool)
+    root[atom_label] = True
+    comp = np.cumsum(root) - 1  # component of each root label
+    atom_comp = comp[atom_label]
+    touched = np.zeros(n * n, dtype=bool)
+    touched[edge_unknown] = True
+    unknowns = np.flatnonzero(touched)  # an unknown no atom touches lies in the kernel
+    unknown_comp = comp[label[unknowns]]
+    rows = np.bincount(atom_comp)
+    cols = np.bincount(unknown_comp, minlength=rows.size)
+    # renumber the components by shape, so that blocks of one shape are adjacent
+    shape = rows * (n * n + 1) + cols
+    order = np.argsort(shape, kind="stable")
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    rows, cols, shape = rows[order], cols[order], shape[order]
+    atom_comp, unknown_comp = renumber[atom_comp], renumber[unknown_comp]
+    atom_start, unknown_start = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    atom_order, atom_local = _by_component(atom_comp, atom_start)
+    unknown_order, local = _by_component(unknown_comp, unknown_start)
+    unknown_order = unknowns[unknown_order]
+    unknown_local = np.empty(n * n, dtype=np.intp)
+    unknown_local[unknowns] = local
+
+    # all blocks in one buffer, each (2R, U) in row-major order
+    size = 2 * rows * cols
+    block_start = np.cumsum(size) - size
+    edge_comp = atom_comp[edge_atom]
+    re = block_start[edge_comp] + 2 * atom_local[edge_atom] * cols[edge_comp]
+    re += unknown_local[edge_unknown]
+    flat = np.zeros(size.sum())  # the Im row follows the Re row of its atom
+    np.add.at(flat, np.concatenate([re, re + cols[edge_comp]]), np.concatenate([coef.real, coef.imag]))
+    bounds = np.flatnonzero(shape[1:] != shape[:-1]) + 1
+    groups = []
+    for lo, hi in zip([0, *bounds], [*bounds, rows.size]):
+        r, u = rows[lo], cols[lo]
+        block = flat[block_start[lo] : block_start[lo] + (hi - lo) * 2 * r * u]
+        groups.append((
+            atom_order[atom_start[lo] : atom_start[lo] + (hi - lo) * r].reshape(-1, r),
+            unknown_order[unknown_start[lo] : unknown_start[lo] + (hi - lo) * u].reshape(-1, u),
+            np.linalg.svd(block.reshape(-1, 2 * r, u), full_matrices=False),
+        ))
+    values = np.sort(np.concatenate([svd.S.ravel() for *_, svd in groups]))[::-1]
+    cut = linalg.rank_threshold(values[0])
+    out = []
+    for group_atoms, group_unknowns, (u, s, vt) in groups:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
+        pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
+        out.append(_BlockGroup(group_atoms, group_unknowns, pinv))
+    return EntryBlocks(eig.vectors, tuple(out), values, int(np.count_nonzero(values > cut)))
+
+
 @dataclass(frozen=True)
 class ReconstructionMap:
     """Affine map from state coordinates to stacked distribution coefficients.
@@ -149,17 +313,31 @@ class ReconstructionMap:
     Full rank (N^2 - 1) means the distribution determines the state;
     ``pinv`` then inverts the map in the least-squares sense.
 
-    ``closed_form`` is the atoms' :class:`~quasijoint.distributions.KirkwoodForm`
-    when its singular-value bounds certify full rank and an accurate
-    per-atom inversion (:func:`reconstruction_map`), and None otherwise.
-    The rank is then N^2 - 1 and :func:`reconstruct_state` inverts per
-    atom; every other map counts its rank by the SVD of the dense map when
-    built. ``map_matrix``, ``offset`` and ``pinv`` are computed on first
-    read, the same way for both. ``diagnostics`` holds ``inversion``
-    ("closed_form" or "svd") and ``rank_margin``: the certified lower bound
-    on the smallest singular value over the rank cut
-    (:func:`~quasijoint.linalg.rank_threshold`), or for the SVD the
-    smallest kept singular value (the largest when none is kept) over it.
+    The rank comes from one of three routes, named by
+    ``diagnostics["inversion"]``:
+
+    - ``"closed_form"``: ``closed_form`` is the atoms'
+      :class:`~quasijoint.distributions.KirkwoodForm`, whose singular-value
+      bounds certify full rank and an accurate per-atom inversion; the
+      rank is N^2 - 1.
+    - ``"blocks"``: ``blocks`` is the map split into independent blocks
+      over entry pairs of the state (:class:`EntryBlocks`, from
+      :func:`_entry_blocks`); the rank is the number of block singular
+      values above the rank cut of the largest one, minus 1.
+    - ``"svd"``: every other map counts its rank by the SVD of the dense
+      map, built for it.
+
+    :func:`reconstruct_state` inverts on the same route. ``map_matrix``,
+    ``offset`` and ``pinv`` are computed on first read, the same way for
+    all three. ``diagnostics`` also holds ``rank_margin``: for the closed
+    form, the certified lower bound on the smallest singular value over the
+    rank cut (:func:`~quasijoint.linalg.rank_threshold`); otherwise the
+    smallest kept singular value (the largest when none is kept) over it,
+    of the blocks or of the dense map. ``largest_block`` is the
+    (rows, unknowns) shape of the largest independent real system inverted:
+    (2, 2) for the closed form (Re and Im of one atom against Re and Im of
+    one Kirkwood-Dirac weight), the block with the most unknowns for
+    blocks, and the whole dense map, (2P, N^2 - 1), for the SVD.
     """
 
     observables: tuple
@@ -167,11 +345,17 @@ class ReconstructionMap:
     atoms: OperatorAtomSet
     support: np.ndarray
     closed_form: KirkwoodForm = field(default=None, repr=False)
-    rank: int = None  # None: N^2 - 1 for a closed form, else counted by the SVD
+    blocks: EntryBlocks = field(default=None, repr=False)
+    rank: int = None  # None: filled in from the route
 
     def __post_init__(self):
         if self.rank is None:
-            rank = self.dim**2 - 1 if self.closed_form is not None else self._svd[0]
+            if self.closed_form is not None:
+                rank = self.dim**2 - 1
+            elif self.blocks is not None:
+                rank = max(self.blocks.kept - 1, 0)
+            else:
+                rank = self._svd[0]
             object.__setattr__(self, "rank", rank)
 
     @property
@@ -206,10 +390,16 @@ class ReconstructionMap:
     def diagnostics(self) -> dict:
         if self.closed_form is not None:
             lower, upper = _singular_value_bounds(self.closed_form)
-            return {"inversion": "closed_form", "rank_margin": lower / linalg.rank_threshold(upper)}
-        rank, _, s = self._svd
-        margin = s[max(rank, 1) - 1] / linalg.rank_threshold(s[0])
-        return {"inversion": "svd", "rank_margin": float(margin)}
+            margin = lower / linalg.rank_threshold(upper)
+            return {"inversion": "closed_form", "rank_margin": margin, "largest_block": (2, 2)}
+        if self.blocks is not None:
+            kept, s, largest = self.blocks.kept, self.blocks.singular_values, self.blocks.largest
+            route = "blocks"
+        else:
+            (kept, _, s), largest = self._svd, self.map_matrix.shape
+            route = "svd"
+        margin = s[max(kept, 1) - 1] / linalg.rank_threshold(s[0])
+        return {"inversion": route, "rank_margin": float(margin), "largest_block": largest}
 
     @cached_property
     def _support_index(self) -> _SupportIndex:
@@ -254,10 +444,24 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     A lower bound above twice the rank cut certifies full rank N^2 - 1, the
     factor 2 leaving room for the SVD's rounding; one of at least
     ``linalg.INVERSION_FLOOR`` also keeps the closed-form inversion
-    accurate. Such a map is neither built nor decomposed here. Every other
-    map, and these where the bound falls short (vanishing overlaps,
-    Margenau-Hill near alpha = 0), is built and its rank and
-    pseudo-inverse come from the real SVD with threshold
+    accurate. Such a map is neither built nor decomposed here.
+
+    Atoms whose sequences all open and close on one nondegenerate
+    observable A (split words, Born-Jordan and their mixtures) split the
+    map into independent blocks over entry pairs of U_A^dagger rho U_A
+    (:func:`_entry_blocks`). Its rank is the number of block singular
+    values above the rank cut of the largest one, minus 1: the weights sum
+    to the trace, so every kernel element is traceless and the map on
+    traceless coordinates loses exactly one dimension. Such a map is not
+    built either. Blocks are small where atoms rarely merge (two unknowns
+    on random pairs) and grow with the merges (equally spaced spectra, a
+    factor with coefficient 0).
+
+    Every other map (mixed closings such as alternating words, a
+    degenerate closing observable, other Kirkwood-Dirac-like words on
+    degenerate pairs, and Kirkwood-form maps where the bound falls short:
+    vanishing overlaps, Margenau-Hill near alpha = 0) is built and its
+    rank and pseudo-inverse come from the real SVD with threshold
     ``linalg.RANK_RATIO`` times max(s_0, 1)
     (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
     but for rounding, as for two multiples of the identity, has rank 0.
@@ -270,7 +474,8 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
         lower, upper = _singular_value_bounds(form)
         if not (lower > 2 * linalg.rank_threshold(upper) and lower >= linalg.INVERSION_FLOOR):
             form = None
-    return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form)
+    blocks = _entry_blocks(atoms) if form is None else None
+    return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form, blocks=blocks)
 
 
 def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
@@ -297,6 +502,33 @@ def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     return rho
 
 
+def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
+    """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
+
+    Each block's unknowns are its pseudo-inverse applied to the Re and Im
+    of its atoms' weights; they make up Z (:func:`_entry_unknowns`), and
+    rho = U_A Z U_A^dagger, of which the Hermitian part with its trace set
+    to 1 in the last diagonal entry (as in ``embed``) is kept. None unless
+    its weights reproduce ``aligned`` within ``linalg.DEFECT_TOL``. The map
+    must have full rank, so every block has full column rank and every
+    unknown lies in one block.
+    """
+    n = rmap.dim
+    v = np.empty(n * n)
+    for g in rmap.blocks.groups:
+        # rows Re, Im of each atom: the float view of the complex weights
+        v[g.unknowns] = (g.pinv @ aligned[g.atoms].view(float)[..., None])[..., 0]
+    unknown, factor = _entry_unknowns(n)
+    z = (factor * v[unknown]).sum(axis=0)[:, 0].T
+    u_a = rmap.blocks.vectors
+    rho = u_a @ z @ u_a.conj().T
+    rho = (rho + rho.conj().T) / 2
+    rho[-1, -1] += 1.0 - rho.trace().real
+    if not np.abs(rmap.atoms.weights_for(rho) - aligned).max() <= linalg.DEFECT_TOL:
+        return None
+    return rho
+
+
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:
     """Invert the coefficient map on a distribution.
 
@@ -310,11 +542,12 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
 
     The result is the least-squares solution ``pinv`` gives. A map with a
     closed form inverts per atom instead (:func:`_closed_form_state`), in
-    O(N^3) and with no SVD, and keeps that state when its weights
-    reproduce the aligned ones within ``linalg.DEFECT_TOL``: it then fits
-    them as well as the least-squares solution but for that tolerance.
-    Weights that no state reproduces fall back to ``pinv``, built on
-    demand.
+    O(N^3) and with no SVD, and a map by blocks block by block with the
+    blocks' pseudo-inverses (:func:`_block_state`). Either keeps its state
+    when its weights reproduce the aligned ones within
+    ``linalg.DEFECT_TOL``: it then fits them as well as the least-squares
+    solution but for that tolerance. Weights that no state reproduces fall
+    back to ``pinv``, built on demand.
     """
     n = rmap.dim
     if rmap.rank < n * n - 1:
@@ -332,10 +565,13 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
         )
     aligned = np.zeros(len(rmap.support), dtype=complex)
     np.add.at(aligned, idx[hit], dist.weights[hit])
+    rho = None
     if rmap.closed_form is not None:
         rho = _closed_form_state(rmap, aligned)
-        if rho is not None:
-            return DensityState(rho)
+    elif rmap.blocks is not None:
+        rho = _block_state(rmap, aligned)
+    if rho is not None:
+        return DensityState(rho)
     coords = rmap.pinv @ (_re_im_rows(aligned) - rmap.offset)
     return embed(coords, n, require_positive=True)
 

@@ -19,6 +19,8 @@ Margenau-Hill, a lone reversed word) is checked against the dense map it
 replaces: the same rank as its SVD, and the state its pseudo-inverse
 gives, on random pairs, pairs with a planted zero overlap, Margenau-Hill
 next to the real scheme at alpha = 0, and spin (J1, J2) up to j = 5/2.
+Named cases pin which route (closed form, blocks or dense SVD) each kind
+of map takes.
 """
 
 import numpy as np
@@ -183,7 +185,26 @@ ROUTES = {
     ),
     "margenau-hill-0": (qj.scheme_margenau_hill(0.0), _random_pair(_RNG, 4), "svd"),
     "margenau-hill-1e-9": (qj.scheme_margenau_hill(1e-9), _random_pair(_RNG, 4), "svd"),
-    "s_alpha-0.25": (qj.scheme_s_alpha(0.25), _random_pair(_RNG, 4), "svd"),
+    # split words close on A: blocks over entry pairs, unless A is degenerate
+    "s_alpha-0.25": (qj.scheme_s_alpha(0.25), _random_pair(_RNG, 4), "blocks"),
+    "s_alpha-0.5-spin-j1": (qj.scheme_s_alpha(0.5), _spin_pair(2), "blocks"),
+    "born-jordan-21": (qj.scheme_born_jordan(21), _random_pair(_RNG, 4), "blocks"),
+    "s_alpha-degenerate": (
+        qj.scheme_s_alpha(0.25),
+        (qj.HermitianObservable(np.diag([1.0, 1.0, 0.0])), _spin_pair(2)[1]),
+        "svd",
+    ),
+    "alternating-mixed-closing": (
+        qj.scheme_alternating([0.5, 0.5], [0.5, 0.5]), _random_pair(_RNG, 4), "svd"
+    ),
+    "split-and-mirrored-split": (
+        qj.SchemeSpec(2, (
+            (0.5, [(0, 0.5, 0), (1, 1.0, 1), (0, 0.5, 0)]),
+            (0.5, [(1, 0.5, 1), (0, 1.0, 0), (1, 0.5, 1)]),
+        )),
+        _random_pair(_RNG, 4),
+        "svd",
+    ),
 }
 
 
@@ -192,10 +213,18 @@ def test_inversion_route(spec, pair, route):
     rmap = qj.reconstruction_map(*pair, spec)
     assert rmap.diagnostics["inversion"] == route
     assert (rmap.closed_form is not None) == (route == "closed_form")
+    assert (rmap.blocks is not None) == (route == "blocks")
     if route == "closed_form":
         assert rmap.full_rank and rmap.diagnostics["rank_margin"] > 2
     elif rmap.full_rank:
         assert rmap.diagnostics["rank_margin"] > 1
+    rows, unknowns = rmap.diagnostics["largest_block"]
+    if route == "closed_form":
+        assert (rows, unknowns) == (2, 2)
+    elif route == "svd":
+        assert (rows, unknowns) == rmap.map_matrix.shape
+    else:
+        assert rows % 2 == 0 and rows <= 2 * len(rmap.support) and unknowns <= rmap.dim**2
 
 
 def test_off_range_weights_return_the_least_squares_state():

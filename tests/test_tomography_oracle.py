@@ -6,13 +6,20 @@ spectra, under every scheme constructor (including the rank-deficient
 1e-12, with a bit-identical offset and the same rank; ``parametrize`` and
 ``embed`` must equal the double-loop versions exactly, and ``embed`` must
 be the affine combination of ``chart_basis`` the map is traced against.
+
+Maps inverted by blocks (split words, Born-Jordan) take the dense map as
+their oracle: the same rank as its SVD and the state its pseudo-inverse
+gives, also where merged atoms join entry pairs, where no state fits the
+weights, and on the spin pairs of the paper's distinguishability table.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
+from quasijoint import analysis, linalg
 from quasijoint.quantum import chart_basis
 
 import tomography_oracle
@@ -74,3 +81,109 @@ def test_chart_matches_loop_oracle(dim, seed):
     assert np.abs(rho.matrix - (basis[0] + np.tensordot(x, basis[1:], 1))).max() <= 1e-15
     state = qj.random_density(dim, rng)
     assert np.array_equal(qj.parametrize(state), tomography_oracle.parametrize(state))
+
+
+# Split words and Born-Jordan close on A, so their maps split into blocks
+# over entry pairs of U_A^dagger rho U_A; the dense map is their oracle.
+SPLIT_WORDS = st.one_of(
+    st.builds(qj.scheme_s_alpha, st.floats(0.0, 1.0)),
+    st.builds(qj.scheme_born_jordan, st.integers(1, 6)),
+)
+
+
+def _dense_state(rmap, dist):
+    """The state the pseudo-inverse of the dense map gives for a distribution."""
+    aligned = np.zeros(len(rmap.support), dtype=complex)
+    aligned[rmap._support_index.match(dist.points)] = dist.weights
+    coords = linalg._real_svd_rank(rmap.map_matrix)[1] @ (analysis._re_im_rows(aligned) - rmap.offset)
+    return qj.embed(coords, rmap.dim)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(spec=SPLIT_WORDS, obs=observables(2), seed=st.integers(0, 2**32 - 1))
+def test_block_rank_and_state_match_the_dense_map(spec, obs, seed):
+    rmap = qj.reconstruction_map(*obs, spec)
+    assert (rmap.blocks is not None) == (not obs[0].eig.degenerate)
+    assert rmap.rank == linalg._real_svd_rank(rmap.map_matrix)[0]
+    if rmap.blocks is None or not rmap.full_rank:
+        return
+    rho = qj.random_density(rmap.dim, np.random.default_rng(seed))
+    dist = qj.evaluate_distribution(rmap.atoms, rho)
+    got = qj.reconstruct_state(rmap, dist)
+    assert np.abs(got.matrix - _dense_state(rmap, dist).matrix).max() <= 1e-10
+
+
+def _random_pair(rng, dim):
+    return tuple(qj.HermitianObservable(qj.random_hermitian(dim, rng), label) for label in "AB")
+
+
+def test_planted_merge_joins_a_diagonal_and_an_off_diagonal_pair():
+    # A has the equally spaced spectrum (-1, 0, 1), so (a_0 + a_2) / 2 = a_1:
+    # under s_alpha(0.5) the choices (0, b, 2), (2, b, 0) and (1, b, 1) land on
+    # one atom, which touches Z[1, 1] and the pair {Z[0, 2], Z[2, 0]}
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    a = qj.HermitianObservable((q * [-1.0, 0.0, 1.0]) @ q.conj().T, "A")
+    b = qj.HermitianObservable(qj.random_hermitian(3, rng), "B")
+    rmap = qj.reconstruction_map(a, b, qj.scheme_s_alpha(0.5))
+    assert rmap.diagnostics["inversion"] == "blocks"
+    # three atoms, one per eigenvalue of B, against Z[1, 1], Re and Im of Z[2, 0]
+    assert rmap.diagnostics["largest_block"] == (6, 3)
+    assert rmap.rank == linalg._real_svd_rank(rmap.map_matrix)[0] == 8
+    dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(3, rng))
+    got = qj.reconstruct_state(rmap, dist)
+    assert np.abs(got.matrix - _dense_state(rmap, dist).matrix).max() <= 1e-10
+
+
+def test_off_range_weights_fall_back_to_the_dense_pseudo_inverse():
+    rng = np.random.default_rng(8)
+    rmap = qj.reconstruction_map(*_random_pair(rng, 4), qj.scheme_s_alpha(0.25))
+    assert rmap.diagnostics["inversion"] == "blocks" and rmap.full_rank
+    rho = qj.random_density(4, rng)
+    dist = qj.evaluate_distribution(rmap.atoms, rho, prune_tol=0.0)
+    noise = 1e-6 * (rng.normal(size=len(dist)) + 1j * rng.normal(size=len(dist)))
+    # unpruned, the points are the support in order, so the weights are aligned
+    bad = qj.QuasiDistribution(2, dist.points, dist.weights + noise)
+    # no state has these weights: the blocks decline them
+    assert analysis._block_state(rmap, bad.weights) is None
+    got = qj.reconstruct_state(rmap, bad)
+    assert np.abs(got.matrix - _dense_state(rmap, bad).matrix).max() <= 1e-15
+    assert 1e-8 < np.abs(got.matrix - rho.matrix).max() < 1e-5
+
+
+def test_block_route_builds_no_dense_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense map was built or decomposed")
+
+    rng = np.random.default_rng(4)
+    pair = _random_pair(rng, 8)
+    states = [qj.random_density(8, rng) for _ in range(4)]
+    monkeypatch.setattr(linalg, "_real_svd_rank", refuse)
+    monkeypatch.setattr(analysis, "chart_basis", refuse)
+    rmap = qj.reconstruction_map(*pair, qj.scheme_s_alpha(0.25))
+    assert rmap.rank == 63 and rmap.diagnostics["inversion"] == "blocks"
+    for rho in states:
+        got = qj.reconstruct_state(rmap, qj.evaluate_distribution(rmap.atoms, rho))
+        assert np.abs(got.matrix - rho.matrix).max() <= 1e-12
+    with pytest.raises(AssertionError, match="dense map"):
+        rmap.pinv  # the dense map and its SVD on demand
+
+
+# The paper's distinguishability comparison on spin (J1, J2), j = 1/2 ... 3.
+# Kirkwood-Dirac and s_alpha(0.25) determine the state. The real schemes
+# s_alpha(0.5) and born_jordan(21) reach rank N(N+1)/2 - 1 only: 2, 5, 9,
+# 14, 20, 27 for N = 2-7. That pattern is measured here, not proven; on
+# random pairs at N >= 3 the real schemes are full rank.
+@pytest.mark.parametrize("j_times_two", range(1, 7))
+def test_spin_pair_distinguishability_table(j_times_two):
+    spin = qj.spin_operators(j_times_two)
+    n = spin.dim
+    table = [
+        (qj.scheme_kirkwood(2), n * n - 1),
+        (qj.scheme_s_alpha(0.25), n * n - 1),
+        (qj.scheme_s_alpha(0.5), n * (n + 1) // 2 - 1),
+        (qj.scheme_born_jordan(21), n * (n + 1) // 2 - 1),
+    ]
+    for spec, rank in table:
+        rmap = qj.reconstruction_map(spin.j1, spin.j2, spec)
+        assert rmap.rank == rank == linalg._real_svd_rank(rmap.map_matrix)[0], spec.label
