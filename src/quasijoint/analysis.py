@@ -142,11 +142,13 @@ def _re_im_rows(z) -> np.ndarray:
 
 
 class _BlockGroup(NamedTuple):
-    """The C blocks of one shape, 2R rows by U unknowns, stacked."""
+    """The C blocks of one shape, 2R rows by U unknowns, stacked, with their SVD."""
 
     atoms: np.ndarray  # atom of each (Re, Im) row pair, shape (C, R)
     unknowns: np.ndarray  # unknown of each column, shape (C, U)
-    pinv: np.ndarray  # pseudo-inverse at the map's rank cut, shape (C, U, 2R)
+    u: np.ndarray  # left singular vectors, shape (C, 2R, K), K = min(2R, U)
+    s: np.ndarray  # singular values, shape (C, K)
+    vt: np.ndarray  # right singular vectors, shape (C, K, U)
 
 
 class EntryBlocks(NamedTuple):
@@ -288,19 +290,14 @@ def _entry_blocks(atoms: OperatorAtomSet):
     for lo, hi in zip([0, *bounds], [*bounds, rows.size]):
         r, u = rows[lo], cols[lo]
         block = flat[block_start[lo] : block_start[lo] + (hi - lo) * 2 * r * u]
-        groups.append((
+        groups.append(_BlockGroup(
             atom_order[atom_start[lo] : atom_start[lo] + (hi - lo) * r].reshape(-1, r),
             unknown_order[unknown_start[lo] : unknown_start[lo] + (hi - lo) * u].reshape(-1, u),
-            np.linalg.svd(block.reshape(-1, 2 * r, u), full_matrices=False),
+            *np.linalg.svd(block.reshape(-1, 2 * r, u), full_matrices=False),
         ))
-    values = np.sort(np.concatenate([svd.S.ravel() for *_, svd in groups]))[::-1]
-    cut = linalg.rank_threshold(values[0])
-    out = []
-    for group_atoms, group_unknowns, (u, s, vt) in groups:
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cut)
-        pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
-        out.append(_BlockGroup(group_atoms, group_unknowns, pinv))
-    return EntryBlocks(eig.vectors, tuple(out), values, int(np.count_nonzero(values > cut)))
+    values = np.sort(np.concatenate([g.s.ravel() for g in groups]))[::-1]
+    kept = int(np.count_nonzero(values > linalg.rank_threshold(values[0])))
+    return EntryBlocks(eig.vectors, tuple(groups), values, kept)
 
 
 @dataclass(frozen=True)
@@ -333,7 +330,12 @@ class ReconstructionMap:
     form, the certified lower bound on the smallest singular value over the
     rank cut (:func:`~quasijoint.linalg.rank_threshold`); otherwise the
     smallest kept singular value (the largest when none is kept) over it,
-    of the blocks or of the dense map. ``largest_block`` is the
+    of the blocks or of the dense map. The margin is read off a different
+    map on each route and does not compare across them: the blocks' map
+    is Frobenius-orthonormal on all Hermitian Z, trace direction included,
+    and the dense map acts on traceless chart coordinates, whose chart has
+    singular values in [1, sqrt(N)]; at full rank the dense map's margin
+    is therefore at least the blocks' over sqrt(N). ``largest_block`` is the
     (rows, unknowns) shape of the largest independent real system inverted:
     (2, 2) for the closed form (Re and Im of one atom against Re and Im of
     one Kirkwood-Dirac weight), the block with the most unknowns for
@@ -478,55 +480,63 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form, blocks=blocks)
 
 
+def _fitted_state(rho, weights_of, target) -> np.ndarray:
+    """The Hermitian part of ``rho`` with its trace set to 1, or None if it misses ``target``.
+
+    The trace is reset in the last diagonal entry, as in ``embed``. None
+    unless ``weights_of`` of the result reproduces ``target`` within
+    ``linalg.DEFECT_TOL``.
+    """
+    rho = (rho + rho.conj().T) / 2
+    rho[-1, -1] += 1.0 - rho.trace().real
+    if not np.abs(weights_of(rho) - target).max() <= linalg.DEFECT_TOL:
+        return None
+    return rho
+
+
 def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
 
     Per atom, w = beta K + gamma conj(K) gives
     K = (conj(beta) w - gamma conj(w)) / (|beta|^2 - |gamma|^2); then
-    Z[b, a] = K[a, b] / c[a, b] and rho = U_B Z U_A^dagger, of which the
-    Hermitian part with its trace set to 1 in the last diagonal entry
-    (as in ``embed``) is kept. None unless its weights reproduce
-    ``aligned`` within ``linalg.DEFECT_TOL``.
+    Z[b, a] = K[a, b] / c[a, b] and rho = U_B Z U_A^dagger, kept as
+    :func:`_fitted_state` keeps it. Its weights are checked through the
+    form too, in O(N^3), which is cheaper than ``weights_for``.
     """
     form = rmap.closed_form
     u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
     beta, gamma = form.beta, form.gamma
     w = aligned[form.index]
     k = (beta.conjugate() * w - gamma * w.conj()) / (abs(beta) ** 2 - abs(gamma) ** 2)
-    rho = u_b @ (k / form.overlaps).T @ u_a.conj().T
-    rho = (rho + rho.conj().T) / 2
-    rho[-1, -1] += 1.0 - rho.trace().real
-    k = form.overlaps * (u_b.conj().T @ rho @ u_a).T
-    if not np.abs(beta * k + gamma * k.conj() - w).max() <= linalg.DEFECT_TOL:
-        return None
-    return rho
+
+    def weights_of(rho):
+        k = form.overlaps * (u_b.conj().T @ rho @ u_a).T
+        return beta * k + gamma * k.conj()
+
+    return _fitted_state(u_b @ (k / form.overlaps).T @ u_a.conj().T, weights_of, w)
 
 
 def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
 
-    Each block's unknowns are its pseudo-inverse applied to the Re and Im
-    of its atoms' weights; they make up Z (:func:`_entry_unknowns`), and
-    rho = U_A Z U_A^dagger, of which the Hermitian part with its trace set
-    to 1 in the last diagonal entry (as in ``embed``) is kept. None unless
-    its weights reproduce ``aligned`` within ``linalg.DEFECT_TOL``. The map
-    must have full rank, so every block has full column rank and every
-    unknown lies in one block.
+    The map must have full rank, so every block has full column rank and
+    every unknown lies in one block: each block's unknowns are the
+    least-squares solution V S^-1 U^T of the Re and Im of its atoms'
+    weights. They make up Z (:func:`_entry_unknowns`), and
+    rho = U_A Z U_A^dagger is kept as :func:`_fitted_state` keeps it,
+    checked with ``weights_for``.
     """
     n = rmap.dim
     v = np.empty(n * n)
     for g in rmap.blocks.groups:
         # rows Re, Im of each atom: the float view of the complex weights
-        v[g.unknowns] = (g.pinv @ aligned[g.atoms].view(float)[..., None])[..., 0]
+        b = aligned[g.atoms].view(float)[..., None]
+        x = (g.u.transpose(0, 2, 1) @ b) / g.s[..., None]
+        v[g.unknowns] = (g.vt.transpose(0, 2, 1) @ x)[..., 0]
     unknown, factor = _entry_unknowns(n)
     z = (factor * v[unknown]).sum(axis=0)[:, 0].T
     u_a = rmap.blocks.vectors
-    rho = u_a @ z @ u_a.conj().T
-    rho = (rho + rho.conj().T) / 2
-    rho[-1, -1] += 1.0 - rho.trace().real
-    if not np.abs(rmap.atoms.weights_for(rho) - aligned).max() <= linalg.DEFECT_TOL:
-        return None
-    return rho
+    return _fitted_state(u_a @ z @ u_a.conj().T, rmap.atoms.weights_for, aligned)
 
 
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:

@@ -104,9 +104,14 @@ def _dense_state(rmap, dist):
 def test_block_rank_and_state_match_the_dense_map(spec, obs, seed):
     rmap = qj.reconstruction_map(*obs, spec)
     assert (rmap.blocks is not None) == (not obs[0].eig.degenerate)
-    assert rmap.rank == linalg._real_svd_rank(rmap.map_matrix)[0]
+    rank, _, s = linalg._real_svd_rank(rmap.map_matrix)
+    assert rmap.rank == rank
     if rmap.blocks is None or not rmap.full_rank:
         return
+    # the margins come from different maps; the chart's singular values
+    # lie in [1, sqrt(N)], which bounds the dense one from below
+    dense_margin = s[rank - 1] / linalg.rank_threshold(s[0])
+    assert dense_margin >= rmap.diagnostics["rank_margin"] / np.sqrt(rmap.dim) * (1 - 1e-9)
     rho = qj.random_density(rmap.dim, np.random.default_rng(seed))
     dist = qj.evaluate_distribution(rmap.atoms, rho)
     got = qj.reconstruct_state(rmap, dist)
