@@ -102,14 +102,27 @@ def scheme_is_real(spec, observables) -> bool:
 
     That is h(-s)^dagger = h(s) for all s; distinct atom points make the
     exp(-i s.x_p) linearly independent, so this holds exactly when every
-    operator atom is Hermitian (within ``linalg.DEFECT_TOL``). The
-    symmetric scheme is always real: exp(-i s.A)^dagger at -s is
+    operator atom is Hermitian. The atoms are traced once against
+    :func:`~quasijoint.quantum.chart_basis`, as the reconstruction map
+    traces them: the chart is a real basis of the Hermitian matrices, so
+    an atom is Hermitian exactly when all those traces are real. The
+    scheme counts as real when the largest |Im| is at most
+    ``linalg.DEFECT_TOL``.
+
+    For an atom A with D = A - A^dagger, |Im Tr(A B)| = |Tr(D B)| / 2:
+    |Re D_ij| and |Im D_ij| for pair (i, j), |D_kk - D_(N-1)(N-1)| / 2
+    and |D_(N-1)(N-1)| / 2 on the diagonal. That lies between 1/2 and 1
+    times the entrywise defect max |D_ij|, except when the largest entry
+    of D is a diagonal one other than the last, where the lower bound is
+    1/4. The symmetric scheme is always real: exp(-i s.A)^dagger at -s is
     exp(-i s.A) for Hermitian A.
     """
     if isinstance(spec, WignerScheme):
         _check_observables(spec.n_vars, observables)
         return True
-    return build_atoms(spec, observables).hermiticity_defect() <= linalg.DEFECT_TOL
+    atoms = build_atoms(spec, observables)
+    imag = atoms.weights_for(chart_basis(atoms.dim)).imag
+    return bool(np.abs(imag).max() <= linalg.DEFECT_TOL)
 
 
 def diag_equality_check(spec, observables) -> bool:
@@ -406,10 +419,6 @@ class ReconstructionMap:
     @cached_property
     def _support_index(self) -> _SupportIndex:
         return _SupportIndex(self.support)
-
-    def coefficients(self, rho: DensityState) -> np.ndarray:
-        """Stacked coefficient vector of a state on this support."""
-        return _re_im_rows(self.atoms.weights_for(rho.matrix))
 
 
 def _singular_value_bounds(form: KirkwoodForm):

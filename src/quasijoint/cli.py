@@ -67,6 +67,18 @@ def _load_json(path: str):
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """JSON numbers only: Python counts true and false as the ints 1 and 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _reject_bool(value, where: str):
+    """The value, unless it is a JSON true or false where a number belongs."""
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {json.dumps(value)}", field=where)
+    return value
+
+
 def _parse_complex_matrix(node, where: str) -> np.ndarray:
     if not isinstance(node, list) or not node:
         raise ValidationError("expected a nonempty list of rows", field=where)
@@ -82,7 +94,7 @@ def _parse_complex_matrix(node, where: str) -> np.ndarray:
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)
+                or not all(_is_number(v) for v in entry)
             ):
                 raise ValidationError(
                     "matrix entries must be [re, im] number pairs",
@@ -110,11 +122,12 @@ def parse_observable(doc, where: str) -> quantum.HermitianObservable:
     if not isinstance(doc, dict):
         raise ValidationError("observable document must be a JSON object", field=where)
     if "builtin" in doc:
-        return _spin_component(str(doc["builtin"]), doc.get("component", 3), f"{where}:builtin")
+        component = _reject_bool(doc.get("component", 3), f"{where}:component")
+        return _spin_component(str(doc["builtin"]), component, f"{where}:builtin")
     if "matrix" not in doc:
         raise ValidationError("need either 'builtin' or 'matrix'", field=where)
     m = _parse_complex_matrix(doc["matrix"], f"{where}:matrix")
-    dim = doc.get("dim", m.shape[0])
+    dim = _reject_bool(doc.get("dim", m.shape[0]), f"{where}:dim")
     if dim != m.shape[0]:
         raise ValidationError(
             f"declared dim {dim} does not match matrix size {m.shape[0]}",
@@ -135,12 +148,12 @@ def parse_state(doc, where: str) -> quantum.DensityState:
         b = doc["bloch"]
         if not isinstance(b, dict):
             raise ValidationError("'bloch' must be an object", field=f"{where}:bloch")
+        theta, phi, m = (
+            _reject_bool(b.get(key, default), f"{where}:bloch:{key}")
+            for key, default in (("theta", 0.0), ("phi", 0.0), ("m", 1.0))
+        )
         try:
-            return quantum.bloch_state(
-                float(b.get("theta", 0.0)),
-                float(b.get("phi", 0.0)),
-                float(b.get("m", 1.0)),
-            )
+            return quantum.bloch_state(float(theta), float(phi), float(m))
         except (DomainError, TypeError, ValueError) as exc:
             raise ValidationError(str(exc), field=f"{where}:bloch") from exc
     if "density" not in doc:
@@ -181,6 +194,8 @@ def parse_scheme(doc, n_vars: int, where: str):
     if not isinstance(doc, dict):
         raise ValidationError("scheme document must be a JSON object", field=where)
     if "name" in doc:
+        for key in ("alpha", "nodes"):
+            _reject_bool(doc.get(key), f"{where}:{key}")
         return _scheme_from_name(
             str(doc["name"]), n_vars, doc.get("alpha"), doc.get("nodes"), f"{where}:name"
         )
@@ -197,7 +212,7 @@ def parse_scheme(doc, n_vars: int, where: str):
         if (
             not isinstance(w, list)
             or len(w) != 2
-            or not all(isinstance(v, (int, float)) for v in w)
+            or not all(_is_number(v) for v in w)
         ):
             raise ValidationError("weight must be a [re, im] number pair", field=f"{tw}:weight")
         if not isinstance(term["word"], list):
@@ -207,6 +222,8 @@ def parse_scheme(doc, n_vars: int, where: str):
             fw = f"{tw}:word[{f_idx}]"
             if not isinstance(factor, dict):
                 raise ValidationError("factor must be an object", field=fw)
+            for key in ("var", "coeff", "obs"):
+                _reject_bool(factor.get(key), f"{fw}:{key}")
             try:
                 word.append(
                     (int(factor["var"]), float(factor["coeff"]), int(factor["obs"]))

@@ -49,7 +49,6 @@ the identity at s = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -168,23 +167,6 @@ class SchemeSpec:
                     f"term {t_idx}: coefficients per variable must sum to 1, got {sums}"
                 )
         object.__setattr__(self, "groups", _group_terms(self.terms))
-
-    def hashed_operator_batch(self, observables, s_points) -> np.ndarray:
-        """Mixture of exponential products at each frequency vector.
-
-        Returns an array of shape (len(s_points), N, N).
-        """
-        pts = _check_points(self.n_vars, s_points)
-        _check_observables(self.n_vars, observables)
-        dim = observables[0].dim
-        out = np.zeros((pts.shape[0], dim, dim), dtype=complex)
-        for weight, word in self.terms:
-            # every variable's coefficients sum to 1, so no word is empty
-            out += weight * reduce(np.matmul, (
-                _batch_phase_exponential(observables[f.obs].eig, pts[:, f.var] * f.coeff)
-                for f in word
-            ))
-        return out
 
 
 @dataclass(frozen=True)
@@ -324,7 +306,7 @@ class OperatorAtomSet:
     :func:`quantize`, marginal operators) sum them, one scatter or gather per
     sequence, so neither forms an N x N atom. ``matrices``, shape (P, N, N),
     is the weights against the matrix units, built on every read and never
-    kept; only :meth:`hermiticity_defect` and the prune fallback read it.
+    kept; only the prune fallback reads it.
     """
 
     n_vars: int
@@ -419,11 +401,6 @@ class OperatorAtomSet:
         n = self.dim
         units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
         return self.weights_for(units).reshape(-1, n, n)
-
-    def hermiticity_defect(self) -> float:
-        """Largest hermiticity defect over all atoms."""
-        m = self.matrices
-        return float(np.abs(m - m.conj().transpose(0, 2, 1)).max())
 
     def kirkwood_form(self):
         """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
@@ -527,13 +504,6 @@ def _check_observables(n_vars, observables):
     dims = {o.dim for o in observables}
     if len(dims) > 1:
         raise DimensionMismatchError(f"observables have mixed dimensions {sorted(dims)}")
-
-
-def _batch_phase_exponential(eig: linalg.EigenSystem, scales) -> np.ndarray:
-    """exp(-1j * scale * H) for a batch of scales, shape (M, N, N)."""
-    phases = np.exp(-1j * np.outer(scales, eig.eigenvalues))
-    projs = np.stack(eig.projectors)
-    return np.einsum("mk,kij->mij", phases, projs)
 
 
 def _cluster_values(values, tol):

@@ -12,7 +12,6 @@ every module reads them from here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +76,10 @@ class EigenSystem:
     eigenspace. ``vectors`` holds orthonormal eigenvectors as columns in
     the same descending order, so group ``k`` occupies
     ``multiplicities[k]`` contiguous columns starting at
-    ``group_starts[k]``. ``projectors[k]``, the orthogonal projector onto
-    eigenspace ``k``, is formed from those columns on first use.
+    ``group_starts[k]``. No projector is formed: the engine works on the
+    columns (overlaps ``U_k^dagger U_{k+1}`` summed within groups), and
+    the projector onto eigenspace ``k`` is those columns times their
+    adjoint.
     """
 
     eigenvalues: np.ndarray
@@ -98,18 +99,6 @@ class EigenSystem:
     def degenerate(self) -> bool:
         """True when some eigenvalue group spans more than one column."""
         return len(self.multiplicities) < self.dim
-
-    @cached_property
-    def projectors(self) -> tuple:
-        """Read-only eigenprojectors, Hermitian by construction."""
-        out = []
-        for start, mult in zip(self.group_starts, self.multiplicities):
-            block = self.vectors[:, start : start + mult]
-            proj = block @ block.conj().T
-            proj = (proj + proj.conj().T) / 2
-            proj.setflags(write=False)
-            out.append(proj)
-        return tuple(out)
 
 
 def eigensystem(matrix) -> EigenSystem:

@@ -1,22 +1,33 @@
-"""Brute-force operator-atom builder, kept as a test oracle.
+"""Brute-force operator-atom builder and dense mixture, kept as a test oracle.
 
 This is the original scalar definition of ``build_atoms``: it loops over
 every choice of one eigenvalue per factor, multiplies the dense
-projectors (:func:`projector_products`), and merges atoms through a dict
-keyed on clustered coordinates. The library's vectorized builder must
-reproduce its atom count and points exactly and its matrices to
-rounding.
+projectors (:func:`projectors`, :func:`projector_products`), and merges
+atoms through a dict keyed on clustered coordinates. The library's
+vectorized builder must reproduce its atom count and points exactly and
+its matrices to rounding.
+
+It also keeps the dense reads the library no longer makes: the mixture
+h(s) of a scheme multiplied out from phased projectors at each frequency
+vector (:func:`mixture`), and the entrywise Hermiticity defect of dense
+atoms (:func:`hermiticity_defect`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from quasijoint import linalg
-from quasijoint.distributions import SchemeSpec, WignerScheme, _check_observables
+from quasijoint.distributions import (
+    SchemeSpec,
+    WignerScheme,
+    _check_observables,
+    _check_points,
+)
 from quasijoint.errors import QuasiJointError, UnsupportedSchemeError
 
 
@@ -56,19 +67,63 @@ class DenseAtoms:
         return float(np.abs(self.matrices.sum(axis=0) - np.eye(self.matrices.shape[1])).max())
 
 
+def projectors(eig: linalg.EigenSystem) -> tuple:
+    """Eigenprojectors of an eigensystem, one per eigenvalue group, Hermitian by construction."""
+    out = []
+    for start, mult in zip(eig.group_starts, eig.multiplicities):
+        block = eig.vectors[:, start : start + mult]
+        proj = block @ block.conj().T
+        out.append((proj + proj.conj().T) / 2)
+    return tuple(out)
+
+
+def hermiticity_defect(matrices) -> float:
+    """Largest entrywise |A - A^dagger| over a stack of matrices, shape (P, N, N)."""
+    m = np.asarray(matrices)
+    return float(np.abs(m - m.conj().transpose(0, 2, 1)).max())
+
+
 def projector_products(eigs) -> np.ndarray:
     """Ordered projector products of a word, shape (G_1, ..., G_L, N, N).
 
     Entry [g_1, ..., g_L] is P_1[g_1] ... P_L[g_L], multiplied out from
     the dense projectors left to right, one choice at a time.
     """
-    grid = tuple(e.eigenvalues.size for e in eigs)
+    projs = [projectors(e) for e in eigs]
+    grid = tuple(len(p) for p in projs)
     out = np.empty(grid + 2 * (eigs[0].dim,), dtype=complex)
     for choice in itertools.product(*map(range, grid)):
-        mat = eigs[0].projectors[choice[0]]
-        for eig, k in zip(eigs[1:], choice[1:]):
-            mat = mat @ eig.projectors[k]
+        mat = projs[0][choice[0]]
+        for p, k in zip(projs[1:], choice[1:]):
+            mat = mat @ p[k]
         out[choice] = mat
+    return out
+
+
+def _phase_exponentials(eig: linalg.EigenSystem, scales) -> np.ndarray:
+    """exp(-1j * scale * H) for a batch of scales, shape (M, N, N)."""
+    phases = np.exp(-1j * np.outer(scales, eig.eigenvalues))
+    return np.einsum("mk,kij->mij", phases, np.stack(projectors(eig)))
+
+
+def mixture(spec, observables, s_points) -> np.ndarray:
+    """The scheme's mixed exponential h(s) at each frequency vector, shape (M, N, N).
+
+    A product scheme sums its words, each the matrix product of its factors
+    exp(-i s[var] coeff A[obs]), each factor summed over the phased
+    eigenprojectors. The symmetric scheme evaluates its own mixture.
+    """
+    if isinstance(spec, WignerScheme):
+        return spec.hashed_operator_batch(observables, s_points)
+    pts = _check_points(spec.n_vars, s_points)
+    _check_observables(spec.n_vars, observables)
+    dim = observables[0].dim
+    out = np.zeros((pts.shape[0], dim, dim), dtype=complex)
+    for weight, word in spec.terms:
+        # every variable's coefficients sum to 1, so no word is empty
+        out += weight * reduce(np.matmul, (
+            _phase_exponentials(observables[f.obs].eig, pts[:, f.var] * f.coeff) for f in word
+        ))
     return out
 
 

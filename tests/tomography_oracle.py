@@ -53,7 +53,7 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
     return DensityState(m, require_positive=require_positive)
 
 
-def _stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
+def stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
     """Interleaved (Re, Im) weight vector on the atom support, length 2P.
 
     The weights are traces of the dense atoms against the matrix.
@@ -69,11 +69,11 @@ def reconstruction_map(a, b, spec):
     n = a.dim
     atoms = build_atoms(spec, (a, b))
     n_params = n * n - 1
-    base = _stacked_coefficients(atoms, embed(np.zeros(n_params), n).matrix)
+    base = stacked_coefficients(atoms, embed(np.zeros(n_params), n).matrix)
     cols = np.empty((base.size, n_params))
     for k in range(n_params):
         unit = np.zeros(n_params)
         unit[k] = 1.0
-        cols[:, k] = _stacked_coefficients(atoms, embed(unit, n).matrix) - base
+        cols[:, k] = stacked_coefficients(atoms, embed(unit, n).matrix) - base
     rank, _ = linalg.real_rank_and_pinv(cols)
     return cols, base, rank
