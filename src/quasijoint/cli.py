@@ -72,10 +72,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _reject_bool(value, where: str):
-    """The value, unless it is a JSON true or false where a number belongs."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {json.dumps(value)}", field=where)
+def _json_number(value, where: str, *, integral: bool = False):
+    """The value, if it is a JSON number, and an integer where ``integral`` asks for one.
+
+    Strings, true and false, and fractions where an integer belongs are
+    rejected, not cast.
+    """
+    if not _is_number(value) or (integral and not isinstance(value, int)):
+        kind = "an integer" if integral else "a number"
+        raise ValidationError(f"expected {kind}, got {json.dumps(value)}", field=where)
     return value
 
 
@@ -112,7 +117,7 @@ def _spin_component(token: str, component, where: str) -> quantum.HermitianObser
     j_times_two = 2 * j
     if j_times_two.denominator != 1 or j_times_two < 1:
         raise ValidationError(f"spin must be a positive multiple of 1/2, got {j}", field=where)
-    if not isinstance(component, int) or component not in (1, 2, 3):
+    if component not in (1, 2, 3):
         raise ValidationError(f"component must be 1, 2 or 3, got {component}", field=where)
     triple = quantum.spin_operators(int(j_times_two))
     return triple.components[component - 1]
@@ -122,12 +127,12 @@ def parse_observable(doc, where: str) -> quantum.HermitianObservable:
     if not isinstance(doc, dict):
         raise ValidationError("observable document must be a JSON object", field=where)
     if "builtin" in doc:
-        component = _reject_bool(doc.get("component", 3), f"{where}:component")
+        component = _json_number(doc.get("component", 3), f"{where}:component", integral=True)
         return _spin_component(str(doc["builtin"]), component, f"{where}:builtin")
     if "matrix" not in doc:
         raise ValidationError("need either 'builtin' or 'matrix'", field=where)
     m = _parse_complex_matrix(doc["matrix"], f"{where}:matrix")
-    dim = _reject_bool(doc.get("dim", m.shape[0]), f"{where}:dim")
+    dim = _json_number(doc.get("dim", m.shape[0]), f"{where}:dim", integral=True)
     if dim != m.shape[0]:
         raise ValidationError(
             f"declared dim {dim} does not match matrix size {m.shape[0]}",
@@ -149,12 +154,12 @@ def parse_state(doc, where: str) -> quantum.DensityState:
         if not isinstance(b, dict):
             raise ValidationError("'bloch' must be an object", field=f"{where}:bloch")
         theta, phi, m = (
-            _reject_bool(b.get(key, default), f"{where}:bloch:{key}")
+            _json_number(b.get(key, default), f"{where}:bloch:{key}")
             for key, default in (("theta", 0.0), ("phi", 0.0), ("m", 1.0))
         )
         try:
-            return quantum.bloch_state(float(theta), float(phi), float(m))
-        except (DomainError, TypeError, ValueError) as exc:
+            return quantum.bloch_state(theta, phi, m)
+        except DomainError as exc:
             raise ValidationError(str(exc), field=f"{where}:bloch") from exc
     if "density" not in doc:
         raise ValidationError("need either 'density' or 'bloch'", field=where)
@@ -178,15 +183,15 @@ def _scheme_from_name(name: str, n_vars: int, alpha, nodes, where: str):
         raise ValidationError(
             f"unknown scheme {name!r}; expected one of {SCHEME_NAMES}", field=where
         )
-    # a parameter that is no number, or that makes no valid scheme (born_jordan:0,
-    # s_alpha:nan), is a bad input, not a numerical failure
+    # a parameter that makes no valid scheme (born_jordan:0, s_alpha:nan) is a
+    # bad input, not a numerical failure
     try:
         if name == "s_alpha":
-            return distributions.scheme_s_alpha(0.5 if alpha is None else float(alpha))
+            return distributions.scheme_s_alpha(0.5 if alpha is None else alpha)
         if name == "margenau_hill":
-            return distributions.scheme_margenau_hill(0.0 if alpha is None else float(alpha))
-        return distributions.scheme_born_jordan(201 if nodes is None else int(nodes))
-    except (DomainError, TypeError, ValueError) as exc:
+            return distributions.scheme_margenau_hill(0.0 if alpha is None else alpha)
+        return distributions.scheme_born_jordan(201 if nodes is None else nodes)
+    except (DomainError, ValueError) as exc:
         raise ValidationError(f"bad {name} parameter: {exc}", field=where) from exc
 
 
@@ -195,7 +200,8 @@ def parse_scheme(doc, n_vars: int, where: str):
         raise ValidationError("scheme document must be a JSON object", field=where)
     if "name" in doc:
         for key in ("alpha", "nodes"):
-            _reject_bool(doc.get(key), f"{where}:{key}")
+            if doc.get(key) is not None:
+                _json_number(doc[key], f"{where}:{key}", integral=key == "nodes")
         return _scheme_from_name(
             str(doc["name"]), n_vars, doc.get("alpha"), doc.get("nodes"), f"{where}:name"
         )
@@ -222,16 +228,10 @@ def parse_scheme(doc, n_vars: int, where: str):
             fw = f"{tw}:word[{f_idx}]"
             if not isinstance(factor, dict):
                 raise ValidationError("factor must be an object", field=fw)
-            for key in ("var", "coeff", "obs"):
-                _reject_bool(factor.get(key), f"{fw}:{key}")
-            try:
-                word.append(
-                    (int(factor["var"]), float(factor["coeff"]), int(factor["obs"]))
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    "factor needs integer 'var'/'obs' and numeric 'coeff'", field=fw
-                ) from exc
+            word.append(tuple(
+                _json_number(factor.get(key), f"{fw}:{key}", integral=key != "coeff")
+                for key in ("var", "coeff", "obs")
+            ))
         terms.append((complex(w[0], w[1]), word))
     try:
         return distributions.SchemeSpec(n_vars, tuple(terms))

@@ -48,6 +48,7 @@ the identity at s = 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -183,14 +184,9 @@ class WignerScheme:
     n_vars: int = 2
     label: str = "wigner"
 
-    def hashed_operator_batch(self, observables, s_points) -> np.ndarray:
-        pts = _check_points(self.n_vars, s_points)
-        _check_observables(self.n_vars, observables)
-        stack = np.stack([o.matrix for o in observables])
-        h = np.einsum("mv,vij->mij", pts, stack)
-        vals, vecs = np.linalg.eigh(h)
-        phases = np.exp(-1j * vals)
-        return np.einsum("mik,mk,mjk->mij", vecs, phases, vecs.conj())
+    def __post_init__(self):
+        if self.n_vars < 1:
+            raise DomainError(f"n_vars must be at least 1, got {self.n_vars}")
 
 
 def scheme_kirkwood(n_vars: int = 2) -> SchemeSpec:
@@ -814,9 +810,10 @@ def quasi_expectation(f, dist: QuasiDistribution) -> complex:
 def characteristic_function(spec, observables, rho: DensityState, s_points) -> np.ndarray:
     """Trace of the state against the mixed exponential at each frequency.
 
-    For a :class:`WignerScheme` the state is traced against the
-    operator-valued mixture itself. For a :class:`SchemeSpec` no N x N
-    matrix is formed per frequency: a word's value is
+    No N x N matrix is formed per frequency, and zero points give an empty
+    array. For a :class:`WignerScheme` the points are read as rays
+    (:func:`_weyl_characteristic`): one eigendecomposition per direction.
+    For a :class:`SchemeSpec` a word's value is
     sum over g of Tr(rho P_1[g_1] ... P_L[g_L]) times the product of the
     factor phases exp(-i c s[var] a_{g_k}), so each observable sequence
     gets one weight table (:func:`_word_weights`), shared by every term
@@ -833,10 +830,11 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
         raise DimensionMismatchError(
             f"observable dim {observables[0].dim} vs state dim {rho.dim}"
         )
-    if isinstance(spec, WignerScheme):
-        h = spec.hashed_operator_batch(observables, s_points)
-        return np.einsum("mij,ji->m", h, rho.matrix)
     pts = _check_points(spec.n_vars, s_points)
+    if pts.shape[0] == 0:
+        return np.zeros(0, dtype=complex)
+    if isinstance(spec, WignerScheme):
+        return _weyl_characteristic(observables, rho.matrix, pts)
     # phases depend on one frequency each: evaluate them once per distinct value
     axes = [np.unique(pts[:, v], return_inverse=True) for v in range(spec.n_vars)]
     out = np.zeros(pts.shape[0], dtype=complex)
@@ -884,6 +882,60 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
         phases = _unit_phases(eigs[k].eigenvalues[:, None] * (vals * coeffs[0, k]))
         y = np.einsum("...gm,gm->...m", y, phases.take(inv, axis=1))
     return y
+
+
+def _weyl_characteristic(observables, rho, pts) -> np.ndarray:
+    """Tr(rho exp(-i s.A)) at each point s, one batched eigendecomposition per direction.
+
+    Each point is written s = r u with u a unit vector whose first nonzero
+    coordinate is positive and r signed; the norm is taken of s / max|s_v|,
+    so it cannot overflow. Along the ray, s.A = r (u.A), so with
+    u.A = sum_k lambda_k |v_k><v_k| the value is
+    sum_k p_k exp(-i r lambda_k), p_k = <v_k|rho|v_k>: the Born
+    characteristic function of the one observable u.A.
+
+    Directions are keyed on a grid of spacing ``linalg.DIRECTION_TOL / sqrt(n)``
+    per coordinate, and each key is diagonalized once, at the exact
+    direction of its first point (:func:`_direction_spectra`). Points of one
+    key lie within ``DIRECTION_TOL`` of that direction, which moves s.A by at
+    most |r| sqrt(n) max_v ||A_v|| DIRECTION_TOL in operator norm, and
+    the value by no more. The origin needs no direction: there the value is
+    Tr rho.
+    """
+    out = np.full(pts.shape[0], np.trace(rho), dtype=complex)
+    scale = np.abs(pts).max(axis=1)
+    ray = np.flatnonzero(scale > 0)
+    if ray.size == 0:
+        return out
+    u = pts[ray] / scale[ray, None]
+    length = np.sqrt(np.einsum("mv,mv->m", u, u))  # in [1, sqrt(n)]
+    u /= length[:, None]
+    sign = np.sign(u[np.arange(ray.size), np.argmax(u != 0, axis=1)])
+    u *= sign[:, None]
+    keys = np.rint(u * (np.sqrt(u.shape[1]) / linalg.DIRECTION_TOL)).astype(np.int64)
+    # a stable sort of the key rows: each run of equal keys is one direction,
+    # its first point the lowest-indexed (np.unique by rows is ten times slower)
+    order = np.lexsort(keys.T[::-1])
+    opens = np.concatenate(([True], (np.diff(keys[order], axis=0) != 0).any(axis=1)))
+    of_point = np.empty(ray.size, dtype=np.intp)
+    of_point[order] = np.cumsum(opens) - 1
+    vals, vecs = _direction_spectra(observables, u[order[opens]])
+    probs = np.einsum("dik,dik->dk", vecs.conj(), rho @ vecs).real
+    # r lambda_k as (sign max|s_v|) (length lambda_k): finite wherever s.A's eigenvalues are
+    with np.errstate(over="ignore"):
+        theta = (sign * scale[ray])[:, None] * (length[:, None] * vals[of_point])
+    if not np.isfinite(theta).all():
+        m = int(ray[np.flatnonzero(~np.isfinite(theta).all(axis=1))[0]])
+        raise DomainError(f"point {m}: s.A has an eigenvalue beyond the float range")
+    out[ray] = np.einsum("mk,mk->m", _unit_phases(theta), probs[of_point])
+    return out
+
+
+def _direction_spectra(observables, directions):
+    """Eigenvalues (D, N) and eigenvectors (D, N, N) of u.A for each row u of directions."""
+    dim = observables[0].dim
+    stack = np.stack([o.matrix for o in observables]).reshape(len(observables), -1)
+    return np.linalg.eigh((directions @ stack).reshape(-1, dim, dim))
 
 
 def _unit_phases(theta) -> np.ndarray:
@@ -985,15 +1037,24 @@ def wigner_density_estimate(
     inverse transform. Returns
     ``(density, meta)`` where ``density[i, j]`` estimates the value at
     ``(x_grid[i], y_grid[j])`` and ``meta`` flags the result as
-    approximate and possibly divergent. ``s_extent`` must be finite and
-    positive and ``s_steps`` at least 2, or no grid step exists.
+    approximate and possibly divergent. The grids must be finite and 1-d,
+    ``s_extent`` finite and positive and ``s_steps`` an integer of at least
+    2, or no grid step exists.
     """
     if not (np.isfinite(s_extent) and s_extent > 0):
         raise DomainError(f"s_extent must be finite and positive, got {s_extent}")
+    if not (isinstance(s_steps, numbers.Real) and float(s_steps).is_integer()):
+        raise DomainError(f"s_steps must be an integer, got {s_steps!r}")
+    s_steps = int(s_steps)
     if s_steps < 2:
         raise DomainError(f"s_steps must be at least 2, got {s_steps}")
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
+    for name, grid in (("x_grid", x_grid), ("y_grid", y_grid)):
+        if grid.ndim != 1:
+            raise DimensionMismatchError(f"{name} must be 1-d, got shape {grid.shape}")
+        if not np.isfinite(grid).all():
+            raise DomainError(f"{name} has a non-finite value")
     svals = np.linspace(-s_extent, s_extent, s_steps)
     ds = svals[1] - svals[0]
     ss, tt = np.meshgrid(svals, svals, indexing="ij")

@@ -24,6 +24,12 @@ COORD_TOL = 1e-9
 DEFECT_TOL = 1e-10
 # rounding level of O(1) sums: normalization checks and the atom prune level
 ROUNDING_TOL = 1e-12
+# largest distance between a unit direction u of a Weyl frequency s = r u and
+# the direction whose eigendecomposition of u.A it shares (a rounding grid of
+# spacing DIRECTION_TOL / sqrt(n) merges them): moving u by d moves s.A by at most
+# |r| sqrt(n) max_v ||A_v|| ||d||, so 1e-14 keeps the value within 1e-11
+# for |s| <= 50, ||A_v|| <= 10 and n <= 3
+DIRECTION_TOL = 1e-14
 # eigenvalue gap, relative to max(1, spectral radius), that merges eigenvalues
 DEGENERACY_TOL = 1e-9
 # singular value cut, relative to max(s_0, 1), for ranks and pseudo-inverses

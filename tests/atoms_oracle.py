@@ -111,12 +111,15 @@ def mixture(spec, observables, s_points) -> np.ndarray:
 
     A product scheme sums its words, each the matrix product of its factors
     exp(-i s[var] coeff A[obs]), each factor summed over the phased
-    eigenprojectors. The symmetric scheme evaluates its own mixture.
+    eigenprojectors. The symmetric scheme is exp(-i s.A), one
+    eigendecomposition of s.A per frequency vector.
     """
-    if isinstance(spec, WignerScheme):
-        return spec.hashed_operator_batch(observables, s_points)
     pts = _check_points(spec.n_vars, s_points)
     _check_observables(spec.n_vars, observables)
+    if isinstance(spec, WignerScheme):
+        h = np.einsum("mv,vij->mij", pts, np.stack([o.matrix for o in observables]))
+        vals, vecs = np.linalg.eigh(h)
+        return np.einsum("mik,mk,mjk->mij", vecs, np.exp(-1j * vals), vecs.conj())
     dim = observables[0].dim
     out = np.zeros((pts.shape[0], dim, dim), dtype=complex)
     for weight, word in spec.terms:

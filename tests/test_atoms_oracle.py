@@ -28,8 +28,8 @@ def _observable(rng, dim, levels, label):
 
 
 @st.composite
-def observables(draw, n_vars, max_dim=5):
-    dim = draw(st.integers(2, max_dim))
+def observables(draw, n_vars, max_dim=5, min_dim=2):
+    dim = draw(st.integers(min_dim, max_dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spectra = st.none() | st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True)
     return tuple(_observable(rng, dim, draw(spectra), f"O{v}") for v in range(n_vars))

@@ -10,6 +10,12 @@ spectra, random states, and random frequencies that sometimes repeat a
 coordinate value, as on a grid. Mixtures of words on one observable
 sequence exercise the blocks the contraction sums at once: terms whose
 coefficients differ only on variable-0 factors.
+
+For the symmetric scheme, the ray form (one eigendecomposition per
+direction) must agree with the oracle's one eigendecomposition per point
+within 1e-11 for |s| <= 50, the bound ``linalg.DIRECTION_TOL`` is chosen
+for, stay a finite value of modulus at most 1 up to |s| = 1e300, and
+diagonalize no more directions than the grids hold.
 """
 
 import numpy as np
@@ -17,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint import distributions
+from quasijoint import distributions, linalg
 from quasijoint.distributions import _word_weights
 
 import atoms_oracle
@@ -122,3 +128,73 @@ def test_product_schemes_form_no_mixture_and_no_atoms(spin_one, monkeypatch):
     monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
     got = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
     assert np.array_equal(got, want)
+
+
+def _traced_mixture(spec, obs, rho, pts):
+    return np.einsum("mij,ji->m", atoms_oracle.mixture(spec, obs, pts), rho.matrix)
+
+
+@st.composite
+def weyl_points(draw, n_vars):
+    """Random points with |s| <= 50, planted rays c u, the origin, and two near directions u, u + 1e-13."""
+    rng = np.random.default_rng(draw(SEEDS))
+    u = rng.normal(size=n_vars)
+    u /= np.linalg.norm(u)
+    random = rng.normal(size=(draw(st.integers(0, 20)), n_vars))
+    random *= rng.uniform(0.0, 50.0, size=(len(random), 1)) / np.linalg.norm(random, axis=1, keepdims=True)
+    scales = np.array([1e-3, 0.5, 1.0, 7.0, 40.0])
+    planted = np.concatenate([scales, -scales])[:, None] * u
+    near = 40.0 * np.stack([u, u + 1e-13 * rng.normal(size=n_vars)])
+    pts = np.concatenate([random, planted, np.zeros((1, n_vars)), near])
+    return pts[rng.permutation(len(pts))], near
+
+
+@settings(PROPERTY, max_examples=60)
+@given(n_vars=st.integers(1, 3), seed=SEEDS, data=st.data())
+def test_wigner_rays_match_mixture(n_vars, seed, data):
+    obs = data.draw(observables(n_vars, max_dim=6, min_dim=1))
+    pts, near = data.draw(weyl_points(n_vars))
+    spec = qj.WignerScheme(n_vars)
+    rho = qj.random_density(obs[0].dim, np.random.default_rng(seed))
+    got = qj.characteristic_function(spec, obs, rho, pts)
+    assert np.abs(got - _traced_mixture(spec, obs, rho, pts)).max() <= 1e-11
+    # a merged direction moves the value by at most |r| sqrt(n) max ||A_v|| DIRECTION_TOL
+    norm = max(np.linalg.norm(o.matrix, 2) for o in obs)
+    bound = 40.0 * np.sqrt(n_vars) * norm * linalg.DIRECTION_TOL + 1e-12
+    got = qj.characteristic_function(spec, obs, rho, near)
+    assert np.abs(got - _traced_mixture(spec, obs, rho, near)).max() <= bound
+
+
+@settings(PROPERTY, max_examples=40)
+@given(n_vars=st.integers(1, 3), seed=SEEDS, data=st.data())
+def test_wigner_rays_finite_far_out(n_vars, seed, data):
+    obs = data.draw(observables(n_vars, max_dim=6, min_dim=1))
+    rng = np.random.default_rng(seed)
+    rho = qj.random_density(obs[0].dim, rng)
+    pts = rng.normal(size=(30, n_vars)) * 10.0 ** rng.uniform(-300, 300, size=(30, 1))
+    pts = np.concatenate([pts, 1e300 * np.eye(n_vars), -1e300 * np.ones((1, n_vars)) / n_vars])
+    got = qj.characteristic_function(qj.WignerScheme(n_vars), obs, rho, pts)
+    assert np.isfinite(got).all()
+    assert np.abs(got).max() <= 1 + 1e-12
+
+
+def test_wigner_diagonalizes_once_per_direction(spin_half, monkeypatch):
+    spectra = distributions._direction_spectra
+    sizes = []
+
+    def counted(observables, directions):
+        sizes.append(len(directions))
+        return spectra(observables, directions)
+
+    monkeypatch.setattr(distributions, "_direction_spectra", counted)
+    pair = (spin_half.j1, spin_half.j2)
+    rho = qj.bloch_state(1.1, 0.4, 0.9)
+    axis = np.linspace(-6, 6, 21)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    chi = qj.characteristic_function(qj.WignerScheme(2), pair, rho, grid)
+    # 441 points on 128 directions and the origin
+    assert len(chi) == 441 and sum(sizes) <= 135
+    sizes.clear()
+    # the integer 61 x 61 grid of the density estimate: 1112 directions and the origin
+    qj.wigner_density_estimate(pair, rho, [0.0], [0.0], s_extent=30.0, s_steps=61)
+    assert sum(sizes) <= 1120

@@ -469,6 +469,12 @@ FUZZ_DOCS = {
     "scheme_bool_obs": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "obs": False}, KD_WORD[1]]}]},
     "scheme_bool_alpha": {"name": "s_alpha", "alpha": True},
     "scheme_bool_nodes": {"name": "born_jordan", "nodes": True},
+    # strings where a number belongs and fractions where an integer does,
+    # which a cast would read as 0.5, 3 nodes, var 0 and 1.0
+    "state_string_theta": {"bloch": {"theta": "0.5"}},
+    "scheme_fraction_nodes": {"name": "born_jordan", "nodes": 3.7},
+    "scheme_fraction_var": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "var": 0.9}, KD_WORD[1]]}]},
+    "scheme_string_coeff": {"terms": [{"weight": [1, 0], "word": [{**KD_WORD[0], "coeff": "1"}, KD_WORD[1]]}]},
 }
 
 
@@ -603,11 +609,18 @@ BOOL_FIELDS = {
     "scheme_bool_alpha": ("--scheme", ":alpha"),
     "scheme_bool_nodes": ("--scheme", ":nodes"),
 }
-BOOL_ARGV = {
-    doc: ["compute", flag, doc] + ([] if flag == "--scheme" else ["--scheme=kirkwood"])
-    for doc, (flag, _) in BOOL_FIELDS.items()
+# a JSON string or fraction that a cast would accept, and the field its error names
+CAST_FIELDS = {
+    "state_string_theta": ("--state", ":bloch:theta"),
+    "scheme_fraction_nodes": ("--scheme", ":nodes"),
+    "scheme_fraction_var": ("--scheme", ":terms[0]:word[0]:var"),
+    "scheme_string_coeff": ("--scheme", ":terms[0]:word[0]:coeff"),
 }
-INVALID_INPUTS += [(argv, cli.EXIT_VALIDATION) for argv in BOOL_ARGV.values()]
+FIELD_ARGV = {
+    doc: ["compute", flag, doc] + ([] if flag == "--scheme" else ["--scheme=kirkwood"])
+    for doc, (flag, _) in (BOOL_FIELDS | CAST_FIELDS).items()
+}
+INVALID_INPUTS += [(FIELD_ARGV[doc], cli.EXIT_VALIDATION) for doc in BOOL_FIELDS]
 
 
 def _filled(fuzz_files, argv):
@@ -631,8 +644,17 @@ def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
     assert exit_code(_filled(fuzz_files, argv)) == want
 
 
+def _assert_field_named(fuzz_files, capsys, doc, field):
+    assert cli.main(_filled(fuzz_files, FIELD_ARGV[doc])) == cli.EXIT_VALIDATION
+    assert f"validation error: {fuzz_files[doc]}{field}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc", BOOL_FIELDS)
 def test_json_booleans_name_their_field(fuzz_files, capsys, doc):
-    assert cli.main(_filled(fuzz_files, BOOL_ARGV[doc])) == cli.EXIT_VALIDATION
-    field = BOOL_FIELDS[doc][1]
-    assert f"validation error: {fuzz_files[doc]}{field}: " in capsys.readouterr().err
+    _assert_field_named(fuzz_files, capsys, doc, BOOL_FIELDS[doc][1])
+
+
+@pytest.mark.parametrize("doc", CAST_FIELDS)
+def test_json_strings_and_fractions_name_their_field(fuzz_files, capsys, doc):
+    # each of these used to be cast and run, with exit code 0
+    _assert_field_named(fuzz_files, capsys, doc, CAST_FIELDS[doc][1])

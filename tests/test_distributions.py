@@ -56,6 +56,14 @@ def test_scheme_normalization_enforced():
         qj.SchemeSpec(2, ((1.0, [qj.Factor(0, 1.0, 0), qj.Factor(5, 1.0, 1)]),))
 
 
+@pytest.mark.parametrize("n_vars", [0, -1])
+def test_scheme_variable_count_enforced(n_vars):
+    # WignerScheme(0) used to construct and fail with an IndexError when evaluated
+    for make in (lambda: qj.SchemeSpec(n_vars, ()), lambda: qj.WignerScheme(n_vars)):
+        with pytest.raises(DomainError, match="n_vars"):
+            make()
+
+
 def test_s_alpha_degenerate_cases(spin_half):
     pair = (spin_half.j1, spin_half.j2)
     kd = qj.build_atoms(qj.scheme_kirkwood(2), pair)
@@ -466,6 +474,31 @@ def test_hermitian_atoms_give_real_weights(spin_half):
             assert dist.max_imag() <= 1e-10
 
 
+def test_wigner_frequencies_past_the_float_range(spin_half, spin_one):
+    # s.A has eigenvalues +-0.5 sqrt(2) max|s_v| on spin-1/2, finite, and
+    # +-sqrt(2) max|s_v| on spin-1, beyond the float range
+    pts = [[0.0, 0.0], [1.7e308, 1.7e308]]
+    chi = qj.characteristic_function(
+        qj.WignerScheme(2), (spin_half.j1, spin_half.j2), qj.bloch_state(0.7, 0.3, 0.9), pts
+    )
+    assert np.isfinite(chi).all() and np.abs(chi).max() <= 1 + 1e-12
+    rho = qj.random_density(3, np.random.default_rng(2))
+    with pytest.raises(DomainError, match="point 1: s.A has an eigenvalue beyond the float range"):
+        qj.characteristic_function(qj.WignerScheme(2), (spin_one.j1, spin_one.j2), rho, pts)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [qj.scheme_kirkwood(2), qj.scheme_born_jordan(5), qj.WignerScheme(2)],
+    ids=lambda spec: spec.label,
+)
+def test_characteristic_of_no_points_is_empty(spin_half, spec):
+    # product schemes used to fail reshaping an empty contraction
+    rho = qj.bloch_state(0.7, 0.3, 0.9)
+    got = qj.characteristic_function(spec, (spin_half.j1, spin_half.j2), rho, np.empty((0, 2)))
+    assert got.shape == (0,) and got.dtype == complex
+
+
 def test_wigner_density_estimate_smoke(spin_half, z_plus):
     density, meta = qj.wigner_density_estimate(
         (spin_half.j1, spin_half.j2),
@@ -490,6 +523,31 @@ def test_wigner_density_rejects_fewer_than_two_steps(spin_half, z_plus, s_steps)
     # one step leaves no grid spacing, zero steps no grid
     with pytest.raises(DomainError, match="s_steps"):
         _wigner_density(spin_half, z_plus, s_steps=s_steps)
+
+
+def test_wigner_density_rejects_fractional_steps(spin_half, z_plus):
+    with pytest.raises(DomainError, match="s_steps must be an integer"):
+        _wigner_density(spin_half, z_plus, s_steps=11.5)
+    density, meta = _wigner_density(spin_half, z_plus, s_steps=11.0)
+    assert density.shape == (3, 3) and meta["s_steps"] == 11
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_wigner_density_rejects_non_finite_grids(spin_half, z_plus, bad):
+    # a NaN grid value used to give a NaN row
+    pair, good = (spin_half.j1, spin_half.j2), np.linspace(-1, 1, 3)
+    with pytest.raises(DomainError, match="x_grid"):
+        qj.wigner_density_estimate(pair, z_plus, [0.0, bad], good)
+    with pytest.raises(DomainError, match="y_grid"):
+        qj.wigner_density_estimate(pair, z_plus, good, [bad, 0.0])
+
+
+def test_wigner_density_rejects_grids_not_one_dimensional(spin_half, z_plus):
+    pair, good = (spin_half.j1, spin_half.j2), np.linspace(-1, 1, 3)
+    with pytest.raises(DimensionMismatchError, match="x_grid"):
+        qj.wigner_density_estimate(pair, z_plus, good.reshape(3, 1), good)
+    with pytest.raises(DimensionMismatchError, match="y_grid"):
+        qj.wigner_density_estimate(pair, z_plus, good, 0.5)
 
 
 @pytest.mark.parametrize("s_extent", [0.0, float("nan"), float("inf"), -10.0])

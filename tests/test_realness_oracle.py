@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
+from quasijoint import distributions
 from quasijoint.errors import DimensionMismatchError
 
 import realness_oracle
@@ -93,7 +94,7 @@ def test_probes_never_evaluate_the_mixture(spin_half, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("mixture h(s) evaluated")
 
-    monkeypatch.setattr(qj.WignerScheme, "hashed_operator_batch", forbidden)
+    monkeypatch.setattr(distributions, "_direction_spectra", forbidden)
     pair = (spin_half.j1, spin_half.j2)
     assert not qj.scheme_is_real(qj.scheme_kirkwood(2), pair)
     assert not qj.diag_equality_check(qj.scheme_kirkwood(2), pair)
