@@ -630,6 +630,10 @@ def main(argv=None) -> int:
     except QuasiJointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:  # a problem too large for this machine, not a bug
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -36,7 +36,8 @@ with the state instead of with eigenvectors: one table of weights
 Tr(rho P_1 ... P_L) per observable sequence, contracted with the factor
 phases of all its terms at once, so no matrix is formed per frequency and
 no term is visited on its own. The symmetric scheme has no such expansion
-and traces the state against its mixed exponential.
+and traces the state against its mixed exponential: in closed form from
+Pauli coordinates for two levels, and along rays otherwise.
 
 Both sides read a scheme's terms through its grouping by observable
 sequence (:attr:`SchemeSpec.groups`), computed once per scheme.
@@ -62,6 +63,11 @@ from .errors import (
     UnsupportedSchemeError,
 )
 from .quantum import DensityState, HermitianObservable
+
+# sigma_0 = I and the Pauli matrices: the real coordinates of 2 x 2 Hermitian matrices
+_PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex
+)
 
 
 class Factor(NamedTuple):
@@ -213,6 +219,12 @@ def scheme_margenau_hill(alpha: float = 0.0) -> SchemeSpec:
     )
 
 
+# most Gauss-Legendre nodes of a Born-Jordan scheme: leggauss builds a K x K
+# companion matrix, 50 MB at this cap and about 1 GB near 10^4; acceptance
+# criterion 11 checks convergence at 2001 nodes
+MAX_QUADRATURE_NODES = 2500
+
+
 def scheme_born_jordan(quadrature_nodes: int = 201) -> SchemeSpec:
     """Gauss-Legendre discretization of the equal-weight ordering average.
 
@@ -220,10 +232,15 @@ def scheme_born_jordan(quadrature_nodes: int = 201) -> SchemeSpec:
     exp(-i (1-k)/2 s A) exp(-i t B) exp(-i (1+k)/2 s A) dk is replaced by
     one split word per quadrature node. Marginals stay exact; only the
     joint weights depend on the node count, so outputs carry an
-    ``approximate`` flag.
+    ``approximate`` flag. The node count runs from 1 to
+    ``MAX_QUADRATURE_NODES``.
     """
     if quadrature_nodes < 1:
         raise DomainError(f"need at least one quadrature node, got {quadrature_nodes}")
+    if quadrature_nodes > MAX_QUADRATURE_NODES:
+        raise DomainError(
+            f"at most {MAX_QUADRATURE_NODES} quadrature nodes, got {quadrature_nodes}"
+        )
     nodes, weights = np.polynomial.legendre.leggauss(quadrature_nodes)
     terms = []
     for k, w in zip(nodes, weights):
@@ -811,8 +828,10 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     """Trace of the state against the mixed exponential at each frequency.
 
     No N x N matrix is formed per frequency, and zero points give an empty
-    array. For a :class:`WignerScheme` the points are read as rays
-    (:func:`_weyl_characteristic`): one eigendecomposition per direction.
+    array. For a :class:`WignerScheme` on two levels the value is a closed
+    form in Pauli coordinates (:func:`_pauli_characteristic`); on other
+    dimensions the points are read as rays (:func:`_weyl_characteristic`):
+    one eigendecomposition per direction.
     For a :class:`SchemeSpec` a word's value is
     sum over g of Tr(rho P_1[g_1] ... P_L[g_L]) times the product of the
     factor phases exp(-i c s[var] a_{g_k}), so each observable sequence
@@ -834,7 +853,8 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     if pts.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     if isinstance(spec, WignerScheme):
-        return _weyl_characteristic(observables, rho.matrix, pts)
+        weyl = _pauli_characteristic if rho.matrix.shape == (2, 2) else _weyl_characteristic
+        return weyl(observables, rho.matrix, pts)
     # phases depend on one frequency each: evaluate them once per distinct value
     axes = [np.unique(pts[:, v], return_inverse=True) for v in range(spec.n_vars)]
     out = np.zeros(pts.shape[0], dtype=complex)
@@ -882,6 +902,34 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
         phases = _unit_phases(eigs[k].eigenvalues[:, None] * (vals * coeffs[0, k]))
         y = np.einsum("...gm,gm->...m", y, phases.take(inv, axis=1))
     return y
+
+
+def _pauli_characteristic(observables, rho, pts) -> np.ndarray:
+    """Tr(rho exp(-i s.A)) at each point s for 2 x 2 observables, with no eigendecomposition.
+
+    In the coordinates a_{v,mu} = Tr(A_v sigma_mu) / 2 and r_mu = Tr(rho sigma_mu),
+    s.A = h_0 + h.sigma with h = sum_v s_v a_v, so exp(-i s.A) is
+    exp(-i h_0) (cos|h| - i sin|h| h^.sigma) and the value is
+    exp(-i h_0) (cos|h| r_0 - i sin|h| h^.r), with h^ = 0 where |h| = 0 (the
+    origin, and s.A a multiple of the identity). h is formed on s / max|s_v|
+    and then rescaled, so it is finite wherever the eigenvalues h_0 +- |h| of
+    s.A are.
+    """
+    coords = np.einsum("vij,mji->vm", np.stack([o.matrix for o in observables]), _PAULI).real / 2
+    r = np.einsum("ij,mji->m", rho, _PAULI).real
+    # points as columns: a max over the short axis of the rows is several times slower
+    cols = np.ascontiguousarray(pts.T)
+    scale = np.abs(cols).max(axis=0)
+    g = coords.T @ (cols / np.where(scale > 0, scale, 1.0))
+    norm = np.hypot(np.hypot(g[1], g[2]), g[3])
+    with np.errstate(over="ignore"):
+        h0, length = scale * g[0], scale * norm
+        bad = ~np.isfinite(np.abs(h0) + length)  # the larger |eigenvalue|
+    if bad.any():
+        m = int(np.flatnonzero(bad)[0])
+        raise DomainError(f"point {m}: s.A has an eigenvalue beyond the float range")
+    along = np.divide(r[1:] @ g[1:], norm, out=np.zeros_like(norm), where=norm > 0)
+    return _unit_phases(h0) * (np.cos(length) * r[0] - 1j * (np.sin(length) * along))
 
 
 def _weyl_characteristic(observables, rho, pts) -> np.ndarray:

@@ -28,7 +28,8 @@ ROUNDING_TOL = 1e-12
 # the direction whose eigendecomposition of u.A it shares (a rounding grid of
 # spacing DIRECTION_TOL / sqrt(n) merges them): moving u by d moves s.A by at most
 # |r| sqrt(n) max_v ||A_v|| ||d||, so 1e-14 keeps the value within 1e-11
-# for |s| <= 50, ||A_v|| <= 10 and n <= 3
+# for |s| <= 50, ||A_v|| <= 10 and n <= 3. Only dimensions other than 2 read
+# along rays; two levels take a closed form that merges no directions
 DIRECTION_TOL = 1e-14
 # eigenvalue gap, relative to max(1, spectral radius), that merges eigenvalues
 DEGENERACY_TOL = 1e-9
@@ -57,9 +58,9 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {m.shape}")
-    bad = np.argwhere(~np.isfinite(m))
-    if bad.size:
-        i, j = (int(k) for k in bad[0])
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])
         raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
     asym = np.abs(m - m.conj().T)
     defect = float(asym.max())
@@ -123,20 +124,17 @@ def eigensystem(matrix) -> EigenSystem:
     scale = max(1.0, float(np.abs(vals).max()))
     tol = DEGENERACY_TOL * scale
 
-    eigenvalues = []
-    multiplicities = []
-    start = 0
-    n = vals.size
-    for i in range(1, n + 1):
-        if i == n or vals[i - 1] - vals[i] > tol:
-            eigenvalues.append(float(vals[start:i].mean()))
-            multiplicities.append(i - start)
-            start = i
-    evals = np.array(eigenvalues)
+    # a group starts after each gap above tol; only groups of two or more need a mean
+    bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
+    multiplicities = tuple([b - a for a, b in zip(bounds, bounds[1:])])
+    evals = vals[bounds[:-1]]
+    for k, (start, size) in enumerate(zip(bounds, multiplicities)):
+        if size > 1:
+            evals[k] = vals[start : start + size].mean()
     evals.setflags(write=False)
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     vecs.setflags(write=False)
-    return EigenSystem(evals, tuple(multiplicities), vecs)
+    return EigenSystem(evals, multiplicities, vecs)
 
 
 def rank_threshold(largest: float) -> float:

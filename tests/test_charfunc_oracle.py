@@ -12,19 +12,25 @@ sequence exercise the blocks the contraction sums at once: terms whose
 coefficients differ only on variable-0 factors.
 
 For the symmetric scheme, the ray form (one eigendecomposition per
-direction) must agree with the oracle's one eigendecomposition per point
-within 1e-11 for |s| <= 50, the bound ``linalg.DIRECTION_TOL`` is chosen
-for, stay a finite value of modulus at most 1 up to |s| = 1e300, and
-diagonalize no more directions than the grids hold.
+direction, on dimensions other than 2) must agree with the oracle's one
+eigendecomposition per point within 1e-11 for |s| <= 50, the bound
+``linalg.DIRECTION_TOL`` is chosen for, stay a finite value of modulus at
+most 1 up to |s| = 1e300, and diagonalize no more directions than the
+grids hold. On two levels the closed form in Pauli coordinates must agree
+with both the ray form and the oracle within 1e-11, also where s.A is a
+multiple of the identity, diagonalize nothing, and reject the frequencies
+the ray form rejects, with its message.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import distributions, linalg
 from quasijoint.distributions import _word_weights
+from quasijoint.errors import DomainError
 
 import atoms_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, _simplex, observables
@@ -178,7 +184,7 @@ def test_wigner_rays_finite_far_out(n_vars, seed, data):
     assert np.abs(got).max() <= 1 + 1e-12
 
 
-def test_wigner_diagonalizes_once_per_direction(spin_half, monkeypatch):
+def test_wigner_diagonalizes_once_per_direction(spin_half, spin_one, monkeypatch):
     spectra = distributions._direction_spectra
     sizes = []
 
@@ -187,14 +193,75 @@ def test_wigner_diagonalizes_once_per_direction(spin_half, monkeypatch):
         return spectra(observables, directions)
 
     monkeypatch.setattr(distributions, "_direction_spectra", counted)
-    pair = (spin_half.j1, spin_half.j2)
-    rho = qj.bloch_state(1.1, 0.4, 0.9)
     axis = np.linspace(-6, 6, 21)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    # two levels take the closed form: no direction is diagonalized
+    half, rho = (spin_half.j1, spin_half.j2), qj.bloch_state(1.1, 0.4, 0.9)
+    assert len(qj.characteristic_function(qj.WignerScheme(2), half, rho, grid)) == 441
+    qj.wigner_density_estimate(half, rho, [0.0], [0.0], s_extent=30.0, s_steps=61)
+    assert sizes == []
+    # the direction counts depend on the grid alone
+    pair, rho = (spin_one.j1, spin_one.j2), qj.random_density(3, np.random.default_rng(4))
     chi = qj.characteristic_function(qj.WignerScheme(2), pair, rho, grid)
     # 441 points on 128 directions and the origin
-    assert len(chi) == 441 and sum(sizes) <= 135
+    assert len(chi) == 441 and 0 < sum(sizes) <= 135
     sizes.clear()
     # the integer 61 x 61 grid of the density estimate: 1112 directions and the origin
     qj.wigner_density_estimate(pair, rho, [0.0], [0.0], s_extent=30.0, s_steps=61)
-    assert sum(sizes) <= 1120
+    assert 0 < sum(sizes) <= 1120
+
+
+@st.composite
+def two_level_weyl(draw):
+    """2 x 2 observables; points with |s| <= 50, the origin, and points where s.A is prop. to I.
+
+    Entries lie on a grid of 1/64, so sums of them are exact. One
+    observable may be a multiple of the identity, with points planted on
+    its axis; with two or more variables the second may instead be the
+    first plus a multiple of the identity, with points t (1, -1, 0), where
+    the Pauli parts cancel exactly.
+    """
+    n_vars = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(SEEDS))
+    mats = [np.round(64 * qj.random_hermitian(2, rng, 3.0)) / 64 for _ in range(n_vars)]
+    shift = draw(st.integers(-16, 16)) / 8 * np.eye(2)
+    scales = np.array([1e-3, 0.5, 7.0, 40.0, -1.0, -30.0])
+    kind = draw(st.sampled_from(["random", "identity", "shifted"][: 3 if n_vars > 1 else 2]))
+    direction = np.zeros(n_vars)
+    if kind == "identity":
+        v = draw(st.integers(0, n_vars - 1))
+        mats[v] = shift
+        direction[v] = 1.0
+    elif kind == "shifted":
+        mats[1] = mats[0] + shift
+        direction[:2] = (1.0, -1.0)
+    random = rng.normal(size=(draw(st.integers(0, 20)), n_vars))
+    random *= rng.uniform(0.0, 50.0, size=(len(random), 1)) / np.linalg.norm(random, axis=1, keepdims=True)
+    pts = np.concatenate([random, scales[:, None] * direction, np.zeros((1, n_vars))])
+    obs = tuple(qj.HermitianObservable(m, f"O{v}") for v, m in enumerate(mats))
+    return obs, pts[rng.permutation(len(pts))]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(case=two_level_weyl(), seed=SEEDS)
+def test_two_level_closed_form_matches_rays_and_mixture(case, seed):
+    obs, pts = case
+    spec = qj.WignerScheme(len(obs))
+    rho = qj.random_density(2, np.random.default_rng(seed))
+    got = qj.characteristic_function(spec, obs, rho, pts)
+    assert np.abs(got - distributions._weyl_characteristic(obs, rho.matrix, pts)).max() <= 1e-11
+    assert np.abs(got - _traced_mixture(spec, obs, rho, pts)).max() <= 1e-11
+
+
+def test_two_level_frequencies_past_the_float_range_match_the_rays(spin_half):
+    # s.A has eigenvalues of about +-1e300 max|s_v| here, past the float range at point 2
+    pair = tuple(qj.HermitianObservable(1e300 * o.matrix) for o in (spin_half.j1, spin_half.j2))
+    rho = qj.bloch_state(0.7, 0.3, 0.9)
+    pts = np.array([[0.0, 0.0], [1.0, -2.0], [1e10, 3.0]])
+    message = "point 2: s.A has an eigenvalue beyond the float range"
+    with pytest.raises(DomainError, match=message):
+        qj.characteristic_function(qj.WignerScheme(2), pair, rho, pts)
+    with pytest.raises(DomainError, match=message):
+        distributions._weyl_characteristic(pair, rho.matrix, pts)
+    chi = qj.characteristic_function(qj.WignerScheme(2), pair, rho, pts[:2])
+    assert np.isfinite(chi).all() and np.abs(chi).max() <= 1 + 1e-12

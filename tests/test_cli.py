@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasijoint import cli
+from quasijoint import cli, distributions
 
 from analytic_reference import KD_Z_PLUS, wigner_diagonal_half
 
@@ -457,6 +457,8 @@ FUZZ_DOCS = {
     "scheme_alpha_nan": {"name": "margenau_hill", "alpha": float("nan")},
     "scheme_nodes_string": {"name": "born_jordan", "nodes": "x"},
     "scheme_nodes_zero": {"name": "born_jordan", "nodes": 0},
+    # 1 followed by 400 zeros: leggauss would overflow building its companion matrix
+    "scheme_nodes_huge": {"name": "born_jordan", "nodes": 10**400},
     # JSON true and false are no numbers, though Python reads them as 1 and 0
     "obs_bool_component": {"builtin": "spin:1/2", "component": True},
     "obs_bool_dim": {"matrix": [[[1, 0]]], "dim": True},
@@ -575,6 +577,8 @@ INVALID_INPUTS = [
     (["compute", "--scheme", "scheme_alpha_nan"], cli.EXIT_VALIDATION),
     (["compute", "--scheme", "scheme_nodes_string"], cli.EXIT_VALIDATION),
     (["compute", "--scheme", "scheme_nodes_zero"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme", "scheme_nodes_huge"], cli.EXIT_VALIDATION),
+    (["compute", "--scheme=born_jordan:1" + "0" * 30], cli.EXIT_VALIDATION),
     (["compute", "--scheme", "scheme_weight_string"], cli.EXIT_VALIDATION),
     (["compute", "--scheme", "scheme_word_int"], cli.EXIT_VALIDATION),
     (["compute", "--scheme", "scheme_terms_int"], cli.EXIT_VALIDATION),
@@ -647,6 +651,30 @@ def test_invalid_inputs_exit_with_their_code(fuzz_files, argv, want):
 def _assert_field_named(fuzz_files, capsys, doc, field):
     assert cli.main(_filled(fuzz_files, FIELD_ARGV[doc])) == cli.EXIT_VALIDATION
     assert f"validation error: {fuzz_files[doc]}{field}: " in capsys.readouterr().err
+
+
+def test_node_counts_past_the_cap_name_their_field(fuzz_files, capsys):
+    nodes = "1" + "0" * 30
+    cap = f"bad born_jordan parameter: at most {distributions.MAX_QUADRATURE_NODES} quadrature nodes"
+    argv = _filled(fuzz_files, ["compute", f"--scheme=born_jordan:{nodes}"])
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert f"validation error: --scheme: {cap}, got {nodes}\n" in capsys.readouterr().err
+    argv = _filled(fuzz_files, ["compute", "--scheme", "scheme_nodes_huge"])
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"validation error: {fuzz_files['scheme_nodes_huge']}:name: {cap}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 16.0 GiB for an array", ""])
+def test_memory_error_exits_1_with_one_line(fuzz_files, capsys, monkeypatch, message):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli.RUNNERS, "compute", exhausted)
+    assert cli.main(_filled(fuzz_files, ["compute", "--scheme=kirkwood"])) == cli.EXIT_NUMERICAL
+    want = f"error: out of memory: {message}\n" if message else "error: out of memory\n"
+    assert capsys.readouterr().err == want
 
 
 @pytest.mark.parametrize("doc", BOOL_FIELDS)

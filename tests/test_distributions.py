@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import quasijoint as qj
 from quasijoint import linalg
+from quasijoint.distributions import MAX_QUADRATURE_NODES
 from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
@@ -89,6 +90,13 @@ def test_born_jordan_single_node_is_midpoint_split(spin_half):
 def test_born_jordan_flagged_approximate():
     assert qj.scheme_born_jordan(21).approximate
     assert not qj.scheme_kirkwood(2).approximate
+
+
+@pytest.mark.parametrize("nodes", [0, MAX_QUADRATURE_NODES + 1, 10**400])
+def test_born_jordan_node_count_is_bounded(nodes):
+    # past the cap leggauss would build a nodes x nodes companion matrix, or overflow
+    with pytest.raises(DomainError, match="quadrature node"):
+        qj.scheme_born_jordan(nodes)
 
 
 def test_alternating_word_layout():
