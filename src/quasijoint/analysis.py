@@ -41,7 +41,7 @@ from .quantum import (
     SpinTriple,
     _pairs,
     bloch_state,
-    chart_basis,
+    chart_matrices,
     embed,
     expectation,
     random_density,
@@ -102,12 +102,13 @@ def scheme_is_real(spec, observables) -> bool:
 
     That is h(-s)^dagger = h(s) for all s; distinct atom points make the
     exp(-i s.x_p) linearly independent, so this holds exactly when every
-    operator atom is Hermitian. The atoms are traced once against
-    :func:`~quasijoint.quantum.chart_basis`, as the reconstruction map
+    operator atom is Hermitian. The atoms are traced against
+    :func:`~quasijoint.quantum.chart_matrices`, as the reconstruction map
     traces them: the chart is a real basis of the Hermitian matrices, so
     an atom is Hermitian exactly when all those traces are real. The
     scheme counts as real when the largest |Im| is at most
-    ``linalg.DEFECT_TOL``.
+    ``linalg.DEFECT_TOL``; the chart is read one matrix at a time, and the
+    first matrix with a larger |Im| ends the read.
 
     For an atom A with D = A - A^dagger, |Im Tr(A B)| = |Tr(D B)| / 2:
     |Re D_ij| and |Im D_ij| for pair (i, j), |D_kk - D_(N-1)(N-1)| / 2
@@ -121,8 +122,10 @@ def scheme_is_real(spec, observables) -> bool:
         _check_observables(spec.n_vars, observables)
         return True
     atoms = build_atoms(spec, observables)
-    imag = atoms.weights_for(chart_basis(atoms.dim)).imag
-    return bool(np.abs(imag).max() <= linalg.DEFECT_TOL)
+    return all(
+        np.abs(atoms.weights_for(m).imag).max() <= linalg.DEFECT_TOL
+        for m in chart_matrices(atoms.dim)
+    )
 
 
 def diag_equality_check(spec, observables) -> bool:
@@ -383,7 +386,10 @@ class ReconstructionMap:
 
     @cached_property
     def _chart_weights(self) -> np.ndarray:
-        return _re_im_rows(self.atoms.weights_for(chart_basis(self.dim)))
+        out = np.empty((2 * len(self.atoms), self.dim**2))
+        for k, m in enumerate(chart_matrices(self.dim)):
+            out[:, k] = _re_im_rows(self.atoms.weights_for(m))
+        return out
 
     @property
     def offset(self) -> np.ndarray:
@@ -441,12 +447,12 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
     The weight of atom A_p is Tr(A_p rho(x)), affine in the state
-    coordinates x, so the map is one stacked
-    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` against
-    :func:`~quasijoint.quantum.chart_basis`: column 0, the weights of
-    rho(0), is the offset and the other columns, the weights of the
-    coordinate derivatives, are the map, each with Re and Im rows
-    interleaved. No dense atom is formed.
+    coordinates x, so the map is one
+    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
+    matrix of :func:`~quasijoint.quantum.chart_matrices`, read into one
+    column each: column 0, the weights of rho(0), is the offset and the
+    other columns, the weights of the coordinate derivatives, are the map,
+    each with Re and Im rows interleaved. No dense atom is formed.
 
     Atoms in Kirkwood form
     (:meth:`~quasijoint.distributions.OperatorAtomSet.kirkwood_form`:

@@ -23,13 +23,13 @@ that order, their weights and the atom each choice lands in. Pairing atoms
 with a state by the trace gives the (generally complex) joint weights; each
 chain is closed with the state once and its terms are scattered onto the
 atoms in one step, so weights, like the prune, form no atom matrix.
-Closing the chains against a stack of matrices serves every other trace:
-the dense atoms are the weights against the N^2 matrix units, the
-reconstruction map the weights against the coordinate chart. The adjoint
-gathers one coefficient per atom back onto each chain and sums it: the
-identity check, and the quantization of a classical function, whose trace
-with a state is its quasi-expectation. Both sides of that duality live
-here.
+Closing the chains against one matrix at a time serves every other trace:
+the prune's entrywise fallback reads the weights against the N^2 matrix
+units, realness and the reconstruction map those against the coordinate
+chart, each reducing as it goes. The adjoint gathers one coefficient per
+atom back onto each chain and sums it: the identity check, and the
+quantization of a classical function, whose trace with a state is its
+quasi-expectation. Both sides of that duality live here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -255,7 +255,7 @@ def scheme_born_jordan(quadrature_nodes: int = 201) -> SchemeSpec:
     )
 
 
-def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0, label: str = None) -> SchemeSpec:
+def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0) -> SchemeSpec:
     """Single word alternating between the two observables.
 
     ``x_coeffs`` multiply the variable-0 factors and ``y_coeffs`` the
@@ -277,7 +277,7 @@ def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0, label: str = None
         if i < len(second):
             var = 1 - first_var
             word.append(Factor(var, second[i], var))
-    return SchemeSpec(2, ((1.0, word),), label=label or "alternating")
+    return SchemeSpec(2, ((1.0, word),), label="alternating")
 
 
 class _Sequence(NamedTuple):
@@ -314,12 +314,10 @@ class OperatorAtomSet:
     (``sequences``): its overlap chain and, for every scheme term whose word
     visits it in that order, the term weight and the atom each group choice
     lands in. A reversed word is a sequence of its own. Joint weights
-    (:meth:`weights_for`, against one matrix or a stack) close those chains
-    and sums of atoms (:meth:`operator_for`: the identity check,
-    :func:`quantize`, marginal operators) sum them, one scatter or gather per
-    sequence, so neither forms an N x N atom. ``matrices``, shape (P, N, N),
-    is the weights against the matrix units, built on every read and never
-    kept; only the prune fallback reads it.
+    (:meth:`weights_for`, against one matrix) close those chains and sums
+    of atoms (:meth:`operator_for`: the identity check, :func:`quantize`,
+    marginal operators) sum them, one scatter or gather per sequence, so
+    neither forms an N x N atom.
     """
 
     n_vars: int
@@ -335,32 +333,36 @@ class OperatorAtomSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def _collect(self, table, weights, stack=()) -> np.ndarray:
+    def _collect(self, table, weights) -> np.ndarray:
         """Per atom, the sum of weight * table(sequence)[g] over every term's group choices g.
 
         ``weights`` holds one array of term weights per sequence. A table has
-        the group axes of its sequence followed by ``stack``; each sequence
-        scatters all its terms at once.
+        the group axes of its sequence; each sequence scatters all its terms
+        at once.
         """
-        out = np.zeros((len(self) + 1,) + stack, dtype=complex)  # the last slot takes pruned choices
+        out = np.zeros(len(self) + 1, dtype=complex)  # the last slot takes pruned choices
         for s, w in zip(self.sequences, weights):
-            vals = w.reshape((-1,) + (1,) * (1 + len(stack))) * table(s).reshape((1, -1) + stack)
-            _scatter_add(out, s.targets, vals)
+            # ufunc.at leaves its fast path when it has to cast, say real into complex
+            vals = (w[:, None] * table(s).reshape(1, -1)).astype(complex, copy=False)
+            np.add.at(out, s.targets.reshape(-1), vals.reshape(-1))
         return out[:-1]
 
     def weights_for(self, matrix) -> np.ndarray:
-        """Trace of each atom against a matrix, shape (P,), or a stack of K matrices, shape (P, K).
+        """Trace of each atom against one N x N matrix, shape (P,).
 
-        Each observable sequence closes its chain with every matrix at once
+        Each observable sequence closes its chain with the matrix
         (:func:`_word_weights`). Every trace of the atoms goes through here
-        (joint weights, :attr:`matrices`, the reconstruction map);
-        :meth:`operator_for` is its adjoint.
+        (joint weights, the prune fallback, realness, the reconstruction
+        map), one matrix per call; :meth:`operator_for` is its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
+        if m.shape != (self.dim, self.dim):
+            raise DimensionMismatchError(
+                f"expected one {self.dim} x {self.dim} matrix, got shape {m.shape}"
+            )
         return self._collect(
             lambda s: _word_weights([self.eigs[o] for o in s.obs], m, s.chain),
             [s.weights for s in self.sequences],
-            m.shape[:-2],
         )
 
     def _block_norms(self, s: _Sequence) -> np.ndarray:
@@ -403,17 +405,6 @@ class OperatorAtomSet:
     def identity_defect(self) -> float:
         """Max-norm distance of the kept atoms' sum from the identity (:meth:`operator_for`)."""
         return float(np.abs(self.operator_for(np.ones(len(self))) - np.eye(self.dim)).max())
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """Dense atoms, shape (P, N, N), built on every read.
-
-        Entry [p, i, j] is Tr(A_p E_ji) for the matrix unit E_ji, so the
-        atoms are :meth:`weights_for` the stack of all N^2 units.
-        """
-        n = self.dim
-        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
-        return self.weights_for(units).reshape(-1, n, n)
 
     def kirkwood_form(self):
         """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
@@ -570,28 +561,22 @@ def _overlap_chain(eigs):
 
 
 def _word_weights(eigs, rho, chain=None) -> np.ndarray:
-    """Trace of a matrix, or of each matrix of a stack, against every projector product of a word.
+    """Trace of a matrix against every projector product of a word.
 
-    For one matrix, returns shape (G_1, ..., G_L) with entry
-    [g_1, ..., g_L] equal to Tr(rho P_1[g_1] ... P_L[g_L]); a stack of
-    shape (K, N, N) adds a last axis of length K. The trace of
-    u_i c[...] v_j^dagger is c[...] (U_L^dagger rho U_1)[j, i], so the
-    word's overlap chain (computed here unless given) is closed with that
-    one matrix per stack entry, in one broadcast, and summed over the first
-    and last groups. No projector product and no atom matrix is formed.
+    Returns shape (G_1, ..., G_L) with entry [g_1, ..., g_L] equal to
+    Tr(rho P_1[g_1] ... P_L[g_L]). The trace of u_i c[...] v_j^dagger is
+    c[...] (U_L^dagger rho U_1)[j, i], so the word's overlap chain
+    (computed here unless given) is closed with that one matrix in one
+    broadcast and summed over the first and last groups. No projector
+    product and no atom matrix is formed.
     """
     first, last = eigs[0], eigs[-1]
-    stack = rho.shape[:-2]
-    # closing[i, j, k] = (U_L^dagger rho_k U_1)[j, i]; one matrix product
-    # over the whole stack would be faster at small N but hands large
-    # stacks to threaded BLAS, whose buffers raise the peak memory
-    closing = (last.vectors.conj().T @ rho @ first.vectors).T
+    closing = (last.vectors.conj().T @ rho @ first.vectors).T  # [i, j] = (U_L^dagger rho U_1)[j, i]
     if len(eigs) == 1:
-        return _group_sum(np.einsum("ii...->i...", closing), first, axis=0)
+        return _group_sum(np.diagonal(closing), first, axis=0)
     if chain is None:
         chain = _overlap_chain(eigs)
-    chain = chain.reshape(chain.shape + (1,) * len(stack))
-    closing = closing.reshape((first.dim,) + (1,) * (len(eigs) - 2) + (last.dim,) + stack)
+    closing = closing.reshape((first.dim,) + (1,) * (len(eigs) - 2) + (last.dim,))
     return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=len(eigs) - 1)
 
 
@@ -637,17 +622,6 @@ def _group_coordinates(group: _TermGroup, eigs, n_vars) -> np.ndarray:
     return coords.reshape(terms.size, n_vars, -1).transpose(0, 2, 1).reshape(-1, n_vars)
 
 
-def _scatter_add(out, targets, vals):
-    """out[targets] += vals along the first axis, repeated targets adding up."""
-    if out.ndim > 1:
-        # ufunc.at is only fast on scalar elements, so scatter flat entry indices
-        size = out[0].size
-        targets = targets.reshape(-1, 1) * size + np.arange(size)
-        out = out.reshape(-1)
-    # ufunc.at also leaves its fast path when it has to cast, say real into complex
-    np.add.at(out, targets.reshape(-1), vals.reshape(-1).astype(out.dtype, copy=False))
-
-
 def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
     """|Tr(A_p M)| / sum |M| for one fixed M: at most each atom's max-norm.
 
@@ -661,6 +635,23 @@ def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
     return np.abs(atoms.weights_for(m)) / (n * n)
 
 
+def _entry_max_norms(atoms: OperatorAtomSet) -> np.ndarray:
+    """Each atom's max-norm max |A_p[i, j]|, read one matrix unit at a time.
+
+    A_p[i, j] is Tr(A_p E_ji) for the matrix unit E_ji, so the norms are a
+    running max of |:meth:`~OperatorAtomSet.weights_for`| over the N^2
+    units; no atom matrix and no stack of units is formed.
+    """
+    n = atoms.dim
+    norms = np.zeros(len(atoms))
+    unit = np.zeros((n, n), dtype=complex)
+    for i, j in np.ndindex(n, n):
+        unit[j, i] = 1.0
+        np.maximum(norms, np.abs(atoms.weights_for(unit)), out=norms)
+        unit[j, i] = 0.0
+    return norms
+
+
 def _prune_mask(atoms: OperatorAtomSet) -> np.ndarray:
     """Atoms whose max-norm reaches ``linalg.ROUNDING_TOL``, decided without forming them.
 
@@ -669,13 +660,13 @@ def _prune_mask(atoms: OperatorAtomSet) -> np.ndarray:
     :meth:`~OperatorAtomSet._block_norms`, lies below the tolerance, and
     kept when the lower bound :func:`_probe_lower_bound` reaches it. If
     any atom lies between its bounds, the verdict for all is read off the
-    dense atoms.
+    atoms' entries (:func:`_entry_max_norms`).
     """
     tol = linalg.ROUNDING_TOL
     upper = atoms._collect(atoms._block_norms, [np.abs(s.weights) for s in atoms.sequences]).real
     keep = _probe_lower_bound(atoms) >= tol
     if not (keep | (upper < tol)).all():
-        keep = np.abs(atoms.matrices).max(axis=(1, 2)) >= tol
+        keep = _entry_max_norms(atoms) >= tol
     return keep
 
 
@@ -951,7 +942,8 @@ def _weyl_characteristic(observables, rho, pts) -> np.ndarray:
     Tr rho.
     """
     out = np.full(pts.shape[0], np.trace(rho), dtype=complex)
-    scale = np.abs(pts).max(axis=1)
+    # points as columns: a max over the short axis of the rows is several times slower
+    scale = np.abs(np.ascontiguousarray(pts.T)).max(axis=0)
     ray = np.flatnonzero(scale > 0)
     if ray.size == 0:
         return out

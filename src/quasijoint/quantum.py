@@ -4,9 +4,9 @@ States carry a canonical real coordinate vector of length N^2 - 1 (leading
 diagonal entries first, then Re/Im pairs of the lower-triangle entries in
 row-major order of the pairs), used by the tomography code. Only this
 module knows that layout: ``parametrize`` and ``embed`` convert between
-states and coordinates, and ``chart_basis`` spells the chart out as
-rho(0) and the N^2 - 1 coordinate derivatives, against which the
-reconstruction map traces the atoms.
+states and coordinates, and ``chart_matrices`` spells the chart out as
+rho(0) and the N^2 - 1 coordinate derivatives, one matrix at a time,
+against which realness and the reconstruction map trace the atoms.
 """
 
 from __future__ import annotations
@@ -222,27 +222,25 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
     return DensityState(m, require_positive=require_positive)
 
 
-def chart_basis(dim: int) -> np.ndarray:
-    """The chart of ``embed`` as a stack of N^2 matrices, shape (N^2, N, N).
+def chart_matrices(dim: int):
+    """The chart of ``embed`` as N^2 matrices of shape (N, N), each made as it is yielded.
 
-    rho(x) equals ``basis[0] + sum over k of x[k] * basis[1 + k]``: entry 0
-    is the state at x = 0, a unit in the last diagonal entry; a diagonal
+    rho(x) equals ``m_0 + sum over k of x[k] * m_(1 + k)``: m_0 is the
+    state at x = 0, a unit in the last diagonal entry; a diagonal
     coordinate k adds E_kk - E_(N-1)(N-1), and pair (i, j) adds
     E_ji + E_ij through its real part and i (E_ji - E_ij) through its
-    imaginary part. Tracing a matrix against the stack gives
-    Tr(M rho(x)) as offset (entry 0) and slope (the rest).
+    imaginary part. Tracing a matrix against them gives Tr(M rho(x)) as
+    offset (m_0) and slope (the rest).
     """
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    basis[0, dim - 1, dim - 1] = 1.0
-    k = np.arange(dim - 1)
-    basis[1 + k, k, k] = 1.0
-    basis[1:dim, dim - 1, dim - 1] = -1.0
-    i, j = _pairs(dim)
-    re = dim + 2 * np.arange(i.size)  # 1 + the real-part coordinate
-    basis[re, j, i] = basis[re, i, j] = 1.0
-    basis[re + 1, j, i] = 1j
-    basis[re + 1, i, j] = -1j
-    return basis
+    last = dim - 1
+    entries = [[(last, last, 1.0)]] + [[(k, k, 1.0), (last, last, -1.0)] for k in range(last)]
+    for i, j in zip(*_pairs(dim)):
+        entries += [[(j, i, 1.0), (i, j, 1.0)], [(j, i, 1j), (i, j, -1j)]]
+    for entry in entries:
+        m = np.zeros((dim, dim), dtype=complex)
+        for row, col, value in entry:
+            m[row, col] = value
+        yield m
 
 
 def expectation(observable: HermitianObservable, rho: DensityState) -> float:

@@ -9,8 +9,9 @@ its matrices to rounding.
 
 It also keeps the dense reads the library no longer makes: the mixture
 h(s) of a scheme multiplied out from phased projectors at each frequency
-vector (:func:`mixture`), and the entrywise Hermiticity defect of dense
-atoms (:func:`hermiticity_defect`).
+vector (:func:`mixture`), the dense atoms of a library atom set
+(:func:`matrices`) and the entrywise Hermiticity defect of dense atoms
+(:func:`hermiticity_defect`).
 """
 
 from __future__ import annotations
@@ -75,6 +76,21 @@ def projectors(eig: linalg.EigenSystem) -> tuple:
         proj = block @ block.conj().T
         out.append((proj + proj.conj().T) / 2)
     return tuple(out)
+
+
+def matrices(atoms) -> np.ndarray:
+    """Dense atoms of a library ``OperatorAtomSet``, shape (P, N, N).
+
+    Entry [p, i, j] is Tr(A_p E_ji) for the matrix unit E_ji, read with
+    ``weights_for`` one unit at a time.
+    """
+    n = atoms.dim
+    out = np.empty((len(atoms), n, n), dtype=complex)
+    for i, j in itertools.product(range(n), repeat=2):
+        unit = np.zeros((n, n), dtype=complex)
+        unit[j, i] = 1.0
+        out[:, i, j] = atoms.weights_for(unit)
+    return out
 
 
 def hermiticity_defect(matrices) -> float:

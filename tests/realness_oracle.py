@@ -5,7 +5,8 @@ These are the original definitions of ``scheme_is_real`` and
 ``atoms_oracle.mixture`` at twelve fixed pseudo-random frequency vectors
 and compare h(s) with h(-s)^dagger, or the two diagonal entries of h(s).
 For a product scheme the sampled realness verdict is cross-checked
-against the entrywise Hermiticity of the dense atoms (``matrices``) and a
+against the entrywise Hermiticity of the dense atoms
+(``atoms_oracle.matrices``) and a
 disagreement raises. The library reads both verdicts off the atoms
 exactly, realness through one trace against the coordinate chart; it must
 return the oracle's.
@@ -47,7 +48,9 @@ def scheme_is_real(spec, observables) -> bool:
     )
     if isinstance(spec, WignerScheme):
         return sampled_ok
-    defect = atoms_oracle.hermiticity_defect(build_atoms(spec, observables).matrices)
+    defect = atoms_oracle.hermiticity_defect(
+        atoms_oracle.matrices(build_atoms(spec, observables))
+    )
     hermitian_atoms = defect <= linalg.DEFECT_TOL
     if hermitian_atoms != sampled_ok:
         raise QuasiJointError(

@@ -5,9 +5,10 @@ weights, the identity check and the prune verdict are read off the
 chains, and so are sums of atoms (``operator_for``, the adjoint of
 ``weights_for``). On random pairs under every scheme constructor and on
 spin pairs up to j = 3, they must match the brute-force oracle within
-1e-12 (points exactly), and none of them may form the dense atoms.
-Weights against a stack of matrices must match the weights against each
-matrix alone.
+1e-12 (points exactly), and none of them may read the atoms entry by
+entry. ``weights_for`` takes exactly one N x N matrix, and the prune's
+entrywise fallback keeps the atoms the oracle's dense max-norm keeps,
+also on the spin-23/2 pair, where the fallback reads 576 matrix units.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import distributions
+from quasijoint.errors import DimensionMismatchError
 
 import atoms_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
@@ -64,18 +66,12 @@ def test_spin_pairs_match_dense_oracle(spec, j_times_two, pair, seed):
     assert_factors_match_oracle(spec, (spin[pair[0]], spin[pair[1]]), seed)
 
 
-@settings(PROPERTY, max_examples=60)
-@given(spec=TWO_VAR_SCHEMES, obs=observables(2), k=st.integers(1, 4), seed=SEEDS)
-def test_stacked_weights_match_one_matrix_at_a_time(spec, obs, k, seed):
-    # a non-Hermitian stack tells M from M^dagger on reversed words
-    atoms = qj.build_atoms(spec, obs)
-    n = obs[0].dim
-    rng = np.random.default_rng(seed)
-    stack = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
-    got = atoms.weights_for(stack)
-    assert got.shape == (len(atoms), k)
-    for i in range(k):
-        assert np.abs(got[:, i] - atoms.weights_for(stack[i])).max() <= 1e-12
+def test_weights_for_takes_one_matrix_of_the_atom_dimension(kd_one_atoms):
+    good = np.eye(3)
+    assert kd_one_atoms.weights_for(good).shape == (len(kd_one_atoms),)
+    for bad in (np.stack([good, good]), np.eye(2), np.eye(4), np.ones(3), np.ones((3, 9))):
+        with pytest.raises(DimensionMismatchError, match=r"one 3 x 3 matrix, got shape \("):
+            kd_one_atoms.weights_for(bad)
 
 
 @PROPERTY
@@ -109,10 +105,10 @@ SPIN_SCHEMES = (
 
 
 def _forbid_dense_atoms(patch):
-    def forbidden(self):
-        raise AssertionError("dense atoms formed")
+    def forbidden(atoms):
+        raise AssertionError("atoms read entry by entry")
 
-    patch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
+    patch.setattr(distributions, "_entry_max_norms", forbidden)
 
 
 def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
@@ -134,25 +130,46 @@ def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
                 qj.diag_equality_check(spec, pair)
 
 
-def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
+def _count_entry_reads(patch):
     calls = []
-    matrices = distributions.OperatorAtomSet.matrices
+    entry_max_norms = distributions._entry_max_norms
 
-    def counted(self):
+    def counted(atoms):
         calls.append(1)
-        return matrices.fget(self)
+        return entry_max_norms(atoms)
 
-    monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(counted))
+    patch.setattr(distributions, "_entry_max_norms", counted)
+    return calls
+
+
+def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
+    calls = _count_entry_reads(monkeypatch)
     monkeypatch.setattr(distributions, "_probe_lower_bound", lambda atoms: np.zeros(len(atoms)))
     # on the spin-1 pair each of these schemes drops 1 to 21 atoms below the prune level
     for spec in SPIN_SCHEMES:
         calls.clear()
         got = qj.build_atoms(spec, (spin_one.j1, spin_one.j2))
-        assert calls, "the prune did not read the dense atoms"
+        assert calls, "the prune did not read the atoms' entries"
         want = atoms_oracle.build_atoms(spec, (spin_one.j1, spin_one.j2))
         assert len(got) == len(want)
         assert np.array_equal(got.points, want.points)
-        assert np.abs(got.matrices - want.matrices).max() <= 1e-12
+        assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12
+
+
+def test_entrywise_prune_keeps_the_oracle_atoms_on_a_large_spin_pair(monkeypatch):
+    # Margenau-Hill(0.3) on spin-23/2 leaves atoms between the prune's two
+    # bounds, so the verdict is read off all 576 matrix units; the running
+    # max over them must be each atom's dense max-norm
+    calls = _count_entry_reads(monkeypatch)
+    spin = qj.spin_operators(23)
+    pair = (spin.j1, spin.j2)
+    got = qj.build_atoms(qj.scheme_margenau_hill(0.3), pair)
+    assert calls, "the prune did not read the atoms' entries"
+    want = atoms_oracle.build_atoms(qj.scheme_margenau_hill(0.3), pair)
+    assert len(got) == len(want)
+    assert np.array_equal(got.points, want.points)
+    norms = np.abs(want.matrices).max(axis=(1, 2))
+    assert np.abs(distributions._entry_max_norms(got) - norms).max() <= 1e-12
 
 
 def test_reversed_word_bounds_follow_its_order(monkeypatch):
@@ -176,7 +193,7 @@ def test_reversed_word_bounds_follow_its_order(monkeypatch):
         want = atoms_oracle.build_atoms(spec, pair)
         assert len(got) == len(want) < 9
         assert np.array_equal(got.points, want.points)
-        assert np.abs(got.matrices - want.matrices).max() <= 1e-12
+        assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12
 
 
 def test_prune_matches_oracle_near_the_prune_level():
@@ -193,4 +210,4 @@ def test_prune_matches_oracle_near_the_prune_level():
         want = atoms_oracle.build_atoms(spec, pair)
         assert len(got) == len(want)
         assert np.array_equal(got.points, want.points)
-        assert np.abs(got.matrices - want.matrices).max() <= 1e-12
+        assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12

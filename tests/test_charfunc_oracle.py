@@ -131,7 +131,7 @@ def test_product_schemes_form_no_mixture_and_no_atoms(spin_one, monkeypatch):
     rho = qj.random_density(3, np.random.default_rng(6))
     pts = np.array([[0.0, 0.0], [1.5, -2.0]])
     want = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
-    monkeypatch.setattr(distributions.OperatorAtomSet, "matrices", property(forbidden))
+    monkeypatch.setattr(distributions, "build_atoms", forbidden)
     got = qj.characteristic_function(qj.scheme_s_alpha(0.25), pair, rho, pts)
     assert np.array_equal(got, want)
 

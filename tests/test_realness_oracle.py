@@ -6,7 +6,7 @@ they must equal the sampled probes of ``realness_oracle`` on every draw
 of ``TWO_VAR_SCHEMES`` and ``WignerScheme(2)`` over random observables,
 half with degenerate spectra, and never evaluate the mixture h(s).
 Realness must also match on one- and three-variable Kirkwood-Dirac, and
-forms no dense atom. At two levels a scheme is real exactly when its
+forms no dense atom and no stack of chart matrices. At two levels a scheme is real exactly when its
 reconstruction map is rank deficient, the paper's statement that the
 imaginary part is essential.
 That equivalence holds away from the thresholds only: realness is judged
@@ -16,6 +16,8 @@ alpha = 1e-9 and 1e-8 is not real yet has rank 2 (alpha = 1e-7 gives
 rank 3). The derandomized draws of the two-level property below hold no
 such alpha.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,22 @@ def test_realness_forms_no_dense_atoms(monkeypatch):
         assert qj.scheme_is_real(qj.scheme_margenau_hill(0.0), pair)
         assert qj.scheme_is_real(qj.scheme_s_alpha(0.5), pair)
         assert qj.scheme_is_real(qj.scheme_born_jordan(5), pair)
+
+
+def test_realness_reads_the_chart_one_matrix_at_a_time():
+    # closing all 256 chart matrices at N = 16 at once with the
+    # (16, 16, 16) split-word chain peaks near 37 MiB; one at a time, the
+    # atoms and one closing stay under 1 MiB
+    spin = qj.spin_operators(15)
+    pair = (spin.j1, spin.j2)
+    spec = qj.scheme_s_alpha(0.25)
+    qj.build_atoms(spec, pair)  # warm up
+    tracemalloc.start()
+    real = qj.scheme_is_real(spec, pair)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert not real
+    assert peak < 4 * 2**20
 
 
 @PROPERTY

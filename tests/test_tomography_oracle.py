@@ -5,7 +5,7 @@ spectra, under every scheme constructor (including the rank-deficient
 ``s_alpha(0.5)``). The map must match the finite-difference columns within
 1e-12, with a bit-identical offset and the same rank; ``parametrize`` and
 ``embed`` must equal the double-loop versions exactly, and ``embed`` must
-be the affine combination of ``chart_basis`` the map is traced against.
+be the affine combination of ``chart_matrices`` the map is traced against.
 
 Maps inverted by blocks (split words, Born-Jordan) take the dense map as
 their oracle: the same rank as its SVD and the state its pseudo-inverse
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import analysis, linalg
-from quasijoint.quantum import chart_basis
+from quasijoint.quantum import chart_matrices
 
 import tomography_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
@@ -77,7 +77,7 @@ def test_chart_matches_loop_oracle(dim, seed):
     assert np.array_equal(rho.matrix, tomography_oracle.embed(x, dim).matrix)
     assert np.array_equal(qj.parametrize(rho), tomography_oracle.parametrize(rho))
     assert np.array_equal(qj.parametrize(rho), x)
-    basis = chart_basis(dim)
+    basis = np.stack(list(chart_matrices(dim)))
     assert np.abs(rho.matrix - (basis[0] + np.tensordot(x, basis[1:], 1))).max() <= 1e-15
     state = qj.random_density(dim, rng)
     assert np.array_equal(qj.parametrize(state), tomography_oracle.parametrize(state))
@@ -164,7 +164,7 @@ def test_block_route_builds_no_dense_map(monkeypatch):
     pair = _random_pair(rng, 8)
     states = [qj.random_density(8, rng) for _ in range(4)]
     monkeypatch.setattr(linalg, "_real_svd_rank", refuse)
-    monkeypatch.setattr(analysis, "chart_basis", refuse)
+    monkeypatch.setattr(analysis, "chart_matrices", refuse)
     rmap = qj.reconstruction_map(*pair, qj.scheme_s_alpha(0.25))
     assert rmap.rank == 63 and rmap.diagnostics["inversion"] == "blocks"
     for rho in states:

@@ -4,8 +4,9 @@ These are the original definitions: ``parametrize`` and ``embed`` walk the
 index pairs in a Python double loop, and the map's columns are finite
 differences of the coefficient vector along the coordinate basis, one
 ``embed`` and one trace of the dense atoms per coordinate. The library
-traces the atoms against the whole chart in one stacked closing; it must
-match these columns to rounding, the offset exactly, and the rank.
+traces the atoms against each chart matrix in turn, closing the chains;
+it must match these columns to rounding, the offset exactly, and the
+rank.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from quasijoint import linalg
 from quasijoint.distributions import OperatorAtomSet, build_atoms
 from quasijoint.errors import DimensionMismatchError, LengthMismatchError
 from quasijoint.quantum import DensityState
+
+import atoms_oracle
 
 
 def parametrize(rho: DensityState) -> np.ndarray:
@@ -58,7 +61,7 @@ def stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
 
     The weights are traces of the dense atoms against the matrix.
     """
-    w = np.einsum("pij,ji->p", atoms.matrices, np.asarray(matrix, dtype=complex))
+    w = np.einsum("pij,ji->p", atoms_oracle.matrices(atoms), np.asarray(matrix, dtype=complex))
     return np.column_stack([w.real, w.imag]).ravel()
 
 
