@@ -116,12 +116,20 @@ def scheme_is_real(spec, observables) -> bool:
     times the entrywise defect max |D_ij|, except when the largest entry
     of D is a diagonal one other than the last, where the lower bound is
     1/4. The symmetric scheme is always real: exp(-i s.A)^dagger at -s is
-    exp(-i s.A) for Hermitian A.
+    exp(-i s.A) for Hermitian A. The chart read is :func:`atoms_are_real`,
+    which takes atoms already built.
     """
     if isinstance(spec, WignerScheme):
         _check_observables(spec.n_vars, observables)
         return True
-    atoms = build_atoms(spec, observables)
+    return atoms_are_real(build_atoms(spec, observables))
+
+
+def atoms_are_real(atoms: OperatorAtomSet) -> bool:
+    """True when every atom is Hermitian: the chart read of :func:`scheme_is_real`.
+
+    For atoms already built, as ``quasijoint verify`` has them.
+    """
     return all(
         np.abs(atoms.weights_for(m).imag).max() <= linalg.DEFECT_TOL
         for m in chart_matrices(atoms.dim)

@@ -37,7 +37,9 @@ Tr(rho P_1 ... P_L) per observable sequence, contracted with the factor
 phases of all its terms at once, so no matrix is formed per frequency and
 no term is visited on its own. The symmetric scheme has no such expansion
 and traces the state against its mixed exponential: in closed form from
-Pauli coordinates for two levels, and along rays otherwise.
+Pauli coordinates for two levels, and along rays otherwise. Every
+frequency-side reader, the atom side's included, walks its frequencies or
+directions in blocks of about ``BLOCK_ENTRIES`` entries per temporary.
 
 Both sides read a scheme's terms through its grouping by observable
 sequence (:attr:`SchemeSpec.groups`), computed once per scheme.
@@ -49,6 +51,7 @@ the identity at s = 0.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -84,6 +87,9 @@ class _Block(NamedTuple):
     terms: np.ndarray  # their rows in the group
     free: np.ndarray  # positions of the variable-0 factors
     shared: np.ndarray  # positions of the other factors, whose phases the terms share
+    # per free factor: (the first free factor on its observable, the distinct
+    # coefficients of the free factors on that observable, each term's among them)
+    free_coeffs: tuple
 
 
 class _TermGroup(NamedTuple):
@@ -96,12 +102,32 @@ class _TermGroup(NamedTuple):
     blocks: tuple  # the terms split into :class:`_Block`
 
 
+def _free_coefficients(seq, coeffs, free) -> tuple:
+    """Per variable-0 factor k of a block, ``(first, values, index)``.
+
+    ``values`` are the distinct coefficients of the block's variable-0
+    factors on the observable of k, ``first`` the first of those factors,
+    and ``index`` (T,) the position in ``values`` of each term's
+    coefficient of k.
+    """
+    out = []
+    for k in free:
+        on_obs = free[[seq[j] == seq[k] for j in free]]
+        values, index = np.unique(coeffs[:, on_obs], return_inverse=True)
+        column = index.reshape(len(coeffs), on_obs.size)[:, np.searchsorted(on_obs, k)]
+        out.append((int(on_obs[0]), values, column))
+    return tuple(out)
+
+
 def _group_terms(terms) -> tuple:
     """One :class:`_TermGroup` per observable sequence, in order of first appearance.
 
     Within a sequence, terms with the same variable pattern whose
     coefficients differ only on variable-0 factors form one block, so a
-    characteristic function contracts their other factors once.
+    characteristic function contracts their other factors once. A block
+    also keeps the distinct coefficients of its variable-0 factors per
+    observable, so factors that run over the same values (Born-Jordan's
+    mirrored (1 - k)/2 and (1 + k)/2) share their phases.
     """
     grouped = {}
     for t, (_, word) in enumerate(terms):
@@ -117,7 +143,9 @@ def _group_terms(terms) -> tuple:
         blocks = []
         for b in keyed.values():
             v = factor_vars[b[0]]
-            blocks.append(_Block(np.array(b), np.flatnonzero(v == 0), np.flatnonzero(v)))
+            free = np.flatnonzero(v == 0)
+            free_coeffs = _free_coefficients(seq, coeffs[b], free)
+            blocks.append(_Block(np.array(b), free, np.flatnonzero(v), free_coeffs))
         groups.append(_TermGroup(seq, weights, factor_vars, coeffs, tuple(blocks)))
     return tuple(groups)
 
@@ -223,6 +251,12 @@ def scheme_margenau_hill(alpha: float = 0.0) -> SchemeSpec:
 # companion matrix, 50 MB at this cap and about 1 GB near 10^4; acceptance
 # criterion 11 checks convergence at 2001 nodes
 MAX_QUADRATURE_NODES = 2500
+
+# complex entries (1 MiB) that one block of a frequency-side reader may hold
+# per temporary: characteristic functions walk their frequencies (or
+# directions) in blocks of BLOCK_ENTRIES // width, width the entries one
+# frequency needs (:func:`_blocks`)
+BLOCK_ENTRIES = 2**16
 
 
 def scheme_born_jordan(quadrature_nodes: int = 201) -> SchemeSpec:
@@ -476,14 +510,21 @@ class QuasiDistribution:
         """sum over x of w(x) exp(-i s.x) for each frequency vector.
 
         Evaluated as real sums, (cos - i sin)(Re w + i Im w), through
-        ``einsum`` rather than a complex BLAS product over the points.
+        ``einsum`` rather than a complex BLAS product over the points. The
+        frequencies are taken in blocks of ``BLOCK_ENTRIES // P`` (at least
+        one) for P support points, so the phase arrays hold about
+        ``BLOCK_ENTRIES`` entries, not one per frequency and point: extra
+        memory O(M + B) for M frequencies and B = ``BLOCK_ENTRIES``.
         """
         pts = _check_points(self.n_vars, s_points)
-        theta = np.einsum("mv,pv->mp", pts, self.points)
         parts = np.stack([self.weights.real, self.weights.imag])
-        cos = np.einsum("mp,kp->km", np.cos(theta), parts)
-        sin = np.einsum("mp,kp->km", np.sin(theta, out=theta), parts)
-        return (cos[0] + sin[1]) + 1j * (cos[1] - sin[0])
+        out = np.empty(len(pts), dtype=complex)
+        for b in _blocks(len(pts), len(self)):
+            theta = np.einsum("mv,pv->mp", pts[b], self.points)
+            cos = np.einsum("mp,kp->km", np.cos(theta), parts)
+            sin = np.einsum("mp,kp->km", np.sin(theta, out=theta), parts)
+            out[b] = (cos[0] + sin[1]) + 1j * (cos[1] - sin[0])
+        return out
 
 
 def _check_points(n_vars, s_points) -> np.ndarray:
@@ -580,16 +621,17 @@ def _word_weights(eigs, rho, chain=None) -> np.ndarray:
     return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=len(eigs) - 1)
 
 
-def _complex_matmul(a, b) -> np.ndarray:
-    """``a @ b`` for complex 2-d arrays, as one real matrix product.
+def _complex_matmul(a, b, out) -> None:
+    """``a @ b`` for complex 2-d arrays, as one real matrix product, into ``out``.
 
     ``a`` is read as real with Re/Im interleaved along its columns and
     ``b`` is expanded to the matching real block form, so the result is
-    written straight into the real view of a complex array. Used where one
-    side spans frequencies (the distinct variable-0 frequencies of the
-    points, as many as the points at worst): complex BLAS products of that
-    shape cost about 8 ms on a 2-core host (OpenBLAS 0.3.31, 2 threads)
-    whatever their size, real ones a small fraction of that.
+    written straight into the real view of ``out``, which may be a block
+    of columns of a larger array. Used where one side spans frequencies
+    (the distinct variable-0 frequencies of the points, as many as the
+    points at worst): complex BLAS products of that shape cost about 8 ms
+    on a 2-core host (OpenBLAS 0.3.31, 2 threads) whatever their size,
+    real ones a small fraction of that.
     """
     a = np.ascontiguousarray(a, dtype=complex).view(float)
     b = np.asarray(b, dtype=complex)
@@ -597,9 +639,7 @@ def _complex_matmul(a, b) -> np.ndarray:
     block[:, 0, :, 0] = block[:, 1, :, 1] = b.real
     block[:, 0, :, 1] = b.imag
     block[:, 1, :, 0] = -b.imag
-    out = np.empty((a.shape[0], b.shape[1]), dtype=complex)
     np.matmul(a, block.reshape(a.shape[1], -1), out=out.view(float))
-    return out
 
 
 def _group_coordinates(group: _TermGroup, eigs, n_vars) -> np.ndarray:
@@ -834,6 +874,11 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
     the table is contracted with that kernel, and then with the phases of
     the factors the terms share, per point. All the terms of a Born-Jordan
     scheme form one block.
+
+    Both sides work in blocks of at most about ``BLOCK_ENTRIES`` entries
+    per temporary (:func:`_blocks`): the kernel over blocks of the distinct
+    variable-0 frequencies, the rays over blocks of directions, so memory
+    grows with the point count times the shared axes (or N) only.
     """
     _check_observables(spec.n_vars, observables)
     if observables[0].dim != rho.dim:
@@ -866,31 +911,54 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
     frequency alone. The terms therefore enter through one kernel
     K[g_0, s] = sum_t w_t prod_k exp(-i s c[t, k] lambda_k[g_k]) on the
     distinct variable-0 frequencies s, built from per-factor phases of
-    shape (T, G_k, S) with one matrix product over t per frequency. The
-    table is contracted with K over g_0 in one real matrix product
+    shape (T, G_k, S) with one matrix product over t per frequency. Each
+    observable's phases are evaluated once on the distinct coefficients of
+    its variable-0 factors and gathered per factor (:func:`_free_coefficients`).
+    The table is contracted with K over g_0 in one real matrix product
     (:func:`_complex_matmul`), giving Y[g_1, s] on the shared axes g_1,
     and the shared factors' phases are then summed in per point, one
     factor at a time from the last. Only the shared axes span the points.
+
+    K is built and contracted over blocks of the distinct frequencies
+    (:func:`_blocks`), each with about ``BLOCK_ENTRIES`` entries in its
+    largest temporary (the phases and their running product over the
+    terms, or K itself), and fills Y one block at a time: extra memory
+    O(M G_shared + B) for M points, G_shared the size of the shared axes
+    and B = ``BLOCK_ENTRIES``.
     """
     free, shared = block.free, block.shared
-    pattern, coeffs = group.vars[block.terms[0]], group.coeffs[block.terms]
+    pattern, coeffs = group.vars[block.terms[0]], group.coeffs[block.terms[0]]
+    weights = group.weights[block.terms].reshape(-1, 1, 1)
     values, inverse = axes[0]
-    free_phases = [
-        _unit_phases(eigs[k].eigenvalues[:, None] * (coeffs[:, k, None] * values)[:, None, :])
-        for k in free
-    ]
-    # left[t, (g_0 but the last), s] carries the weight and all free factors but the last
-    left = group.weights[block.terms].reshape(-1, 1, 1)
-    for p in free_phases[:-1]:
-        left = (left[:, :, None, :] * p[:, None, :, :]).reshape(len(block.terms), -1, values.size)
-    kernel = np.matmul(left.transpose(2, 1, 0), free_phases[-1].transpose(2, 0, 1))
-    kernel = kernel.reshape(values.size, -1).T  # rows: the free axes in word order
+
+    def kernel(s):  # K[g_0, s] on the frequencies s, rows the free axes in word order
+        distinct = {}
+        phases = []
+        for first, coeff_values, index in block.free_coeffs:
+            if first not in distinct:
+                theta = eigs[first].eigenvalues[:, None] * (coeff_values[:, None] * s)[:, None, :]
+                distinct[first] = _unit_phases(theta)
+            phases.append(distinct[first][index])
+        # left[t, (g_0 but the last), s] carries the weight and all free factors but the last
+        left = weights
+        for p in phases[:-1]:
+            left = (left[:, :, None, :] * p[:, None, :, :]).reshape(weights.size, -1, s.size)
+        product = np.matmul(left.transpose(2, 1, 0), phases[-1].transpose(2, 0, 1))
+        return product.reshape(s.size, -1).T
+
     table = table.transpose(np.concatenate([shared, free]))
-    y = _complex_matmul(table.reshape(-1, kernel.shape[0]), kernel)
+    sizes = table.shape[shared.size :]  # G_k of the free factors
+    rows = np.ascontiguousarray(table.reshape(-1, math.prod(sizes)))
+    # entries per frequency of the largest temporary: a factor's phases or
+    # the running product over the terms, or the kernel
+    width = max(weights.size * max(math.prod(sizes[:-1]), max(sizes)), math.prod(sizes))
+    y = np.empty((rows.shape[0], values.size), dtype=complex)
+    for b in _blocks(values.size, width):
+        _complex_matmul(rows, kernel(values[b]), out=y[:, b])
     y = y.reshape(table.shape[: shared.size] + (values.size,)).take(inverse, axis=-1)
     for k in shared[::-1]:
         vals, inv = axes[pattern[k]]
-        phases = _unit_phases(eigs[k].eigenvalues[:, None] * (vals * coeffs[0, k]))
+        phases = _unit_phases(eigs[k].eigenvalues[:, None] * (vals * coeffs[k]))
         y = np.einsum("...gm,gm->...m", y, phases.take(inv, axis=1))
     return y
 
@@ -940,6 +1008,11 @@ def _weyl_characteristic(observables, rho, pts) -> np.ndarray:
     most |r| sqrt(n) max_v ||A_v|| DIRECTION_TOL in operator norm, and
     the value by no more. The origin needs no direction: there the value is
     Tr rho.
+
+    The directions are diagonalized in blocks of ``BLOCK_ENTRIES // N^2``
+    (:func:`_blocks`), keeping only their eigenvalues and the p_k, shape
+    (D, N) each, so no N x N matrix is held per direction: extra memory
+    O(M N + B) for M points and B = ``BLOCK_ENTRIES``.
     """
     out = np.full(pts.shape[0], np.trace(rho), dtype=complex)
     # points as columns: a max over the short axis of the rows is several times slower
@@ -959,11 +1032,17 @@ def _weyl_characteristic(observables, rho, pts) -> np.ndarray:
     opens = np.concatenate(([True], (np.diff(keys[order], axis=0) != 0).any(axis=1)))
     of_point = np.empty(ray.size, dtype=np.intp)
     of_point[order] = np.cumsum(opens) - 1
-    vals, vecs = _direction_spectra(observables, u[order[opens]])
-    probs = np.einsum("dik,dik->dk", vecs.conj(), rho @ vecs).real
+    directions = u[order[opens]]
+    vals = np.empty((len(directions), rho.shape[0]))
+    probs = np.empty_like(vals)
+    for b in _blocks(len(directions), rho.size):  # N^2 entries per direction
+        vals[b], vecs = _direction_spectra(observables, directions[b])
+        probs[b] = np.einsum("dik,dik->dk", vecs.conj(), rho @ vecs).real
     # r lambda_k as (sign max|s_v|) (length lambda_k): finite wherever s.A's eigenvalues are
+    theta = vals[of_point]
     with np.errstate(over="ignore"):
-        theta = (sign * scale[ray])[:, None] * (length[:, None] * vals[of_point])
+        theta *= length[:, None]
+        theta *= (sign * scale[ray])[:, None]
     if not np.isfinite(theta).all():
         m = int(ray[np.flatnonzero(~np.isfinite(theta).all(axis=1))[0]])
         raise DomainError(f"point {m}: s.A has an eigenvalue beyond the float range")
@@ -976,6 +1055,15 @@ def _direction_spectra(observables, directions):
     dim = observables[0].dim
     stack = np.stack([o.matrix for o in observables]).reshape(len(observables), -1)
     return np.linalg.eigh((directions @ stack).reshape(-1, dim, dim))
+
+
+def _blocks(count, width) -> list:
+    """Consecutive slices covering range(count) of BLOCK_ENTRIES // width items, at least one.
+
+    One slice when everything fits in one block, also for count 0.
+    """
+    step = max(1, BLOCK_ENTRIES // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, max(count, 1), step)]
 
 
 def _unit_phases(theta) -> np.ndarray:

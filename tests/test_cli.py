@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasijoint import cli, distributions
+from quasijoint import analysis, cli, distributions
 
 from analytic_reference import KD_Z_PLUS, wigner_diagonal_half
 
@@ -353,6 +353,27 @@ def test_verify_honours_tol_real(fixtures, tmp_path):
         assert abs(doc["max_abs_imag"] - 0.25) <= 1e-12
         verdicts.append(doc["distribution_real"])
     assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("scheme", ["kirkwood", "s_alpha:0.5"])
+def test_verify_builds_the_atoms_once(fixtures, tmp_path, monkeypatch, scheme):
+    # the scheme realness verdict reads the atoms the distribution was built from
+    build = distributions.build_atoms
+    calls = []
+
+    def counted(spec, observables):
+        calls.append(spec.label)
+        return build(spec, observables)
+
+    monkeypatch.setattr(distributions, "build_atoms", counted)
+    monkeypatch.setattr(analysis, "build_atoms", counted)
+    argv = ["verify", "--scheme", scheme, "--obs", fixtures["j1"], "--obs", fixtures["j2"],
+            "--state", fixtures["y_plus"], "--format", "json"]
+    out = tmp_path / "verify.json"
+    assert run_cli(argv, out) == 0
+    assert len(calls) == 1
+    # Kirkwood-Dirac is not real on the spin-1/2 pair, the split word at 1/2 is
+    assert json.loads(out.read_text())["scheme_real_for_all_states"] == (scheme != "kirkwood")
 
 
 def test_tolerance_flags_only_on_verify(command_lines, capsys):
