@@ -178,7 +178,7 @@ class _BlockGroup(NamedTuple):
 class EntryBlocks(NamedTuple):
     """A reconstruction map split into independent real blocks (:func:`_entry_blocks`).
 
-    ``vectors`` are the eigenvectors U_A of the observable every sequence
+    ``vectors`` are the eigenvectors U_A of the observable every word
     opens and closes on, ``groups`` the blocks by shape
     (:class:`_BlockGroup`), ``singular_values`` those of all blocks,
     descending, and ``kept`` how many lie above the rank cut of the
@@ -199,14 +199,14 @@ class EntryBlocks(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _entry_unknowns(n: int):
-    """The Frobenius-orthonormal real unknowns v of a Hermitian Z, as tables over [i, j].
+    """The Frobenius-orthonormal real unknowns v of a Hermitian Z, as tables over Z's entries.
 
     The unknowns are Z[i, i] (unknown i) and, for pair k = (i, j), i < j,
     of ``quantum._pairs``, sqrt2 Re Z[j, i] (unknown N + 2k) and
     sqrt2 Im Z[j, i] (unknown N + 2k + 1). Returns read-only ``unknown``
-    and ``factor``, both of shape (2, N, 1, N), with
-    Z[j, i] = sum over r of factor[r, i, 0, j] v[unknown[r, i, 0, j]];
-    on the diagonal the second term has factor 0.
+    and ``factor``, both of shape (2, N, N), with
+    Z[j, i] = sum over r of factor[r, j, i] v[unknown[r, j, i]]; on the
+    diagonal the second term has factor 0.
     """
     i, j = _pairs(n)
     k = n + 2 * np.arange(i.size)
@@ -216,11 +216,11 @@ def _entry_unknowns(n: int):
     factor = np.zeros((2, n, n), dtype=complex)
     factor[0] = np.eye(n)
     factor[0, i, j] = factor[0, j, i] = 2**-0.5
-    factor[1, i, j] = 1j * 2**-0.5
-    factor[1, j, i] = -1j * 2**-0.5
+    factor[1, j, i] = 1j * 2**-0.5
+    factor[1, i, j] = -1j * 2**-0.5
     unknown.setflags(write=False)
     factor.setflags(write=False)
-    return unknown[:, :, None], factor[:, :, None]
+    return unknown, factor
 
 
 def _by_component(comp, start):
@@ -234,12 +234,11 @@ def _by_component(comp, start):
 def _entry_blocks(atoms: OperatorAtomSet):
     """The reconstruction map as independent real blocks, or None.
 
-    Applies when every sequence opens and closes on the same nondegenerate
-    observable A (split words, Born-Jordan and their mixtures): a group
-    choice (i, mid, j) then adds weight * chain[i, mid, j] * Z[j, i] to its
-    atom, with Z = U_A^dagger rho U_A, so it touches one Hermitian entry
-    pair {Z[i, j], Z[j, i]}, one or two real unknowns
-    (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
+    Applies when the atoms have one closing (A, A), A nondegenerate (split
+    words, Born-Jordan and their mixtures): a cell (p, i, j, x) then adds
+    x Z[j, i] to the weight of atom p, with Z = U_A^dagger rho U_A, so it
+    touches one Hermitian entry pair {Z[i, j], Z[j, i]}, one or two real
+    unknowns (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
     its connected components, labelled by propagating the least unknown
     (``np.minimum.at`` over the edges), are the blocks: rows Re and Im of
     the component's atoms, columns its unknowns. The unknowns are
@@ -248,24 +247,16 @@ def _entry_blocks(atoms: OperatorAtomSet):
     An unknown no atom touches lies in the kernel. Returns None for any
     other atom set (mixed closings, a degenerate A).
     """
-    closing = {o for seq in atoms.sequences for o in (seq.obs[0], seq.obs[-1])}
-    if len(closing) != 1 or any(seq.chain is None for seq in atoms.sequences):
+    (first, last), *others = atoms.closings
+    if others or first != last or atoms.eigs[first].degenerate:
         return None
-    eig = atoms.eigs[closing.pop()]
-    if eig.degenerate:
-        return None
+    eig = atoms.eigs[first]
     n, p = atoms.dim, len(atoms)
     unknown, factor = _entry_unknowns(n)
-    # one edge per term, group choice and unknown it touches, shape (T, 2, N, M, N)
-    keys, coefs = [], []
-    for seq in atoms.sequences:
-        chain = seq.chain.reshape(n, -1, n)
-        keys.append((seq.targets.reshape(-1, 1, *chain.shape) * (n * n) + unknown).ravel())
-        coefs.append((seq.weights.reshape(-1, 1, 1, 1, 1) * (chain * factor)).ravel())
-    edge_atom, edge_unknown = np.divmod(np.concatenate(keys), n * n)
-    coef = np.concatenate(coefs)
-    kept = edge_atom < p  # a pruned choice targets atom p
-    edge_atom, edge_unknown, coef = edge_atom[kept], edge_unknown[kept], coef[kept]
+    # one edge per cell and unknown it touches, shape (2, C)
+    edge_atom = np.tile(np.repeat(np.arange(p), np.diff(atoms.bounds)), 2)
+    edge_unknown = unknown.reshape(2, -1)[:, atoms.entries].ravel()  # entries are j N + i
+    coef = (factor.reshape(2, -1)[:, atoms.entries] * atoms.values).ravel()
 
     label = np.arange(n * n)
     while True:
@@ -440,15 +431,15 @@ def _singular_value_bounds(form: KirkwoodForm):
 
     The map is a chain: the chart x -> rho(x) - rho(0), with singular
     values in [1, sqrt(N)]; H -> U_B^dagger H U_A, which keeps the
-    Frobenius norm; entry [b, a] times c[a, b], with |c[a, b]| <= 1; and
-    z -> beta z + gamma conj(z) per atom, with singular values
-    |beta| + |gamma| and ||beta| - |gamma||. So the smallest singular value
-    is at least ||beta| - |gamma|| min |c| and the largest at most
-    (|beta| + |gamma|) sqrt(N).
+    Frobenius norm; and, per atom, its entry Z[b, a] -> f Z + g conj(Z),
+    with singular values |f| + |g| and ||f| - |g||. So the smallest
+    singular value is at least min ||f| - |g|| and the largest at most
+    max (|f| + |g|) sqrt(N); for weights beta and gamma of the two words,
+    ||beta| - |gamma|| min |c| and at most (|beta| + |gamma|) sqrt(N).
     """
-    b, g = abs(form.beta), abs(form.gamma)
-    lower = abs(b - g) * float(np.abs(form.overlaps).min())
-    return lower, (b + g) * float(np.sqrt(form.overlaps.shape[0]))
+    f, g = np.abs(form.forward), np.abs(form.reverse)
+    lower = float(np.abs(f - g).min())
+    return lower, float((f + g).max() * np.sqrt(f.shape[0]))
 
 
 def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
@@ -471,7 +462,7 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     ``linalg.INVERSION_FLOOR`` also keeps the closed-form inversion
     accurate. Such a map is neither built nor decomposed here.
 
-    Atoms whose sequences all open and close on one nondegenerate
+    Atoms whose words all open and close on one nondegenerate
     observable A (split words, Born-Jordan and their mixtures) split the
     map into independent blocks over entry pairs of U_A^dagger rho U_A
     (:func:`_entry_blocks`). Its rank is the number of block singular
@@ -520,23 +511,23 @@ def _fitted_state(rho, weights_of, target) -> np.ndarray:
 def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
 
-    Per atom, w = beta K + gamma conj(K) gives
-    K = (conj(beta) w - gamma conj(w)) / (|beta|^2 - |gamma|^2); then
-    Z[b, a] = K[a, b] / c[a, b] and rho = U_B Z U_A^dagger, kept as
+    Per atom, w = f Z + g conj(Z) gives
+    Z = (conj(f) w - g conj(w)) / (|f|^2 - |g|^2) for Z[b, a] of
+    Z = U_B^dagger rho U_A; then rho = U_B Z U_A^dagger, kept as
     :func:`_fitted_state` keeps it. Its weights are checked through the
     form too, in O(N^3), which is cheaper than ``weights_for``.
     """
     form = rmap.closed_form
     u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
-    beta, gamma = form.beta, form.gamma
+    f, g = form.forward, form.reverse
     w = aligned[form.index]
-    k = (beta.conjugate() * w - gamma * w.conj()) / (abs(beta) ** 2 - abs(gamma) ** 2)
+    z = (f.conj() * w - g * w.conj()) / (np.abs(f) ** 2 - np.abs(g) ** 2)
 
     def weights_of(rho):
-        k = form.overlaps * (u_b.conj().T @ rho @ u_a).T
-        return beta * k + gamma * k.conj()
+        z = (u_b.conj().T @ rho @ u_a).T
+        return f * z + g * z.conj()
 
-    return _fitted_state(u_b @ (k / form.overlaps).T @ u_a.conj().T, weights_of, w)
+    return _fitted_state(u_b @ z.T @ u_a.conj().T, weights_of, w)
 
 
 def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
@@ -557,7 +548,7 @@ def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
         x = (g.u.transpose(0, 2, 1) @ b) / g.s[..., None]
         v[g.unknowns] = (g.vt.transpose(0, 2, 1) @ x)[..., 0]
     unknown, factor = _entry_unknowns(n)
-    z = (factor * v[unknown]).sum(axis=0)[:, 0].T
+    z = (factor * v[unknown]).sum(axis=0)
     u_a = rmap.blocks.vectors
     return _fitted_state(u_a @ z @ u_a.conj().T, rmap.atoms.weights_for, aligned)
 

@@ -17,19 +17,19 @@ sum. Coordinates within ``linalg.COORD_TOL`` merge into one atom and
 atoms below ``linalg.ROUNDING_TOL`` are dropped; these rules are the same
 as for the scalar definition.
 
-An atom set stores the chains, not the N x N atoms: one record per
-observable sequence, holding its chain and, for all terms that visit it in
-that order, their weights and the atom each choice lands in. Pairing atoms
-with a state by the trace gives the (generally complex) joint weights; each
-chain is closed with the state once and its terms are scattered onto the
-atoms in one step, so weights, like the prune, form no atom matrix.
-Closing the chains against one matrix at a time serves every other trace:
-the prune's entrywise fallback reads the weights against the N^2 matrix
-units, realness and the reconstruction map those against the coordinate
-chart, each reducing as it goes. The adjoint gathers one coefficient per
-atom back onto each chain and sums it: the identity check, and the
-quantization of a classical function, whose trace with a state is its
-quasi-expectation. Both sides of that duality live here.
+A word that opens on observable F and closes on L puts U_F X U_L^dagger
+on its atoms, X sparse, so an atom set stores no N x N atom but a table
+of cells: per atom, closing (F, L) and eigenvector pair (i, j), the summed
+weight x of the choices landing there, all found by one sort. Pairing
+atoms with a state by the trace gives the (generally complex) joint
+weights: each cell gathers one entry of U_L^dagger rho U_F. The same
+gather against one matrix at a time serves every other trace (realness
+and the reconstruction map read the coordinate chart), and the prune
+reads its bounds off the cells, forming only the atoms left between them.
+The adjoint scatters one coefficient per atom onto the cells' entries:
+the identity check, and the quantization of a classical function, whose
+trace with a state is its quasi-expectation. Both sides of that duality
+live here.
 
 Characteristic functions of product schemes close the same overlap chain
 with the state instead of with eigenvectors: one table of weights
@@ -314,50 +314,42 @@ def scheme_alternating(x_coeffs, y_coeffs, first_var: int = 0) -> SchemeSpec:
     return SchemeSpec(2, ((1.0, word),), label="alternating")
 
 
-class _Sequence(NamedTuple):
-    """The scheme terms whose words visit one observable sequence, as an atom set stores them."""
-
-    obs: tuple  # observable index of each factor
-    chain: np.ndarray  # overlap chain of the sequence (:func:`_overlap_chain`), None for one factor
-    weights: np.ndarray  # term weights, shape (T,)
-    targets: np.ndarray  # atom of each term's group choices, shape (T, G); len(points) where pruned
-
-
 class KirkwoodForm(NamedTuple):
-    """Atom weights as beta K + gamma conj(K), K the Kirkwood-Dirac weights.
+    """Atom weights as f Z + g conj(Z) per atom (:meth:`OperatorAtomSet.kirkwood_form`)."""
 
-    See :meth:`OperatorAtomSet.kirkwood_form`.
-    """
-
-    overlaps: np.ndarray  # c = U_A^dagger U_B, shape (N, N)
-    beta: complex  # total weight of the words A then B
-    gamma: complex  # total weight of the words B then A
+    forward: np.ndarray  # beta c[a, b] of the atom on eigenvector pair [a, b], shape (N, N)
+    reverse: np.ndarray  # gamma conj(c[a, b]) of that atom, shape (N, N)
     index: np.ndarray  # atom of the eigenvector pair [a, b], shape (N, N)
 
 
 @dataclass(frozen=True)
 class OperatorAtomSet:
-    """Operator-valued atoms on a finite support, stored by their factors.
+    """Operator-valued atoms on a finite support, stored as sparse closing tables.
 
     ``points`` has shape (P, n_vars) with rows sorted lexicographically.
     Atoms sum to the identity, and for each variable the atoms sharing an
     eigenvalue coordinate sum to the corresponding spectral projector.
 
-    The atoms are kept as the factors they are made of: the observables'
-    eigensystems ``eigs`` and one record per observable sequence
-    (``sequences``): its overlap chain and, for every scheme term whose word
-    visits it in that order, the term weight and the atom each group choice
-    lands in. A reversed word is a sequence of its own. Joint weights
-    (:meth:`weights_for`, against one matrix) close those chains and sums
-    of atoms (:meth:`operator_for`: the identity check, :func:`quantize`,
-    marginal operators) sum them, one scatter or gather per sequence, so
-    neither forms an N x N atom.
+    A word that opens on observable F and closes on L adds U_F X U_L^dagger
+    to its atoms, U the eigenvector matrices, so the atoms are kept as the
+    eigensystems ``eigs``, the distinct closing pairs (F, L) (``closings``)
+    and a table of cells: atom p holds x at [i, j] of X_p^k on closing k,
+    and A_p is the sum over k of U_F X_p^k U_L^dagger. The cells of atom p
+    are ``bounds[p]:bounds[p + 1]``, ``entries`` holds k N^2 + j N + i,
+    their place in the stack of closing matrices U_L^dagger M U_F, and
+    ``values`` the x: one cell, about 24 bytes, per distinct (atom,
+    closing, i, j), at most T N M N for a word of T terms with M middle
+    group choices. Traces (:meth:`weights_for`) gather the cells from that
+    stack and sums of atoms (:meth:`operator_for`) scatter them onto it.
     """
 
     n_vars: int
     points: np.ndarray
     eigs: tuple
-    sequences: tuple = field(repr=False)
+    closings: tuple  # (F, L) observable indices per closing
+    bounds: np.ndarray = field(repr=False)
+    entries: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -367,110 +359,76 @@ class OperatorAtomSet:
     def __len__(self):
         return self.points.shape[0]
 
-    def _collect(self, table, weights) -> np.ndarray:
-        """Per atom, the sum of weight * table(sequence)[g] over every term's group choices g.
-
-        ``weights`` holds one array of term weights per sequence. A table has
-        the group axes of its sequence; each sequence scatters all its terms
-        at once.
-        """
-        out = np.zeros(len(self) + 1, dtype=complex)  # the last slot takes pruned choices
-        for s, w in zip(self.sequences, weights):
-            # ufunc.at leaves its fast path when it has to cast, say real into complex
-            vals = (w[:, None] * table(s).reshape(1, -1)).astype(complex, copy=False)
-            np.add.at(out, s.targets.reshape(-1), vals.reshape(-1))
-        return out[:-1]
-
     def weights_for(self, matrix) -> np.ndarray:
         """Trace of each atom against one N x N matrix, shape (P,).
 
-        Each observable sequence closes its chain with the matrix
-        (:func:`_word_weights`). Every trace of the atoms goes through here
-        (joint weights, the prune fallback, realness, the reconstruction
-        map), one matrix per call; :meth:`operator_for` is its adjoint.
+        Tr(U_F E_ij U_L^dagger M) is (U_L^dagger M U_F)[j, i], so each cell
+        gathers its entry of its closing matrix, and the products are summed
+        per atom. Every trace of the atoms goes through here (joint weights,
+        realness, the reconstruction map), one matrix per call;
+        :meth:`operator_for` is its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"expected one {self.dim} x {self.dim} matrix, got shape {m.shape}"
             )
-        return self._collect(
-            lambda s: _word_weights([self.eigs[o] for o in s.obs], m, s.chain),
-            [s.weights for s in self.sequences],
-        )
-
-    def _block_norms(self, s: _Sequence) -> np.ndarray:
-        """Per group choice of a sequence, the sum of |chain| over its block.
-
-        Eigenvectors have unit norm, so this bounds every entry of the
-        choice's projector product.
-        """
-        first, last = self.eigs[s.obs[0]], self.eigs[s.obs[-1]]
-        if s.chain is None:
-            return np.asarray(first.multiplicities, dtype=float)
-        return _group_sum(_group_sum(np.abs(s.chain), first, axis=0), last, axis=-1)
+        stack = np.stack([self.eigs[last].vectors.conj().T @ m @ self.eigs[first].vectors
+                          for first, last in self.closings])
+        return np.add.reduceat(self.values * stack.reshape(-1)[self.entries], self.bounds[:-1])
 
     def operator_for(self, values) -> np.ndarray:
         """Sum of values[p] * A_p over the atoms, shape (N, N): the adjoint of :meth:`weights_for`.
 
-        Per sequence, one gather weights @ values[targets] gives a table over
-        the group choices (pruned choices carry nothing). With the products
-        as in :func:`_overlap_chain`, the sum of table[g] P_1[g_1] ... P_L[g_L]
-        is U_1 X U_L^dagger, X the chain times the table expanded from groups to
-        columns on its end axes, summed over the middle groups (diag(table) for
-        one factor).
+        Each cell scatters values[p] x onto Y_k[i, j] of its closing, and the
+        sum is that of U_F Y_k U_L^dagger over the closings.
         """
-        c = np.zeros(len(self) + 1, dtype=complex)
-        c[:-1] = values  # one value per atom: a wrong length raises
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for s in self.sequences:
-            eigs = [self.eigs[o] for o in s.obs]
-            first, last = eigs[0], eigs[-1]
-            x = (s.weights @ c[s.targets]).reshape([len(e.multiplicities) for e in eigs])
-            x = np.repeat(x, first.multiplicities, axis=0) if first.degenerate else x
-            if s.chain is None:
-                x = np.diag(x)
-            else:
-                x = (np.repeat(x, last.multiplicities, axis=-1) if last.degenerate else x) * s.chain
-                x = x.sum(axis=tuple(range(1, x.ndim - 1)))
-            total += first.vectors @ x @ last.vectors.conj().T
-        return total
+        # one value per atom: a wrong length raises
+        coefs = np.repeat(np.asarray(values, dtype=complex), np.diff(self.bounds))
+        return self._scatter(coefs * self.values)
+
+    def _scatter(self, coefs, cells=slice(None)) -> np.ndarray:
+        """Sum over the ``cells`` of coefs[c] U_F E_ij U_L^dagger, shape (N, N)."""
+        n = self.dim
+        y = np.zeros(len(self.closings) * n * n, dtype=complex)
+        np.add.at(y, self.entries[cells], coefs)
+        return sum(
+            self.eigs[first].vectors @ yt.T @ self.eigs[last].vectors.conj().T
+            for (first, last), yt in zip(self.closings, y.reshape(-1, n, n))
+        )
 
     def identity_defect(self) -> float:
-        """Max-norm distance of the kept atoms' sum from the identity (:meth:`operator_for`)."""
-        return float(np.abs(self.operator_for(np.ones(len(self))) - np.eye(self.dim)).max())
+        """Max-norm distance of the kept atoms' sum from the identity, every cell scattered once."""
+        return float(np.abs(self._scatter(self.values) - np.eye(self.dim)).max())
 
     def kirkwood_form(self):
         """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
 
-        For nondegenerate A (observable 0) and B (observable 1) with
-        eigenvectors u_a and v_b, the word A then B has the weight
-        K[a, b] = Tr(M P_a Q_b) = c[a, b] (U_B^dagger M U_A)[b, a] with
-        c = U_A^dagger U_B, and the word B then A has conj(K[a, b]) for
-        Hermitian M. Returns a :class:`KirkwoodForm` when every sequence is
-        one of these two, every term of a sequence lands its choices on the
-        same atoms, and there are N^2 atoms with choice (a, b) of the one
-        and (b, a) of the other on atom index[a, b]: N^2 choices then fill
-        N^2 atoms, so ``index`` is a permutation and the weight of atom
-        index[a, b] is beta K[a, b] + gamma conj(K[a, b]). Returns None
-        otherwise (split words, degenerate spectra, merged or pruned atoms).
+        For nondegenerate A (observable 0) and B (observable 1), a cell
+        (a, b, f) on closing (A, B) adds f Z to its atom's weight and one
+        (b, a, g) on (B, A) adds g conj(Z), Z = (U_B^dagger M U_A)[b, a],
+        for Hermitian M: f = beta c[a, b] and g = gamma conj(c[a, b]) for
+        words A then B and B then A of weights beta and gamma, with
+        c = U_A^dagger U_B. Returns the form when each atom's cells lie on
+        one pair [a, b] of those closings and the N^2 atoms take the N^2
+        pairs; otherwise None (split words, degenerate spectra, merged or
+        pruned atoms).
         """
         n = self.dim
-        if len(self) != n * n or any(e.degenerate for e in self.eigs[:2]):
+        two_words = set(self.closings) <= {(0, 1), (1, 0)}
+        if len(self) != n * n or not two_words or any(e.degenerate for e in self.eigs[:2]):
             return None
-        weights = {(0, 1): 0.0, (1, 0): 0.0}
-        index = overlaps = None
-        for s in self.sequences:
-            if s.obs not in weights or (s.targets != s.targets[0]).any():
-                return None
-            forward = s.obs == (0, 1)
-            pairs = s.targets[0].reshape(n, n)
-            pairs = pairs if forward else pairs.T
-            if index is not None and not np.array_equal(index, pairs):
-                return None
-            weights[s.obs] = complex(s.weights.sum())
-            index, overlaps = pairs, s.chain if forward else s.chain.conj().T
-        return KirkwoodForm(overlaps, weights[(0, 1)], weights[(1, 0)], index)
+        k, j, i = np.unravel_index(self.entries, (len(self.closings), n, n))
+        forward = np.array([c == (0, 1) for c in self.closings])[k]
+        pair = np.where(forward, i * n + j, j * n + i)  # a n + b
+        first = pair[self.bounds[:-1]]
+        index = np.argsort(first)  # the atom of each pair, if each has one
+        one_pair = (pair == np.repeat(first, np.diff(self.bounds))).all()
+        if not one_pair or (first[index] != np.arange(n * n)).any():
+            return None
+        coefs = np.zeros((2, n * n), dtype=complex)
+        coefs[np.where(forward, 0, 1), pair] = self.values
+        return KirkwoodForm(*coefs.reshape(2, n, n), index.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -601,23 +559,21 @@ def _overlap_chain(eigs):
     return chain
 
 
-def _word_weights(eigs, rho, chain=None) -> np.ndarray:
+def _word_weights(eigs, rho) -> np.ndarray:
     """Trace of a matrix against every projector product of a word.
 
     Returns shape (G_1, ..., G_L) with entry [g_1, ..., g_L] equal to
     Tr(rho P_1[g_1] ... P_L[g_L]). The trace of u_i c[...] v_j^dagger is
-    c[...] (U_L^dagger rho U_1)[j, i], so the word's overlap chain
-    (computed here unless given) is closed with that one matrix in one
-    broadcast and summed over the first and last groups. No projector
-    product and no atom matrix is formed.
+    c[...] (U_L^dagger rho U_1)[j, i], so the word's overlap chain is
+    closed with that one matrix in one broadcast and summed over the first
+    and last groups. No projector product is formed.
     """
     first, last = eigs[0], eigs[-1]
     closing = (last.vectors.conj().T @ rho @ first.vectors).T  # [i, j] = (U_L^dagger rho U_1)[j, i]
     if len(eigs) == 1:
         return _group_sum(np.diagonal(closing), first, axis=0)
-    if chain is None:
-        chain = _overlap_chain(eigs)
     closing = closing.reshape((first.dim,) + (1,) * (len(eigs) - 2) + (last.dim,))
+    chain = _overlap_chain(eigs)
     return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=len(eigs) - 1)
 
 
@@ -662,52 +618,96 @@ def _group_coordinates(group: _TermGroup, eigs, n_vars) -> np.ndarray:
     return coords.reshape(terms.size, n_vars, -1).transpose(0, 2, 1).reshape(-1, n_vars)
 
 
-def _probe_lower_bound(atoms: OperatorAtomSet) -> np.ndarray:
-    """|Tr(A_p M)| / sum |M| for one fixed M: at most each atom's max-norm.
+def _group_cells(group: _TermGroup, eigs, keys, closings):
+    """A group's candidates per eigenvector column pair: their cell keys and values, flat.
 
-    M has unit-modulus entries with quasi-random phases, 2 pi frac(k phi)
-    over the golden ratio phi, so sum |M| = N^2; it needs no random
-    generator, whose import costs about 15 ms in a new process.
+    ``keys`` holds the point key of each term's group choices, shifted
+    past the cells a point can hold. The end group axes expand to the
+    eigenvector columns i and j, k N^2 + j N + i is added for the group's
+    closing k, and the value is weight * chain[i, mid, j]
+    (:func:`_overlap_chain`); a one-factor word puts its weight on [i, i].
     """
-    n = atoms.dim
-    golden = (1 + 5**0.5) / 2
-    m = np.exp(2j * np.pi * (np.arange(1, n * n + 1) * golden % 1.0)).reshape(n, n)
-    return np.abs(atoms.weights_for(m)) / (n * n)
+    eigs = [eigs[o] for o in group.obs]
+    first, last, weights = eigs[0], eigs[-1], group.weights
+    n, t = first.dim, weights.size
+    offset = closings.index((group.obs[0], group.obs[-1])) * n * n
+    cols = np.arange(n)
+    if len(eigs) == 1:
+        keys = keys.reshape(t, -1)
+        keys = np.repeat(keys, first.multiplicities, axis=1) if first.degenerate else keys
+        return (keys + (cols * (n + 1) + offset)).ravel(), np.repeat(weights, n)
+    keys = keys.reshape(t, first.eigenvalues.size, -1, last.eigenvalues.size)
+    keys = np.repeat(keys, first.multiplicities, axis=1) if first.degenerate else keys
+    keys = np.repeat(keys, last.multiplicities, axis=3) if last.degenerate else keys
+    chain = _overlap_chain(eigs).reshape(n, -1, n)
+    keys = keys + (cols[:, None, None] + (n * cols + offset))
+    return keys.ravel(), (weights[:, None, None, None] * chain).ravel()
 
 
-def _entry_max_norms(atoms: OperatorAtomSet) -> np.ndarray:
-    """Each atom's max-norm max |A_p[i, j]|, read one matrix unit at a time.
+def _norm_bounds(atoms: OperatorAtomSet):
+    """(lower, upper) bounds on each atom's max-norm max |A_p[i, j]|, read off the cells.
 
-    A_p[i, j] is Tr(A_p E_ji) for the matrix unit E_ji, so the norms are a
-    running max of |:meth:`~OperatorAtomSet.weights_for`| over the N^2
-    units; no atom matrix and no stack of units is formed.
+    Upper: ||A_p||_F, at most the sum over closings of ||X_p^k||_F as U_F
+    and U_L are unitary. Lower: |u^dagger A_p v| / N for the unit vectors
+    u = U_F[:, i] and v = U_L[:, j] of the atom's largest cell (i, j, x).
+    On one closing that is |x| / N; on mixed closings, the sum over the
+    atom's cells (F', L', i', j', x') of x' (U_F^dagger U_F')[i, i']
+    (U_L'^dagger U_L)[j', j], the overlap of a basis with itself the identity.
     """
-    n = atoms.dim
-    norms = np.zeros(len(atoms))
-    unit = np.zeros((n, n), dtype=complex)
-    for i, j in np.ndindex(n, n):
-        unit[j, i] = 1.0
-        np.maximum(norms, np.abs(atoms.weights_for(unit)), out=norms)
-        unit[j, i] = 0.0
-    return norms
+    n, p, width = atoms.dim, len(atoms), len(atoms.closings)
+    atom = np.repeat(np.arange(p), np.diff(atoms.bounds))
+    size = np.abs(atoms.values)
+    lower = np.zeros(p)
+    np.maximum.at(lower, atom, size)
+    if width == 1:
+        return lower / n, np.sqrt(np.bincount(atom, size * size, p))
+    k, j, i = np.unravel_index(atoms.entries, (width, n, n))
+    upper = np.sqrt(np.bincount(atom * width + k, size * size, p * width)).reshape(p, width)
+    top = np.empty(p, dtype=np.intp)
+    largest = np.flatnonzero(size == lower[atom])
+    top[atom[largest]] = largest  # a largest cell of each atom
+    top, kt = top[atom], k[top[atom]]
+    u = [e.vectors for e in atoms.eigs]
+    overlap = np.array([[u[a].conj().T @ u[b] if a != b else np.eye(n) for b in range(len(u))]
+                        for a in range(len(u))])
+    firsts, lasts = np.array(atoms.closings).T
+    terms = overlap[firsts[:, None], firsts].reshape(-1)[((kt * width + k) * n + i[top]) * n + i]
+    terms *= overlap[lasts[:, None], lasts].reshape(-1)[((k * width + kt) * n + j) * n + j[top]]
+    sums = np.zeros(p, dtype=complex)
+    np.add.at(sums, atom, terms * atoms.values)
+    return np.abs(sums) / n, upper.sum(axis=1)
 
 
-def _prune_mask(atoms: OperatorAtomSet) -> np.ndarray:
-    """Atoms whose max-norm reaches ``linalg.ROUNDING_TOL``, decided without forming them.
+def _max_norms(atoms: OperatorAtomSet, which) -> np.ndarray:
+    """Max-norm of each atom in ``which``, formed densely from its own cells."""
+    cells = (slice(atoms.bounds[p], atoms.bounds[p + 1]) for p in which)
+    return np.array([np.abs(atoms._scatter(atoms.values[c], c)).max() for c in cells])
 
-    An atom is dropped when an upper bound on its entries, the sum over
-    its group choices of |term weight| times the choice's
-    :meth:`~OperatorAtomSet._block_norms`, lies below the tolerance, and
-    kept when the lower bound :func:`_probe_lower_bound` reaches it. If
-    any atom lies between its bounds, the verdict for all is read off the
-    atoms' entries (:func:`_entry_max_norms`).
+
+def _prune(atoms: OperatorAtomSet) -> OperatorAtomSet:
+    """The atoms whose max-norm reaches ``linalg.ROUNDING_TOL``, decided off the cells.
+
+    An atom is dropped when its upper bound (:func:`_norm_bounds`) lies
+    below the tolerance and kept when its lower bound reaches it; the few
+    in between, the residue, are formed from their cells (:func:`_max_norms`).
     """
     tol = linalg.ROUNDING_TOL
-    upper = atoms._collect(atoms._block_norms, [np.abs(s.weights) for s in atoms.sequences]).real
-    keep = _probe_lower_bound(atoms) >= tol
-    if not (keep | (upper < tol)).all():
-        keep = _entry_max_norms(atoms) >= tol
-    return keep
+    lower, upper = _norm_bounds(atoms)
+    keep = lower >= tol
+    residue = np.flatnonzero(~keep & (upper >= tol))
+    if residue.size:
+        keep[residue] = _max_norms(atoms, residue) >= tol
+    if keep.all():
+        return atoms
+    counts = np.diff(atoms.bounds)
+    cells, counts = np.repeat(keep, counts), counts[keep]
+    return replace(
+        atoms,
+        points=atoms.points[keep],
+        bounds=np.concatenate(([0], np.cumsum(counts))),
+        entries=atoms.entries[cells],
+        values=atoms.values[cells],
+    )
 
 
 def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
@@ -721,20 +721,20 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
 
     All products of one word are fixed by one contraction of the
     eigenvector overlaps U_k^dagger U_{k+1} (:func:`_overlap_chain`), so
-    no projector is multiplied per choice. Terms whose words visit the same
+    no projector is multiplied per choice: the choice (i, mid, j) of a word
+    that opens on F and closes on L adds weight * chain[i, mid, j] at
+    [i, j] of X in U_F X U_L^dagger. Terms whose words visit the same
     observables in the same order (one of ``spec.groups``) share that
-    contraction and differ only in weight and coordinates, which are
-    computed for all of them in one broadcast (:func:`_group_coordinates`).
-    So the returned set keeps one record per observable sequence: its
-    chain, the term weights and the atom of each term's group choices, not
-    the products (see :class:`OperatorAtomSet`).
-    A reversed word is a sequence of its own with its own chain. The merge
-    and prune rules are those of the scalar definition: coordinates within
-    ``linalg.COORD_TOL`` of each other (per variable, chained over sorted
-    values) merge into one atom at the rounded cluster mean, and merged
-    atoms below ``linalg.ROUNDING_TOL`` in max-norm are dropped; the prune
-    reads bounds off the chains (:func:`_prune_mask`). The atom sum must be
-    the identity within ``linalg.DEFECT_TOL``.
+    contraction, and their coordinates come in one broadcast
+    (:func:`_group_coordinates`). The merge and prune rules are those of
+    the scalar definition: coordinates within ``linalg.COORD_TOL`` of each
+    other (per variable, chained over sorted values) merge into one atom
+    at the rounded cluster mean, and merged atoms below
+    ``linalg.ROUNDING_TOL`` in max-norm are dropped. Every choice is keyed
+    on (point, closing, j, i), so one stable sort gives the atoms and
+    their cells (:class:`OperatorAtomSet`), repeated keys summed in
+    order, and the prune reads its bounds off the cells (:func:`_prune`).
+    The atom sum must be the identity within ``linalg.DEFECT_TOL``.
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -743,46 +743,54 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
         )
     _check_observables(spec.n_vars, observables)
     eigs = tuple(o.eig for o in observables)
-
-    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], spec.n_vars) for g in spec.groups]
-    offsets = np.cumsum([0] + [c.shape[0] for c in coords])
-    all_coords = np.concatenate(coords)
-    reps, ids = zip(
-        *(_cluster_values(all_coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars))
-    )
-    # integer row keys sort as the rows of cluster ids do lexicographically,
-    # so an integer np.unique replaces a row-wise one
-    _, first, targets = np.unique(
-        np.ravel_multi_index(ids, [r.size for r in reps]), return_index=True, return_inverse=True
-    )
-    points = np.column_stack([r[i[first]] for r, i in zip(reps, ids)])
-
-    sequences = tuple(
-        _Sequence(
-            g.obs,
-            _overlap_chain([eigs[o] for o in g.obs]),
-            g.weights,
-            targets[lo:hi].reshape(len(g.weights), -1),
-        )
-        for g, lo, hi in zip(spec.groups, offsets[:-1], offsets[1:])
-    )
+    points, *table = _cell_table(spec, eigs)
     meta = {
         "scheme": spec.label,
         "observables": tuple(o.label for o in observables),
         "approximate": spec.approximate,
     }
-    atoms = OperatorAtomSet(spec.n_vars, points, eigs, sequences, meta)
-    keep = _prune_mask(atoms)
-    if not keep.all():
-        index = np.where(keep, np.cumsum(keep) - 1, np.count_nonzero(keep))
-        sequences = tuple(s._replace(targets=index[s.targets]) for s in sequences)
-        atoms = replace(atoms, points=points[keep], sequences=sequences)
+    atoms = _prune(OperatorAtomSet(spec.n_vars, points, eigs, *table, meta))
     defect = atoms.identity_defect()
     if not defect <= linalg.DEFECT_TOL:
         raise QuasiJointError(
             f"atom normalization failed: identity defect {defect:.3e}"
         )
     return atoms
+
+
+def _cell_table(spec: SchemeSpec, eigs) -> tuple:
+    """Points and cells of the unpruned atoms, as the fields of :class:`OperatorAtomSet`."""
+    n = eigs[0].dim
+    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], spec.n_vars) for g in spec.groups]
+    offsets = np.cumsum([0] + [c.shape[0] for c in coords])
+    coords = np.concatenate(coords)
+    reps, ids = zip(*(_cluster_values(coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)))
+    closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in spec.groups))
+    # bits of the cells a point can hold, k N^2 + j N + i
+    shift = (len(closings) * n * n - 1).bit_length()
+    sizes = [r.size for r in reps]
+    # integer keys sort as the rows of cluster ids do lexicographically
+    points_keys = np.ravel_multi_index((*ids, 0), sizes + [1 << shift])
+    del coords, ids  # freed before the candidates' cells are built
+    keys, values = zip(*(
+        _group_cells(g, eigs, points_keys[lo:hi], closings)
+        for g, lo, hi in zip(spec.groups, offsets[:-1], offsets[1:])
+    ))
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    opens = np.concatenate(([True], keys[1:] != keys[:-1]))
+    cells = np.flatnonzero(opens)
+    x = values[order[cells]]
+    repeats = np.flatnonzero(~opens)  # candidates on a cell already open: add in order
+    np.add.at(x, np.cumsum(opens)[repeats] - 1, values[order[repeats]])
+    keys = keys[cells]
+    point, entries = keys >> shift, keys & ((1 << shift) - 1)
+    bounds = np.flatnonzero(np.concatenate(([True], point[1:] != point[:-1], [True])))
+    points = np.column_stack(
+        [r[i] for r, i in zip(reps, np.unravel_index(point[bounds[:-1]], sizes))]
+    )
+    return points, closings, bounds, entries, x
 
 
 def evaluate_distribution(
@@ -844,7 +852,7 @@ def quantize(f, atoms: OperatorAtomSet) -> np.ndarray:
     """Operator for a classical function: sum over x of f(x) atom(x).
 
     ``f`` is called with the coordinates unpacked, e.g. ``f(x, y)`` for two
-    variables; the sum is read off the chains (:meth:`OperatorAtomSet.operator_for`).
+    variables; the sum is read off the cells (:meth:`OperatorAtomSet.operator_for`).
     """
     return atoms.operator_for([f(*p) for p in atoms.points])
 
@@ -933,17 +941,17 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
 
     def kernel(s):  # K[g_0, s] on the frequencies s, rows the free axes in word order
         distinct = {}
-        phases = []
-        for first, coeff_values, index in block.free_coeffs:
+        for first, coeff_values, _ in block.free_coeffs:
             if first not in distinct:
                 theta = eigs[first].eigenvalues[:, None] * (coeff_values[:, None] * s)[:, None, :]
                 distinct[first] = _unit_phases(theta)
-            phases.append(distinct[first][index])
-        # left[t, (g_0 but the last), s] carries the weight and all free factors but the last
+        # left[t, (g_0 but the last), s]: weight times the free factors but the last, gathered as used
         left = weights
-        for p in phases[:-1]:
-            left = (left[:, :, None, :] * p[:, None, :, :]).reshape(weights.size, -1, s.size)
-        product = np.matmul(left.transpose(2, 1, 0), phases[-1].transpose(2, 0, 1))
+        for first, _, index in block.free_coeffs[:-1]:
+            left = left[:, :, None, :] * distinct[first][index][:, None, :, :]
+            left = left.reshape(weights.size, -1, s.size)
+        first, _, index = block.free_coeffs[-1]
+        product = np.matmul(left.transpose(2, 1, 0), distinct[first][index].transpose(2, 0, 1))
         return product.reshape(s.size, -1).T
 
     table = table.transpose(np.concatenate([shared, free]))

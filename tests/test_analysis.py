@@ -181,7 +181,7 @@ def test_reconstruct_named_states(spin_half, spin_one, z_plus):
 
 
 def test_reconstruct_round_trip(spin_half, spin_one, monkeypatch):
-    # the map, the weights and the inversion read the atoms through their chains
+    # the map, the weights and the inversion read the atoms through their cells
     _forbid_dense_atoms(monkeypatch)
     rng = np.random.default_rng(52)
     for spin in (spin_half, spin_one):

@@ -1,14 +1,15 @@
-"""Atom sets stored by their factors against the dense oracle.
+"""Atom sets stored as closing tables against the dense oracle.
 
-``build_atoms`` keeps the overlap chains, not the atom matrices: joint
-weights, the identity check and the prune verdict are read off the
-chains, and so are sums of atoms (``operator_for``, the adjoint of
-``weights_for``). On random pairs under every scheme constructor and on
-spin pairs up to j = 3, they must match the brute-force oracle within
-1e-12 (points exactly), and none of them may read the atoms entry by
-entry. ``weights_for`` takes exactly one N x N matrix, and the prune's
-entrywise fallback keeps the atoms the oracle's dense max-norm keeps,
-also on the spin-23/2 pair, where the fallback reads 576 matrix units.
+``build_atoms`` keeps sparse cells per closing pair, not the atom
+matrices: joint weights, the identity check and the prune verdict are
+read off the cells, and so are sums of atoms (``operator_for``, the
+adjoint of ``weights_for``). On random pairs under every scheme
+constructor and on spin pairs up to j = 3, they must match the
+brute-force oracle within 1e-12 (points exactly), and on small spin
+pairs no atom may be formed densely. ``weights_for`` takes exactly one
+N x N matrix, and the prune's residue, the atoms between its two bounds,
+formed densely from their own cells, keeps the atoms the oracle's dense
+max-norm keeps, also on the spin-23/2 pair.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from quasijoint.errors import DimensionMismatchError
 
 import atoms_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
+from test_invariants import _planted_zero_pair
 
 
 def _traces(matrices, m):
@@ -105,13 +107,14 @@ SPIN_SCHEMES = (
 
 
 def _forbid_dense_atoms(patch):
-    def forbidden(atoms):
-        raise AssertionError("atoms read entry by entry")
+    def forbidden(atoms, which):
+        raise AssertionError("atoms formed densely")
 
-    patch.setattr(distributions, "_entry_max_norms", forbidden)
+    patch.setattr(distributions, "_max_norms", forbidden)
 
 
 def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
+    # on spin j <= 3/2 the prune's bounds decide every atom: no residue
     _forbid_dense_atoms(monkeypatch)
     rng = np.random.default_rng(4)
     for j_times_two in (1, 2, 3):
@@ -130,46 +133,75 @@ def test_weights_and_checks_form_no_dense_atoms(monkeypatch):
                 qj.diag_equality_check(spec, pair)
 
 
-def _count_entry_reads(patch):
-    calls = []
-    entry_max_norms = distributions._entry_max_norms
+def test_margenau_hill_bounds_decide_every_atom(monkeypatch):
+    # MH(0) has beta = gamma, where the reverse triangle inequality between
+    # its two closings gives 0; the bound through the closings' overlaps
+    # keeps every atom out of the residue
+    _forbid_dense_atoms(monkeypatch)
+    spin = qj.spin_operators(23)
+    rng = np.random.default_rng(32)
+    random_pair = tuple(qj.HermitianObservable(qj.random_hermitian(32, rng), f"O{v}") for v in range(2))
+    for pair in ((spin.j1, spin.j2), random_pair):
+        qj.build_atoms(qj.scheme_margenau_hill(0.0), pair)
 
-    def counted(atoms):
-        calls.append(1)
-        return entry_max_norms(atoms)
 
-    patch.setattr(distributions, "_entry_max_norms", counted)
-    return calls
+def _count_residue(patch):
+    residues = []
+    max_norms = distributions._max_norms
+
+    def counted(atoms, which):
+        residues.append(len(which))
+        return max_norms(atoms, which)
+
+    patch.setattr(distributions, "_max_norms", counted)
+    return residues
 
 
-def test_prune_falls_back_to_dense_atoms(spin_one, monkeypatch):
-    calls = _count_entry_reads(monkeypatch)
-    monkeypatch.setattr(distributions, "_probe_lower_bound", lambda atoms: np.zeros(len(atoms)))
-    # on the spin-1 pair each of these schemes drops 1 to 21 atoms below the prune level
+def test_forced_residue_keeps_the_oracle_atoms(spin_one, monkeypatch):
+    # with bounds that decide nothing, every candidate atom is formed from
+    # its cells; on the spin-1 pair each of these schemes drops 1 to 21
+    # atoms below the prune level
+    residues = _count_residue(monkeypatch)
+    monkeypatch.setattr(
+        distributions, "_norm_bounds", lambda atoms: (np.zeros(len(atoms)), np.full(len(atoms), np.inf))
+    )
     for spec in SPIN_SCHEMES:
-        calls.clear()
+        residues.clear()
         got = qj.build_atoms(spec, (spin_one.j1, spin_one.j2))
-        assert calls, "the prune did not read the atoms' entries"
         want = atoms_oracle.build_atoms(spec, (spin_one.j1, spin_one.j2))
+        assert residues and residues[0] > len(got), "the prune did not form the atoms"
         assert len(got) == len(want)
         assert np.array_equal(got.points, want.points)
         assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12
 
 
-def test_entrywise_prune_keeps_the_oracle_atoms_on_a_large_spin_pair(monkeypatch):
-    # Margenau-Hill(0.3) on spin-23/2 leaves atoms between the prune's two
-    # bounds, so the verdict is read off all 576 matrix units; the running
-    # max over them must be each atom's dense max-norm
-    calls = _count_entry_reads(monkeypatch)
+def test_residue_max_norms_match_the_oracle_on_a_large_spin_pair():
+    # Margenau-Hill(0.3) on spin-23/2 has mixed closings; each atom formed
+    # from its own cells must have the oracle's dense max-norm
     spin = qj.spin_operators(23)
     pair = (spin.j1, spin.j2)
     got = qj.build_atoms(qj.scheme_margenau_hill(0.3), pair)
-    assert calls, "the prune did not read the atoms' entries"
     want = atoms_oracle.build_atoms(qj.scheme_margenau_hill(0.3), pair)
     assert len(got) == len(want)
     assert np.array_equal(got.points, want.points)
     norms = np.abs(want.matrices).max(axis=(1, 2))
-    assert np.abs(distributions._entry_max_norms(got) - norms).max() <= 1e-12
+    assert np.abs(distributions._max_norms(got, np.arange(len(got))) - norms).max() <= 1e-12
+
+
+def test_build_reads_no_traces(monkeypatch):
+    # the prune and the identity check read the cells, never weights_for
+    calls = []
+    weights_for = qj.OperatorAtomSet.weights_for
+
+    def counted(self, matrix):
+        calls.append(1)
+        return weights_for(self, matrix)
+
+    monkeypatch.setattr(qj.OperatorAtomSet, "weights_for", counted)
+    spin = qj.spin_operators(23)
+    for spec in SPIN_SCHEMES:
+        qj.build_atoms(spec, (spin.j1, spin.j2))
+    assert not calls
 
 
 def test_reversed_word_bounds_follow_its_order(monkeypatch):
@@ -211,3 +243,36 @@ def test_prune_matches_oracle_near_the_prune_level():
         assert len(got) == len(want)
         assert np.array_equal(got.points, want.points)
         assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12
+
+
+ORACLE_SCHEMES = (
+    qj.scheme_kirkwood(2),
+    qj.scheme_margenau_hill(0.0),
+    qj.scheme_margenau_hill(0.3),
+    qj.scheme_s_alpha(0.25),
+    qj.scheme_born_jordan(5),
+    qj.scheme_alternating([0.3, 0.7], [0.6, 0.4]),
+)
+
+
+@pytest.mark.parametrize("j_times_two", range(1, 17))
+def test_spin_table_keeps_the_oracle_points(j_times_two):
+    # spin pairs have exact zero overlaps and equally spaced spectra, so the
+    # merge and the prune both act; equal points mean equal verdicts
+    spin = qj.spin_operators(j_times_two)
+    pair = (spin.j1, spin.j2)
+    for spec in ORACLE_SCHEMES:
+        assert np.array_equal(qj.build_atoms(spec, pair).points, atoms_oracle.build_atoms(spec, pair).points)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(alpha=st.sampled_from([0.0, 0.5]), dim=st.integers(2, 5), seed=SEEDS)
+def test_planted_zero_overlap_keeps_the_oracle_points(alpha, dim, seed):
+    # the atom on the zero overlap has |c| = 0 but for rounding on both
+    # closings, so the mixed-closing lower bound meets it too
+    pair = _planted_zero_pair(np.random.default_rng(seed), dim)
+    spec = qj.scheme_margenau_hill(alpha)
+    got = qj.build_atoms(spec, pair)
+    want = atoms_oracle.build_atoms(spec, pair)
+    assert np.array_equal(got.points, want.points)
+    assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12

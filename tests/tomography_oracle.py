@@ -4,7 +4,7 @@ These are the original definitions: ``parametrize`` and ``embed`` walk the
 index pairs in a Python double loop, and the map's columns are finite
 differences of the coefficient vector along the coordinate basis, one
 ``embed`` and one trace of the dense atoms per coordinate. The library
-traces the atoms against each chart matrix in turn, closing the chains;
+traces the atoms against each chart matrix in turn, through their cells;
 it must match these columns to rounding, the offset exactly, and the
 rank.
 """
