@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
+from . import distributions, linalg
 from .distributions import (
     KirkwoodForm,
     OperatorAtomSet,
@@ -102,38 +102,33 @@ def scheme_is_real(spec, observables) -> bool:
 
     That is h(-s)^dagger = h(s) for all s; distinct atom points make the
     exp(-i s.x_p) linearly independent, so this holds exactly when every
-    operator atom is Hermitian. The atoms are traced against
-    :func:`~quasijoint.quantum.chart_matrices`, as the reconstruction map
-    traces them: the chart is a real basis of the Hermitian matrices, so
-    an atom is Hermitian exactly when all those traces are real. The
-    scheme counts as real when the largest |Im| is at most
-    ``linalg.DEFECT_TOL``; the chart is read one matrix at a time, and the
-    first matrix with a larger |Im| ends the read.
-
-    For an atom A with D = A - A^dagger, |Im Tr(A B)| = |Tr(D B)| / 2:
-    |Re D_ij| and |Im D_ij| for pair (i, j), |D_kk - D_(N-1)(N-1)| / 2
-    and |D_(N-1)(N-1)| / 2 on the diagonal. That lies between 1/2 and 1
-    times the entrywise defect max |D_ij|, except when the largest entry
-    of D is a diagonal one other than the last, where the lower bound is
-    1/4. The symmetric scheme is always real: exp(-i s.A)^dagger at -s is
-    exp(-i s.A) for Hermitian A. The chart read is :func:`atoms_are_real`,
-    which takes atoms already built.
+    operator atom is Hermitian. The adjoint scheme, every word reversed
+    and its weight conjugated, has the mixture h(-s)^dagger and so the atom
+    A_p^dagger at x_p; the scheme minus its adjoint has the atoms
+    A_p - A_p^dagger. Their cells come from the table :func:`build_atoms`
+    builds, and each is decided as the prune decides its atoms: the scheme
+    is real when every max |A_p - A_p^dagger| is at most
+    ``linalg.DEFECT_TOL``. A lower bound above it ends the read, an atom
+    whose upper bound is at most it is Hermitian, and the atoms in between
+    are formed from their cells, largest upper bound first, up to the
+    first that exceeds it. No trace is taken, and the scheme's own atoms
+    are not built. The symmetric scheme is always real: exp(-i s.A)^dagger
+    at -s is exp(-i s.A) for Hermitian A.
     """
+    _check_observables(spec.n_vars, observables)
     if isinstance(spec, WignerScheme):
-        _check_observables(spec.n_vars, observables)
         return True
-    return atoms_are_real(build_atoms(spec, observables))
-
-
-def atoms_are_real(atoms: OperatorAtomSet) -> bool:
-    """True when every atom is Hermitian: the chart read of :func:`scheme_is_real`.
-
-    For atoms already built, as ``quasijoint verify`` has them.
-    """
-    return all(
-        np.abs(atoms.weights_for(m).imag).max() <= linalg.DEFECT_TOL
-        for m in chart_matrices(atoms.dim)
-    )
+    tol, eigs = linalg.DEFECT_TOL, tuple(o.eig for o in observables)
+    adjoint = tuple(g._replace(obs=g.obs[::-1], weights=-g.weights.conj(), vars=g.vars[:, ::-1],
+                               coeffs=g.coeffs[:, ::-1]) for g in spec.groups)
+    points, *table = distributions._cell_table(spec.groups + adjoint, spec.n_vars, eigs)
+    gap = OperatorAtomSet(spec.n_vars, points, eigs, *table)
+    lower, upper = distributions._norm_bounds(gap)
+    if (lower > tol).any():
+        return False
+    residue = np.flatnonzero(upper > tol)
+    residue = residue[np.argsort(-upper[residue])]  # largest upper bound first
+    return all(distributions._max_norms(gap, [p])[0] <= tol for p in residue)
 
 
 def diag_equality_check(spec, observables) -> bool:

@@ -439,7 +439,7 @@ def run_verify(args):
     dist = distributions.evaluate_distribution(atoms, state)
     support = analysis.verify_support(dist, observables, args.tol_support)
     real = analysis.is_real(dist, args.tol_real)
-    scheme_real = analysis.atoms_are_real(atoms)
+    scheme_real = analysis.scheme_is_real(scheme, observables)
     header = ["check", "result", "detail"]
     offending = ";".join(
         "(" + " ".join(fmt_g(c) for c in p) + ")" for p in support.offending

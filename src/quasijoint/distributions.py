@@ -23,9 +23,10 @@ of cells: per atom, closing (F, L) and eigenvector pair (i, j), the summed
 weight x of the choices landing there, all found by one sort. Pairing
 atoms with a state by the trace gives the (generally complex) joint
 weights: each cell gathers one entry of U_L^dagger rho U_F. The same
-gather against one matrix at a time serves every other trace (realness
-and the reconstruction map read the coordinate chart), and the prune
-reads its bounds off the cells, forming only the atoms left between them.
+gather against one matrix at a time serves every other trace; only the
+reconstruction map reads the coordinate chart. The prune reads its
+bounds off the cells, forming only the atoms left between them, and
+realness decides the atoms of the scheme minus its adjoint the same way.
 The adjoint scatters one coefficient per atom onto the cells' entries:
 the identity check, and the quantization of a classical function, whose
 trace with a state is its quasi-expectation. Both sides of that duality
@@ -365,7 +366,7 @@ class OperatorAtomSet:
         Tr(U_F E_ij U_L^dagger M) is (U_L^dagger M U_F)[j, i], so each cell
         gathers its entry of its closing matrix, and the products are summed
         per atom. Every trace of the atoms goes through here (joint weights,
-        realness, the reconstruction map), one matrix per call;
+        blindness, the reconstruction map), one matrix per call;
         :meth:`operator_for` is its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
@@ -743,7 +744,7 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
         )
     _check_observables(spec.n_vars, observables)
     eigs = tuple(o.eig for o in observables)
-    points, *table = _cell_table(spec, eigs)
+    points, *table = _cell_table(spec.groups, spec.n_vars, eigs)
     meta = {
         "scheme": spec.label,
         "observables": tuple(o.label for o in observables),
@@ -758,14 +759,17 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     return atoms
 
 
-def _cell_table(spec: SchemeSpec, eigs) -> tuple:
-    """Points and cells of the unpruned atoms, as the fields of :class:`OperatorAtomSet`."""
+def _cell_table(groups, n_vars, eigs) -> tuple:
+    """Points and cells of the unpruned atoms of the term ``groups`` (:class:`_TermGroup`).
+
+    Returned as the fields of :class:`OperatorAtomSet` after ``eigs``.
+    """
     n = eigs[0].dim
-    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], spec.n_vars) for g in spec.groups]
+    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], n_vars) for g in groups]
     offsets = np.cumsum([0] + [c.shape[0] for c in coords])
     coords = np.concatenate(coords)
-    reps, ids = zip(*(_cluster_values(coords[:, v], linalg.COORD_TOL) for v in range(spec.n_vars)))
-    closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in spec.groups))
+    reps, ids = zip(*(_cluster_values(coords[:, v], linalg.COORD_TOL) for v in range(n_vars)))
+    closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in groups))
     # bits of the cells a point can hold, k N^2 + j N + i
     shift = (len(closings) * n * n - 1).bit_length()
     sizes = [r.size for r in reps]
@@ -774,7 +778,7 @@ def _cell_table(spec: SchemeSpec, eigs) -> tuple:
     del coords, ids  # freed before the candidates' cells are built
     keys, values = zip(*(
         _group_cells(g, eigs, points_keys[lo:hi], closings)
-        for g, lo, hi in zip(spec.groups, offsets[:-1], offsets[1:])
+        for g, lo, hi in zip(groups, offsets[:-1], offsets[1:])
     ))
     keys, values = np.concatenate(keys), np.concatenate(values)
     order = np.argsort(keys, kind="stable")

@@ -5,8 +5,9 @@ diagonal entries first, then Re/Im pairs of the lower-triangle entries in
 row-major order of the pairs), used by the tomography code. Only this
 module knows that layout: ``parametrize`` and ``embed`` convert between
 states and coordinates, and ``chart_matrices`` spells the chart out as
-rho(0) and the N^2 - 1 coordinate derivatives, one matrix at a time,
-against which realness and the reconstruction map trace the atoms.
+rho(0) and the N^2 - 1 coordinate derivatives, one matrix at a time.
+Only the reconstruction map reads the chart: it traces the atoms
+against it.
 """
 
 from __future__ import annotations

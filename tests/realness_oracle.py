@@ -8,7 +8,7 @@ For a product scheme the sampled realness verdict is cross-checked
 against the entrywise Hermiticity of the dense atoms
 (``atoms_oracle.matrices``) and a
 disagreement raises. The library reads both verdicts off the atoms
-exactly, realness through one trace against the coordinate chart; it must
+exactly, realness off the cells of the scheme minus its adjoint; it must
 return the oracle's.
 """
 
