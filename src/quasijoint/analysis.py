@@ -551,13 +551,20 @@ def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:
     """Invert the coefficient map on a distribution.
 
-    Each distribution point adds its weight to the first support point
-    within ``linalg.COORD_TOL`` in every coordinate (one vectorized lookup
-    against the map's cached support index,
-    :func:`~quasijoint.distributions._match_rows`). Support points missing
-    from the distribution count as weight zero; distribution atoms off the
-    map support beyond ``linalg.DEFECT_TOL`` raise SupportMismatchError.
-    Requires a full-rank map; the result must be a positive state.
+    A distribution whose points are the map's support, row for row (as
+    ``evaluate_distribution(rmap.atoms, rho)`` gives when it prunes no
+    weight), is used as is. In any other distribution each point
+    adds its weight to the first support point within ``linalg.COORD_TOL``
+    in every coordinate (one vectorized lookup against the map's cached
+    support index, :func:`~quasijoint.distributions._match_rows`). Support
+    points missing from the distribution count as weight zero;
+    distribution atoms off the map support beyond ``linalg.DEFECT_TOL``
+    raise SupportMismatchError. The two agree exactly: support rows differ
+    by more than ``linalg.COORD_TOL``, so the lookup maps the support onto
+    itself. A distribution over another number of variables, one whose
+    points and weights differ in length, or one with a non-finite weight
+    is rejected first. Requires a full-rank map; the result must be a
+    positive state.
 
     The result is the least-squares solution ``pinv`` gives. A map with a
     closed form inverts per atom instead (:func:`_closed_form_state`), in
@@ -574,16 +581,31 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
             f"rank {rmap.rank} < {n * n - 1}: states are not distinguishable "
             f"by scheme {rmap.scheme.label!r} on this observable pair"
         )
-    idx = rmap._support_index.match(dist.points)
-    hit = idx >= 0
-    off = np.flatnonzero(~hit & (np.abs(dist.weights) > linalg.DEFECT_TOL))
-    if off.size:
-        p, w = dist.points[off[0]], dist.weights[off[0]]
-        raise SupportMismatchError(
-            f"distribution atom at {tuple(p)} (weight {w:.3e}) is off the map support"
+    if dist.n_vars != rmap.support.shape[1]:
+        raise DimensionMismatchError(
+            f"distribution has {dist.n_vars} variables, the map {rmap.support.shape[1]}"
         )
-    aligned = np.zeros(len(rmap.support), dtype=complex)
-    np.add.at(aligned, idx[hit], dist.weights[hit])
+    if len(dist.points) != len(dist.weights):
+        raise DimensionMismatchError(
+            f"distribution has {len(dist.points)} points but {len(dist.weights)} weights"
+        )
+    bad = np.flatnonzero(~np.isfinite(dist.weights))
+    if bad.size:
+        raise DomainError(f"weight at {tuple(dist.points[bad[0]])} is not finite")
+    if np.array_equal(dist.points, rmap.support):
+        # the complex dtype matters: the block route reads Re, Im as a float view
+        aligned = np.asarray(dist.weights, dtype=complex)
+    else:
+        idx = rmap._support_index.match(dist.points)
+        hit = idx >= 0
+        off = np.flatnonzero(~hit & (np.abs(dist.weights) > linalg.DEFECT_TOL))
+        if off.size:
+            p, w = dist.points[off[0]], dist.weights[off[0]]
+            raise SupportMismatchError(
+                f"distribution atom at {tuple(p)} (weight {w:.3e}) is off the map support"
+            )
+        aligned = np.zeros(len(rmap.support), dtype=complex)
+        np.add.at(aligned, idx[hit], dist.weights[hit])
     rho = None
     if rmap.closed_form is not None:
         rho = _closed_form_state(rmap, aligned)

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import quasijoint as qj
+from quasijoint import analysis
 from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
@@ -207,6 +210,85 @@ def test_reconstruct_rejects_foreign_support(spin_half, z_plus):
     )
     with pytest.raises(SupportMismatchError):
         qj.reconstruct_state(rmap, bogus)
+
+
+def _one_variable(dist):
+    return qj.marginal(dist, 0)
+
+
+def _three_variables(dist):
+    points = np.column_stack([dist.points, dist.points[:, 0]])
+    return qj.QuasiDistribution(3, points, dist.weights, dist.meta)
+
+
+def _short_weights(dist):
+    return qj.QuasiDistribution(2, dist.points, dist.weights[:-1], dist.meta)
+
+
+def _with_weight(value):
+    def make(dist):
+        weights = dist.weights.copy()
+        weights[1] = value
+        return qj.QuasiDistribution(2, dist.points, weights, dist.meta)
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (_one_variable, DimensionMismatchError, "1 variables, the map 2"),
+        (_three_variables, DimensionMismatchError, "3 variables, the map 2"),
+        (_short_weights, DimensionMismatchError, "4 points but 3 weights"),
+        (_with_weight(np.nan), DomainError, "not finite"),
+        (_with_weight(complex(0.1, np.inf)), DomainError, "not finite"),
+    ],
+    ids=["one-variable", "three-variable", "short-weights", "nan-weight", "inf-weight"],
+)
+def test_reconstruct_checks_its_input(spin_half, z_plus, make, error, match):
+    rmap = qj.reconstruction_map(spin_half.j1, spin_half.j2, qj.scheme_kirkwood(2))
+    dist = make(qj.evaluate_distribution(rmap.atoms, z_plus, prune_tol=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            qj.reconstruct_state(rmap, dist)
+
+
+def test_reconstruct_own_support_skips_the_matcher(spin_one, monkeypatch):
+    def no_index(support):
+        raise AssertionError("own-support distribution went through the support index")
+
+    monkeypatch.setattr(analysis, "_SupportIndex", no_index)
+    rng = np.random.default_rng(61)
+    maps = [
+        ("closed_form", qj.reconstruction_map(*random_pair(rng, 3), qj.scheme_kirkwood(2))),
+        ("blocks", qj.reconstruction_map(*random_pair(rng, 4), qj.scheme_s_alpha(0.25))),
+        ("svd", qj.reconstruction_map(spin_one.j1, spin_one.j2, qj.scheme_kirkwood(2))),
+    ]
+    for route, rmap in maps:
+        assert rmap.diagnostics["inversion"] == route
+        rho = qj.random_density(rmap.dim, rng)
+        dist = qj.evaluate_distribution(rmap.atoms, rho, prune_tol=0.0)
+        weights = dist.weights.copy()
+        rec = qj.reconstruct_state(rmap, dist)
+        assert np.abs(rec.matrix - rho.matrix).max() <= 1e-9
+        assert "_support_index" not in vars(rmap)
+        assert np.array_equal(dist.weights, weights)
+
+
+def test_reconstruct_own_support_real_weights():
+    # the block route reads Re and Im through a float view of the weights
+    rng = np.random.default_rng(63)
+    rmap = qj.reconstruction_map(*random_pair(rng, 4), qj.scheme_s_alpha(0.25))
+    assert rmap.diagnostics["inversion"] == "blocks"
+    mixed = qj.DensityState.maximally_mixed(rmap.dim)
+    dist = qj.evaluate_distribution(rmap.atoms, mixed, prune_tol=0.0)
+    assert dist.max_imag() <= 1e-15
+    real = qj.QuasiDistribution(2, dist.points, dist.weights.real.copy(), dist.meta)
+    as_complex = qj.QuasiDistribution(2, dist.points, real.weights.astype(complex), dist.meta)
+    got = qj.reconstruct_state(rmap, real).matrix
+    assert np.array_equal(got, qj.reconstruct_state(rmap, as_complex).matrix)
+    assert np.abs(got - mixed.matrix).max() <= 1e-9
 
 
 def test_full_rank_implies_feasible_counting():

@@ -2,7 +2,10 @@
 
 ``reconstruct_state`` and ``max_weight_deviation`` used to align points one
 at a time with a broadcast comparison against the whole support; those
-loops are kept here verbatim as the oracle. Supports come from
+loops are kept here verbatim as the oracle. ``reconstruct_state`` now uses a
+distribution whose points are the map's support, row for row, as is, and
+sends any other one (shuffled, jittered, pruned or foreign) through the
+matcher; the two must give the same state bit for bit. Supports come from
 ``build_atoms`` over every two-variable scheme constructor, on random
 observables of dimension 2-5, half of them with degenerate spectra. Test
 points are support points jittered within half the coordinate tolerance,
@@ -118,8 +121,11 @@ def test_reconstruct_ignores_order_jitter_and_pruning(spec, obs, seed):
         shuffled(rng, dist, jitter=TOL / 2),
         qj.evaluate_distribution(rmap.atoms, rho),
     ]
+    # dist's points are the map's support, so it is used as is; the
+    # unjittered shuffle goes through the matcher to the same weights
     want = qj.reconstruct_state(rmap, dist).matrix
-    for variant in variants:
+    assert np.array_equal(qj.reconstruct_state(rmap, variants[0]).matrix, want)
+    for variant in variants[1:]:
         got = qj.reconstruct_state(rmap, variant).matrix
         assert np.abs(got - want).max() <= 1e-12
 
