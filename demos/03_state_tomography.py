@@ -1,20 +1,20 @@
 """State reconstruction from joint weights of two spin directions.
 
-The joint weights depend affinely on the state coordinates. When that map
-has full rank N^2 - 1, two observables determine the whole state, and
-linear inversion recovers it. Rank deficits mean whole families of states
-share one distribution.
+The joint weights depend linearly on the state. When that map has full
+rank N^2 - 1 on unit-trace states, two observables determine the whole
+state, and linear inversion recovers it. Rank deficits mean whole families
+of states share one distribution.
 
 For Kirkwood-Dirac and Margenau-Hill weights on nondegenerate pairs, each
 weight is one overlap c[a, b] times one entry of the state in the mixed
 eigenbasis, so bounds on the overlaps certify full rank and the state is
 inverted per atom, with no SVD; a state that does not reproduce the weights
-falls back to the pseudo-inverse. Split words and Born-Jordan open and close
+falls back to the dense map. Split words and Born-Jordan open and close
 on the first observable, so each weight touches one entry pair of the state
-in its eigenbasis: the map splits into small blocks, decomposed and inverted
+in its eigenbasis: the map splits into small blocks, decomposed and solved
 block by block. Other schemes, and Kirkwood-Dirac pairs with a vanishing
-overlap, build the dense map and use its SVD. ``rmap.diagnostics`` names
-the route taken.
+overlap, build the dense map as one block and use its SVD.
+``rmap.diagnostics`` names the route taken.
 """
 
 import numpy as np

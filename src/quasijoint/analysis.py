@@ -41,8 +41,6 @@ from .quantum import (
     SpinTriple,
     _pairs,
     bloch_state,
-    chart_matrices,
-    embed,
     expectation,
     random_density,
 )
@@ -152,14 +150,6 @@ def diag_equality_check(spec, observables) -> bool:
     return bool(np.abs(gaps).max() <= linalg.DEFECT_TOL)
 
 
-def _re_im_rows(z) -> np.ndarray:
-    """Real array with rows 2p and 2p + 1 holding Re and Im of row p of ``z``."""
-    out = np.empty((2 * z.shape[0],) + z.shape[1:])
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
 class _BlockGroup(NamedTuple):
     """The C blocks of one shape, 2R rows by U unknowns, stacked, with their SVD."""
 
@@ -171,13 +161,15 @@ class _BlockGroup(NamedTuple):
 
 
 class EntryBlocks(NamedTuple):
-    """A reconstruction map split into independent real blocks (:func:`_entry_blocks`).
+    """A reconstruction map split into independent real blocks.
 
-    ``vectors`` are the eigenvectors U_A of the observable every word
-    opens and closes on, ``groups`` the blocks by shape
-    (:class:`_BlockGroup`), ``singular_values`` those of all blocks,
-    descending, and ``kept`` how many lie above the rank cut of the
-    largest one.
+    ``vectors`` are the eigenvectors U_A of the frame Z = U_A^dagger rho U_A
+    the unknowns (:func:`_entry_unknowns`) read: those of the observable
+    every word opens and closes on (:func:`_entry_blocks`), or None for the
+    standard frame, U_A = I, of the dense map (:func:`_dense_map`).
+    ``groups`` are the blocks by shape (:class:`_BlockGroup`),
+    ``singular_values`` those of all blocks, descending, and ``kept`` how
+    many lie above the rank cut of the largest one.
     """
 
     vectors: np.ndarray
@@ -216,6 +208,29 @@ def _entry_unknowns(n: int):
     unknown.setflags(write=False)
     factor.setflags(write=False)
     return unknown, factor
+
+
+def _ranked(vectors, groups) -> EntryBlocks:
+    """The blocks with their singular values pooled and counted against the rank cut."""
+    values = np.sort(np.concatenate([g.s.ravel() for g in groups]))[::-1]
+    kept = int(np.count_nonzero(values > linalg.rank_threshold(values[0])))
+    return EntryBlocks(vectors, tuple(groups), values, kept)
+
+
+def _dense_map(atoms: OperatorAtomSet) -> np.ndarray:
+    """The (2P, N^2) map on the unknowns of :func:`_entry_unknowns`, in the standard frame Z = rho.
+
+    Column k holds the Re and Im rows of the weights of dZ/dv_k, the
+    Hermitian basis matrix of unknown k: one
+    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` each,
+    with no dense atom formed.
+    """
+    n = atoms.dim
+    unknown, factor = _entry_unknowns(n)
+    out = np.empty((2 * len(atoms), n * n))
+    for k in range(n * n):
+        out[:, k] = atoms.weights_for((factor * (unknown == k)).sum(axis=0)).view(float)
+    return out
 
 
 def _by_component(comp, start):
@@ -305,20 +320,22 @@ def _entry_blocks(atoms: OperatorAtomSet):
             unknown_order[unknown_start[lo] : unknown_start[lo] + (hi - lo) * u].reshape(-1, u),
             *np.linalg.svd(block.reshape(-1, 2 * r, u), full_matrices=False),
         ))
-    values = np.sort(np.concatenate([g.s.ravel() for g in groups]))[::-1]
-    kept = int(np.count_nonzero(values > linalg.rank_threshold(values[0])))
-    return EntryBlocks(eig.vectors, tuple(groups), values, kept)
+    return _ranked(eig.vectors, groups)
 
 
 @dataclass(frozen=True)
 class ReconstructionMap:
-    """Affine map from state coordinates to stacked distribution coefficients.
+    """Linear map from Hermitian matrices to stacked distribution coefficients.
 
-    For any state, the interleaved (Re, Im) weight vector over ``support``
-    equals ``map_matrix @ parametrize(state) + offset``; both are the
-    atoms' weights against the coordinate chart (:func:`reconstruction_map`).
-    Full rank (N^2 - 1) means the distribution determines the state;
-    ``pinv`` then inverts the map in the least-squares sense.
+    Every route reads the state in one basis: the Frobenius-orthonormal
+    real unknowns v of :func:`_entry_unknowns` (Z[i, i], sqrt2 Re Z[j, i]
+    and sqrt2 Im Z[j, i]). For any state, the interleaved (Re, Im) weight
+    vector over ``support`` equals ``map_matrix @ v``, v the unknowns of
+    Z = rho (the standard frame); ``map_matrix``, shape (2P, N^2), is
+    built on first read, with no SVD. The weights sum to the trace, so
+    every kernel element is traceless: full rank N^2 - 1 on the
+    unit-trace states is rank N^2 on all Hermitian matrices, and the
+    distribution then determines the state.
 
     The rank comes from one of three routes, named by
     ``diagnostics["inversion"]``:
@@ -329,27 +346,25 @@ class ReconstructionMap:
       rank is N^2 - 1.
     - ``"blocks"``: ``blocks`` is the map split into independent blocks
       over entry pairs of the state (:class:`EntryBlocks`, from
-      :func:`_entry_blocks`); the rank is the number of block singular
-      values above the rank cut of the largest one, minus 1.
-    - ``"svd"``: every other map counts its rank by the SVD of the dense
-      map, built for it.
+      :func:`_entry_blocks`).
+    - ``"svd"``: ``blocks`` is None; the map is one dense block
+      (:func:`_dense_map` and its SVD, cached as ``_dense``), built for it.
 
-    :func:`reconstruct_state` inverts on the same route. ``map_matrix``,
-    ``offset`` and ``pinv`` are computed on first read, the same way for
-    all three. ``diagnostics`` also holds ``rank_margin``: for the closed
-    form, the certified lower bound on the smallest singular value over the
-    rank cut (:func:`~quasijoint.linalg.rank_threshold`); otherwise the
-    smallest kept singular value (the largest when none is kept) over it,
-    of the blocks or of the dense map. The margin is read off a different
-    map on each route and does not compare across them: the blocks' map
-    is Frobenius-orthonormal on all Hermitian Z, trace direction included,
-    and the dense map acts on traceless chart coordinates, whose chart has
-    singular values in [1, sqrt(N)]; at full rank the dense map's margin
-    is therefore at least the blocks' over sqrt(N). ``largest_block`` is the
-    (rows, unknowns) shape of the largest independent real system inverted:
+    On the last two the rank is the number of block singular values above
+    the rank cut of the largest one, minus 1, and :func:`reconstruct_state`
+    solves block by block (:func:`_block_state`); the closed form inverts
+    per atom and falls back to the dense block. ``diagnostics`` also holds
+    ``rank_margin``: the smallest kept singular value (the largest when
+    none is kept) over the rank cut
+    (:func:`~quasijoint.linalg.rank_threshold`), and for the closed form
+    its certified lower bound over the cut of its upper bound. A change of
+    frame is unitary on the unknowns, so the blocks' singular values are
+    the dense map's and their margins are equal; the closed form's is a
+    lower bound on its dense map's. ``largest_block`` is the (rows,
+    unknowns) shape of the largest independent real system inverted:
     (2, 2) for the closed form (Re and Im of one atom against Re and Im of
     one Kirkwood-Dirac weight), the block with the most unknowns for
-    blocks, and the whole dense map, (2P, N^2 - 1), for the SVD.
+    blocks, and the whole dense map, (2P, N^2), for the SVD.
     """
 
     observables: tuple
@@ -358,17 +373,12 @@ class ReconstructionMap:
     support: np.ndarray
     closed_form: KirkwoodForm = field(default=None, repr=False)
     blocks: EntryBlocks = field(default=None, repr=False)
-    rank: int = None  # None: filled in from the route
+    rank: int = field(init=False)
 
     def __post_init__(self):
-        if self.rank is None:
-            if self.closed_form is not None:
-                rank = self.dim**2 - 1
-            elif self.blocks is not None:
-                rank = max(self.blocks.kept - 1, 0)
-            else:
-                rank = self._svd[0]
-            object.__setattr__(self, "rank", rank)
+        # certified by the closed form, or counted on the blocks solved
+        rank = self.dim**2 - 1 if self.closed_form is not None else max(self._inverted.kept - 1, 0)
+        object.__setattr__(self, "rank", rank)
 
     @property
     def dim(self) -> int:
@@ -379,27 +389,24 @@ class ReconstructionMap:
         return self.rank == self.dim**2 - 1
 
     @cached_property
-    def _chart_weights(self) -> np.ndarray:
-        out = np.empty((2 * len(self.atoms), self.dim**2))
-        for k, m in enumerate(chart_matrices(self.dim)):
-            out[:, k] = _re_im_rows(self.atoms.weights_for(m))
-        return out
-
-    @property
-    def offset(self) -> np.ndarray:
-        return self._chart_weights[:, 0]
-
-    @property
     def map_matrix(self) -> np.ndarray:
-        return self._chart_weights[:, 1:]
+        return _dense_map(self.atoms)
 
     @cached_property
-    def _svd(self):
-        return linalg._real_svd_rank(self.map_matrix)
+    def _dense(self) -> EntryBlocks:
+        """The dense map as one block over all N^2 unknowns, in the standard frame (no ``vectors``).
+
+        Built apart from ``map_matrix``, so that only its SVD stays cached.
+        """
+        matrix = _dense_map(self.atoms)
+        rows, cols = matrix.shape
+        svd = np.linalg.svd(matrix[None], full_matrices=False)
+        return _ranked(None, [_BlockGroup(np.arange(rows // 2)[None], np.arange(cols)[None], *svd)])
 
     @property
-    def pinv(self) -> np.ndarray:
-        return self._svd[1]
+    def _inverted(self) -> EntryBlocks:
+        """``blocks``, or the dense block: solved off the closed form, and as its fallback."""
+        return self._dense if self.blocks is None else self.blocks
 
     @cached_property
     def diagnostics(self) -> dict:
@@ -407,14 +414,11 @@ class ReconstructionMap:
             lower, upper = _singular_value_bounds(self.closed_form)
             margin = lower / linalg.rank_threshold(upper)
             return {"inversion": "closed_form", "rank_margin": margin, "largest_block": (2, 2)}
-        if self.blocks is not None:
-            kept, s, largest = self.blocks.kept, self.blocks.singular_values, self.blocks.largest
-            route = "blocks"
-        else:
-            (kept, _, s), largest = self._svd, self.map_matrix.shape
-            route = "svd"
-        margin = s[max(kept, 1) - 1] / linalg.rank_threshold(s[0])
-        return {"inversion": route, "rank_margin": float(margin), "largest_block": largest}
+        blocks = self._inverted
+        s = blocks.singular_values
+        margin = s[max(blocks.kept, 1) - 1] / linalg.rank_threshold(s[0])
+        route = "svd" if self.blocks is None else "blocks"
+        return {"inversion": route, "rank_margin": float(margin), "largest_block": blocks.largest}
 
     @cached_property
     def _support_index(self) -> _SupportIndex:
@@ -424,13 +428,14 @@ class ReconstructionMap:
 def _singular_value_bounds(form: KirkwoodForm):
     """(lower, upper) bounds on the singular values of the map of a Kirkwood form.
 
-    The map is a chain: the chart x -> rho(x) - rho(0), with singular
-    values in [1, sqrt(N)]; H -> U_B^dagger H U_A, which keeps the
-    Frobenius norm; and, per atom, its entry Z[b, a] -> f Z + g conj(Z),
-    with singular values |f| + |g| and ||f| - |g||. So the smallest
-    singular value is at least min ||f| - |g|| and the largest at most
-    max (|f| + |g|) sqrt(N); for weights beta and gamma of the two words,
-    ||beta| - |gamma|| min |c| and at most (|beta| + |gamma|) sqrt(N).
+    The map is a chain: H -> U_B^dagger H U_A, which keeps the Frobenius
+    norm, the Euclidean norm of the unknowns; and, per atom, its entry
+    Z[b, a] -> f Z + g conj(Z), with singular values |f| + |g| and
+    ||f| - |g||. So the smallest singular value is at least
+    min ||f| - |g|| and the largest at most max (|f| + |g|); for weights
+    beta and gamma of the two words, ||beta| - |gamma|| min |c| and at
+    most |beta| + |gamma|. The upper bound returned is sqrt(N) times that,
+    which only raises the rank cut it sets.
     """
     f, g = np.abs(form.forward), np.abs(form.reverse)
     lower = float(np.abs(f - g).min())
@@ -440,13 +445,9 @@ def _singular_value_bounds(form: KirkwoodForm):
 def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
-    The weight of atom A_p is Tr(A_p rho(x)), affine in the state
-    coordinates x, so the map is one
-    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
-    matrix of :func:`~quasijoint.quantum.chart_matrices`, read into one
-    column each: column 0, the weights of rho(0), is the offset and the
-    other columns, the weights of the coordinate derivatives, are the map,
-    each with Re and Im rows interleaved. No dense atom is formed.
+    The weight of atom A_p is Tr(A_p rho), linear in the unknowns of rho
+    (:func:`_entry_unknowns`). Every route reads them; the routes differ
+    in how much of the map they build.
 
     Atoms in Kirkwood form
     (:meth:`~quasijoint.distributions.OperatorAtomSet.kirkwood_form`:
@@ -460,22 +461,24 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     Atoms whose words all open and close on one nondegenerate
     observable A (split words, Born-Jordan and their mixtures) split the
     map into independent blocks over entry pairs of U_A^dagger rho U_A
-    (:func:`_entry_blocks`). Its rank is the number of block singular
-    values above the rank cut of the largest one, minus 1: the weights sum
-    to the trace, so every kernel element is traceless and the map on
-    traceless coordinates loses exactly one dimension. Such a map is not
-    built either. Blocks are small where atoms rarely merge (two unknowns
-    on random pairs) and grow with the merges (equally spaced spectra, a
-    factor with coefficient 0).
+    (:func:`_entry_blocks`). Such a map is not built either. Blocks are
+    small where atoms rarely merge (two unknowns on random pairs) and grow
+    with the merges (equally spaced spectra, a factor with coefficient 0).
 
     Every other map (mixed closings such as alternating words, a
     degenerate closing observable, other Kirkwood-Dirac-like words on
     degenerate pairs, and Kirkwood-form maps where the bound falls short:
-    vanishing overlaps, Margenau-Hill near alpha = 0) is built and its
-    rank and pseudo-inverse come from the real SVD with threshold
-    ``linalg.RANK_RATIO`` times max(s_0, 1)
-    (:func:`~quasijoint.linalg.real_rank_and_pinv`), so a map that is zero
-    but for rounding, as for two multiples of the identity, has rank 0.
+    vanishing overlaps, Margenau-Hill near alpha = 0) is built
+    (:func:`_dense_map`, one
+    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
+    unknown) and decomposed as one block.
+
+    On the last two routes the rank is the number of block singular values
+    above ``linalg.RANK_RATIO`` times max(s_0, 1), minus 1: the weights sum
+    to the trace, so every kernel element is traceless and the map on
+    unit-trace states loses exactly one dimension. A map that is zero but
+    for the trace and rounding, as for two multiples of the identity, has
+    rank 0.
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
@@ -525,27 +528,35 @@ def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     return _fitted_state(u_b @ z.T @ u_a.conj().T, weights_of, w)
 
 
-def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
-    """The unit-trace Hermitian matrix with weights ``aligned``, or None if none has them.
+def _block_state(blocks: EntryBlocks, aligned, n: int) -> np.ndarray:
+    """The unit-trace Hermitian matrix whose weights fit ``aligned`` best, in least squares.
 
-    The map must have full rank, so every block has full column rank and
-    every unknown lies in one block: each block's unknowns are the
-    least-squares solution V S^-1 U^T of the Re and Im of its atoms'
-    weights. They make up Z (:func:`_entry_unknowns`), and
-    rho = U_A Z U_A^dagger is kept as :func:`_fitted_state` keeps it,
-    checked with ``weights_for``.
+    The blocks must have full rank N^2 (map rank N^2 - 1), so every block
+    has full column rank and every unknown lies in one block. With B the
+    map on the unknowns v and b the Re and Im of the weights, the result
+    minimizes |B v - b| subject to t.v = 1, t marking the diagonal
+    unknowns, whose sum is the trace. The free minimizer is each block's
+    least-squares solution V S^-1 U^T b; one Lagrange step along
+    (B^T B)^-1 t, which is V S^-2 V^T t block by block, puts it on the
+    constraint. Weights some state has give that state, and any others the
+    minimizer the pseudo-inverse of the map on unit-trace states gives.
+    The unknowns make up Z (:func:`_entry_unknowns`), and
+    rho = U_A Z U_A^dagger.
     """
-    n = rmap.dim
-    v = np.empty(n * n)
-    for g in rmap.blocks.groups:
+    sol = np.empty((n * n, 2))  # columns: the free minimizer and (B^T B)^-1 t
+    for g in blocks.groups:
         # rows Re, Im of each atom: the float view of the complex weights
         b = aligned[g.atoms].view(float)[..., None]
-        x = (g.u.transpose(0, 2, 1) @ b) / g.s[..., None]
-        v[g.unknowns] = (g.vt.transpose(0, 2, 1) @ x)[..., 0]
+        t = (g.unknowns < n)[..., None].astype(float)
+        s = g.s[..., None]
+        x = np.concatenate([(g.u.transpose(0, 2, 1) @ b) / s, (g.vt @ t) / s**2], axis=2)
+        sol[g.unknowns] = g.vt.transpose(0, 2, 1) @ x
+    v, step = sol.T
+    v = v + (1.0 - v[:n].sum()) / step[:n].sum() * step
     unknown, factor = _entry_unknowns(n)
     z = (factor * v[unknown]).sum(axis=0)
-    u_a = rmap.blocks.vectors
-    return _fitted_state(u_a @ z @ u_a.conj().T, rmap.atoms.weights_for, aligned)
+    u_a = blocks.vectors
+    return z if u_a is None else u_a @ z @ u_a.conj().T
 
 
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:
@@ -561,19 +572,19 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     distribution atoms off the map support beyond ``linalg.DEFECT_TOL``
     raise SupportMismatchError. The two agree exactly: support rows differ
     by more than ``linalg.COORD_TOL``, so the lookup maps the support onto
-    itself. A distribution over another number of variables, one whose
-    points and weights differ in length, or one with a non-finite weight
-    is rejected first. Requires a full-rank map; the result must be a
-    positive state.
+    itself. A distribution over another number of variables or with a
+    non-finite weight is rejected first. Requires a full-rank map; the
+    result must be a positive state.
 
-    The result is the least-squares solution ``pinv`` gives. A map with a
-    closed form inverts per atom instead (:func:`_closed_form_state`), in
-    O(N^3) and with no SVD, and a map by blocks block by block with the
-    blocks' pseudo-inverses (:func:`_block_state`). Either keeps its state
-    when its weights reproduce the aligned ones within
+    The result is the unit-trace Hermitian matrix whose weights fit the
+    aligned ones best in least squares, solved block by block
+    (:func:`_block_state`) on the map's blocks or its dense block. A map
+    with a closed form inverts per atom instead
+    (:func:`_closed_form_state`), in O(N^3) and with no SVD, and keeps
+    that state when its weights reproduce the aligned ones within
     ``linalg.DEFECT_TOL``: it then fits them as well as the least-squares
-    solution but for that tolerance. Weights that no state reproduces fall
-    back to ``pinv``, built on demand.
+    solution but for that tolerance. Weights that no state reproduces go
+    to the dense block, built on demand.
     """
     n = rmap.dim
     if rmap.rank < n * n - 1:
@@ -584,10 +595,6 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     if dist.n_vars != rmap.support.shape[1]:
         raise DimensionMismatchError(
             f"distribution has {dist.n_vars} variables, the map {rmap.support.shape[1]}"
-        )
-    if len(dist.points) != len(dist.weights):
-        raise DimensionMismatchError(
-            f"distribution has {len(dist.points)} points but {len(dist.weights)} weights"
         )
     bad = np.flatnonzero(~np.isfinite(dist.weights))
     if bad.size:
@@ -609,12 +616,9 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     rho = None
     if rmap.closed_form is not None:
         rho = _closed_form_state(rmap, aligned)
-    elif rmap.blocks is not None:
-        rho = _block_state(rmap, aligned)
-    if rho is not None:
-        return DensityState(rho)
-    coords = rmap.pinv @ (_re_im_rows(aligned) - rmap.offset)
-    return embed(coords, n, require_positive=True)
+    if rho is None:
+        rho = _block_state(rmap._inverted, aligned, n)
+    return DensityState(rho)
 
 
 @dataclass(frozen=True)

@@ -437,6 +437,7 @@ def run_verify(args):
     observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
+    del atoms  # the realness read builds its own table; free the atoms first
     support = analysis.verify_support(dist, observables, args.tol_support)
     real = analysis.is_real(dist, args.tol_real)
     scheme_real = analysis.scheme_is_real(scheme, observables)

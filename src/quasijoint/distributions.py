@@ -438,13 +438,21 @@ class QuasiDistribution:
 
     The weights sum to one; every single-variable marginal is real and
     matches the Born distribution of that observable. Individual weights
-    may be complex or negative depending on the scheme.
+    may be complex or negative depending on the scheme. ``points`` must
+    have shape (M, n_vars) and ``weights`` shape (M,); only the shapes are
+    checked.
     """
 
     n_vars: int
     points: np.ndarray
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        points, weights = np.shape(self.points), np.shape(self.weights)
+        if points[1:] != (self.n_vars,) or weights != points[:1]:
+            raise DimensionMismatchError(f"a distribution over {self.n_vars} variables needs points "
+                                         f"(M, {self.n_vars}) and weights (M,), got {points} and {weights}")
 
     def __len__(self):
         return self.points.shape[0]

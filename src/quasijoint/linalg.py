@@ -147,21 +147,16 @@ def real_rank_and_pinv(matrix):
 
     The rank counts singular values above ``RANK_RATIO`` times the
     larger of the largest singular value and 1; the pseudo-inverse keeps
-    only those singular triplets. The floor of 1 is the natural scale of
-    the coefficient maps ranked here, whose entries are entries of atoms
-    that sum to the identity: a map whose singular values all lie below
+    only those singular triplets. The floor of 1 (:func:`rank_threshold`,
+    which the reconstruction map's blocks share) is the natural scale of
+    coefficient maps, whose entries are entries of atoms that sum to the
+    identity: a map whose singular values all lie below
     ``RANK_RATIO`` is zero but for rounding and has rank 0, rather
     than a rank set by that rounding.
 
     Returns:
         (rank, pinv) with ``pinv`` of shape (cols, rows).
     """
-    rank, pinv, _ = _real_svd_rank(matrix)
-    return rank, pinv
-
-
-def _real_svd_rank(matrix):
-    """(rank, pinv, singular values) of :func:`real_rank_and_pinv`, from one SVD."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
         raise EmptyMatrixError(f"need a nonempty 2-d matrix, got shape {m.shape}")
@@ -170,5 +165,4 @@ def _real_svd_rank(matrix):
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ConvergenceError(f"SVD failed: {exc}") from exc
     rank = int(np.count_nonzero(s > rank_threshold(s[0])))
-    pinv = (vt[:rank].T / s[:rank]) @ u[:, :rank].T
-    return rank, pinv, s
+    return rank, (vt[:rank].T / s[:rank]) @ u[:, :rank].T

@@ -2,12 +2,10 @@
 
 States carry a canonical real coordinate vector of length N^2 - 1 (leading
 diagonal entries first, then Re/Im pairs of the lower-triangle entries in
-row-major order of the pairs), used by the tomography code. Only this
-module knows that layout: ``parametrize`` and ``embed`` convert between
-states and coordinates, and ``chart_matrices`` spells the chart out as
-rho(0) and the N^2 - 1 coordinate derivatives, one matrix at a time.
-Only the reconstruction map reads the chart: it traces the atoms
-against it.
+row-major order of the pairs). Only this module knows that layout:
+``parametrize`` and ``embed`` convert between states and coordinates.
+Tomography does not read it: the reconstruction map works on the
+Frobenius-orthonormal unknowns of ``analysis._entry_unknowns``.
 """
 
 from __future__ import annotations
@@ -221,27 +219,6 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
     m[j, i] = v[dim - 1 :: 2] + 1j * v[dim::2]
     m[i, j] = v[dim - 1 :: 2] - 1j * v[dim::2]
     return DensityState(m, require_positive=require_positive)
-
-
-def chart_matrices(dim: int):
-    """The chart of ``embed`` as N^2 matrices of shape (N, N), each made as it is yielded.
-
-    rho(x) equals ``m_0 + sum over k of x[k] * m_(1 + k)``: m_0 is the
-    state at x = 0, a unit in the last diagonal entry; a diagonal
-    coordinate k adds E_kk - E_(N-1)(N-1), and pair (i, j) adds
-    E_ji + E_ij through its real part and i (E_ji - E_ij) through its
-    imaginary part. Tracing a matrix against them gives Tr(M rho(x)) as
-    offset (m_0) and slope (the rest).
-    """
-    last = dim - 1
-    entries = [[(last, last, 1.0)]] + [[(k, k, 1.0), (last, last, -1.0)] for k in range(last)]
-    for i, j in zip(*_pairs(dim)):
-        entries += [[(j, i, 1.0), (i, j, 1.0)], [(j, i, 1j), (i, j, -1j)]]
-    for entry in entries:
-        m = np.zeros((dim, dim), dtype=complex)
-        for row, col, value in entry:
-            m[row, col] = value
-        yield m
 
 
 def expectation(observable: HermitianObservable, rho: DensityState) -> float:

@@ -569,3 +569,29 @@ def test_identity_gate_rejects_nan_defect(spin_half, monkeypatch):
     monkeypatch.setattr(qj.OperatorAtomSet, "identity_defect", lambda self: float("nan"))
     with pytest.raises(QuasiJointError, match="identity defect"):
         qj.build_atoms(qj.scheme_kirkwood(2), (spin_half.j1, spin_half.j2))
+
+
+READERS = {
+    "marginal": lambda dist, obs: qj.marginal(dist, 0),
+    "verify_support": lambda dist, obs: qj.verify_support(dist, obs),
+    "max_weight_deviation": lambda dist, obs: qj.max_weight_deviation(dist, dist),
+    "characteristic": lambda dist, obs: dist.characteristic([0.5, -0.5]),
+    "quasi_expectation": lambda dist, obs: qj.quasi_expectation(lambda x, y: x * y, dist),
+    "is_real": lambda dist, obs: qj.is_real(dist),
+}
+MALFORMED = {
+    "short-weights": lambda dist: (dist.points, dist.weights[:-1]),
+    "one-coordinate-points": lambda dist: (dist.points[:, :1], dist.weights),
+}
+
+
+@pytest.mark.parametrize("malform", MALFORMED.values(), ids=MALFORMED.keys())
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+def test_malformed_distribution_reaches_no_reader(spin_one, read, malform):
+    # points must be (M, n_vars) and weights (M,): a mismatch is refused at
+    # construction, before a reader broadcasts it or reads past it
+    obs = (spin_one.j1, spin_one.j2)
+    atoms = qj.build_atoms(qj.scheme_kirkwood(2), obs)
+    dist = qj.evaluate_distribution(atoms, qj.DensityState.maximally_mixed(3))
+    with pytest.raises(DimensionMismatchError, match="needs points"):
+        read(qj.QuasiDistribution(2, *malform(dist), dist.meta), obs)

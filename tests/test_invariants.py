@@ -15,10 +15,11 @@ random state each:
 - tomography round-trips every full-rank map and refuses the others.
 
 The closed-form inversion of Kirkwood-form maps (Kirkwood-Dirac,
-Margenau-Hill, a lone reversed word) is checked against the dense map it
-replaces: the same rank as its SVD, and the state its pseudo-inverse
-gives, on random pairs, pairs with a planted zero overlap, Margenau-Hill
-next to the real scheme at alpha = 0, and spin (J1, J2) up to j = 5/2.
+Margenau-Hill, a lone reversed word) is checked against the
+finite-difference oracle: the same rank, and the state its
+pseudo-inverse gives, on random pairs, pairs with a planted zero
+overlap, Margenau-Hill next to the real scheme at alpha = 0, and spin
+(J1, J2) up to j = 5/2.
 Named cases pin which route (closed form, blocks or dense SVD) each kind
 of map takes.
 """
@@ -33,6 +34,7 @@ from quasijoint import analysis, linalg
 from quasijoint.errors import RankDeficientError
 
 import atoms_oracle
+import tomography_oracle
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -102,10 +104,9 @@ def test_tomography_round_trip(spec, obs, seed):
     assert residual <= 1e-12 + 1e-13 / s_min
 
 
-def _pinv_state(rmap, rho):
-    """The state of the pseudo-inverse of the dense map on the weights of ``rho``."""
-    coeffs = analysis._re_im_rows(rmap.atoms.weights_for(rho.matrix)) - rmap.offset
-    return qj.embed(linalg.real_rank_and_pinv(rmap.map_matrix)[1] @ coeffs, rmap.dim)
+def _pinv_state(rmap, weights):
+    """The state the oracle's pseudo-inverse gives for weights on the map's support."""
+    return tomography_oracle.pinv_state(*rmap.observables, rmap.scheme, weights)
 
 
 def _unitary(rng, dim):
@@ -161,11 +162,15 @@ PAIRS = st.one_of(
 @given(spec=KIRKWOOD_FAMILY, pair=PAIRS, seed=SEEDS)
 def test_closed_form_matches_the_dense_map(spec, pair, seed):
     rmap = qj.reconstruction_map(*pair, spec)
-    assert rmap.rank == linalg.real_rank_and_pinv(rmap.map_matrix)[0]
+    assert rmap.rank == tomography_oracle.reconstruction_map(*pair, spec)[2]
     if rmap.full_rank:
         rho = _state(pair, seed)
         got = qj.reconstruct_state(rmap, qj.evaluate_distribution(rmap.atoms, rho, prune_tol=0.0))
-        assert np.abs(got.matrix - _pinv_state(rmap, rho).matrix).max() <= 1e-12
+        want = _pinv_state(rmap, rmap.atoms.weights_for(rho.matrix))
+        # two solves of one system from maps built apart: rounding in either,
+        # about 1e-17 here, grows by up to 1 / s_min (Margenau-Hill near 0)
+        s_min = np.linalg.svd(rmap.map_matrix, compute_uv=False)[-1]
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 + 1e-15 / s_min
 
 
 _RNG = np.random.default_rng(3)
@@ -240,9 +245,7 @@ def test_off_range_weights_return_the_least_squares_state():
     # no state has these weights: the closed form declines them
     assert analysis._closed_form_state(rmap, bad.weights) is None
     got = qj.reconstruct_state(rmap, bad)
-    stacked = np.column_stack([bad.weights.real, bad.weights.imag]).ravel()
-    want = qj.embed(rmap.pinv @ (stacked - rmap.offset), rmap.dim)
-    assert np.abs(got.matrix - want.matrix).max() <= 1e-15
+    assert np.abs(got.matrix - _pinv_state(rmap, bad.weights).matrix).max() <= 1e-15
     assert 1e-8 < np.abs(got.matrix - rho.matrix).max() < 1e-5
 
 
@@ -254,7 +257,10 @@ def test_certified_map_runs_no_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     rmap = qj.reconstruction_map(*_spin_pair(3), qj.scheme_margenau_hill(0.5))
     assert rmap.rank == 15 and rmap.diagnostics["inversion"] == "closed_form"
-    rec = qj.reconstruct_state(rmap, qj.evaluate_distribution(rmap.atoms, rho))
+    dist = qj.evaluate_distribution(rmap.atoms, rho)
+    rec = qj.reconstruct_state(rmap, dist)
     assert np.abs(rec.matrix - rho.matrix).max() <= 1e-12
+    # weights no state has fall back to the dense block, decomposed on demand
+    off = qj.QuasiDistribution(2, dist.points, dist.weights + 1e-6)
     with pytest.raises(AssertionError, match="SVD ran"):
-        rmap.pinv  # the dense map and its SVD on demand
+        qj.reconstruct_state(rmap, off)

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint import analysis, distributions, linalg
+from quasijoint import distributions, linalg
 from quasijoint.errors import DimensionMismatchError
 
 import atoms_oracle
@@ -55,12 +55,11 @@ def test_kirkwood_one_and_three_variables_realness_matches_oracle(n_vars, data):
 
 def test_realness_forms_no_dense_atoms(monkeypatch):
     # on spin j <= 3/2 the bounds decide every atom of the scheme minus its
-    # adjoint, and no verdict reads the chart or traces the atoms
+    # adjoint, and no verdict traces the atoms
     def refuse(*args, **kwargs):
-        raise AssertionError("realness read the chart or traced the atoms")
+        raise AssertionError("realness traced the atoms")
 
     _forbid_dense_atoms(monkeypatch)
-    monkeypatch.setattr(analysis, "chart_matrices", refuse)
     monkeypatch.setattr(qj.OperatorAtomSet, "weights_for", refuse)
     real = {"born_jordan(5)", "margenau_hill(0)", "s_alpha(0.5)"}
     specs = SPIN_SCHEMES + (qj.scheme_margenau_hill(0.0), qj.scheme_s_alpha(0.5))

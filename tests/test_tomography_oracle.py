@@ -2,15 +2,20 @@
 
 Random Hermitian pairs of dimension 2-6, half of them with degenerate
 spectra, under every scheme constructor (including the rank-deficient
-``s_alpha(0.5)``). The map must match the finite-difference columns within
-1e-12, with a bit-identical offset and the same rank; ``parametrize`` and
-``embed`` must equal the double-loop versions exactly, and ``embed`` must
-be the affine combination of ``chart_matrices`` the map is traced against.
+``s_alpha(0.5)``). The library map acts on the orthonormal unknowns of a
+Hermitian matrix: ``map_matrix`` times the unknowns of each chart matrix
+must equal the oracle's traces of the dense atoms against it within
+1e-12, and the rank the finite-difference rank. ``parametrize`` and
+``embed`` must equal the double-loop versions exactly, ``embed`` must be
+the affine combination of the chart matrices, and the library's unknown
+tables must rebuild a matrix from the oracle's unknowns.
 
-Maps inverted by blocks (split words, Born-Jordan) take the dense map as
-their oracle: the same rank as its SVD and the state its pseudo-inverse
-gives, also where merged atoms join entry pairs, where no state fits the
-weights, and on the spin pairs of the paper's distinguishability table.
+Maps inverted by blocks (split words, Born-Jordan) are checked against
+the dense map and the oracle: the dense map's singular values are the
+blocks', its margin theirs, the rank the finite-difference rank and the
+state the one the oracle's pseudo-inverse gives, also where merged atoms
+join entry pairs, where no state fits the weights (with no dense map
+built), and on the spin pairs of the paper's distinguishability table.
 """
 
 import numpy as np
@@ -20,10 +25,17 @@ from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import analysis, linalg
-from quasijoint.quantum import chart_matrices
 
 import tomography_oracle
+from tomography_oracle import chart_matrices, hermitian_unknowns
 from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
+
+
+def _chart_columns(rmap):
+    """The map on each chart matrix, through the matrix's unknowns: (slope columns, offset)."""
+    chart = np.stack([hermitian_unknowns(m) for m in chart_matrices(rmap.dim)], axis=1)
+    out = rmap.map_matrix @ chart
+    return out[:, 1:], out[:, 0]
 
 
 @settings(PROPERTY, max_examples=80)
@@ -31,9 +43,12 @@ from test_atoms_oracle import PROPERTY, TWO_VAR_SCHEMES, observables
 def test_map_matches_finite_difference_oracle(spec, obs):
     got = qj.reconstruction_map(*obs, spec)
     cols, base, rank = tomography_oracle.reconstruction_map(*obs, spec)
-    assert got.map_matrix.shape == cols.shape
-    assert np.abs(got.map_matrix - cols).max() <= 1e-12
-    assert np.array_equal(got.offset, base)
+    assert got.map_matrix.shape == (2 * len(got.atoms), got.dim**2)
+    for m in chart_matrices(got.dim):
+        want = tomography_oracle.stacked_coefficients(got.atoms, m)
+        assert np.abs(got.map_matrix @ hermitian_unknowns(m) - want).max() <= 1e-12
+    # rho(0) has one unit unknown: its weights are one column, read exactly
+    assert np.array_equal(_chart_columns(got)[1], base)
     assert got.rank == rank
     if len(got.atoms) == 1:
         # a lone atom is the identity: the map is zero but for rounding
@@ -56,7 +71,8 @@ def test_scalar_pair_map_has_rank_zero(spec, dim, seed):
     got = qj.reconstruction_map(a, b, spec)
     assert len(got.atoms) == 1
     assert got.rank == 0
-    assert not got.pinv.any()
+    # only the trace survives
+    assert linalg.real_rank_and_pinv(got.map_matrix)[0] == 1
 
 
 def test_rank_deficient_map_matches_oracle(spin_half):
@@ -64,8 +80,9 @@ def test_rank_deficient_map_matches_oracle(spin_half):
     got = qj.reconstruction_map(*pair, qj.scheme_s_alpha(0.5))
     cols, base, rank = tomography_oracle.reconstruction_map(*pair, qj.scheme_s_alpha(0.5))
     assert got.rank == rank == 2
-    assert np.abs(got.map_matrix - cols).max() <= 1e-12
-    assert np.array_equal(got.offset, base)
+    slope, offset = _chart_columns(got)
+    assert np.abs(slope - cols).max() <= 1e-12
+    assert np.array_equal(offset, base)
 
 
 @settings(PROPERTY, max_examples=60)
@@ -79,6 +96,9 @@ def test_chart_matches_loop_oracle(dim, seed):
     assert np.array_equal(qj.parametrize(rho), x)
     basis = np.stack(list(chart_matrices(dim)))
     assert np.abs(rho.matrix - (basis[0] + np.tensordot(x, basis[1:], 1))).max() <= 1e-15
+    unknown, factor = analysis._entry_unknowns(dim)
+    rebuilt = (factor * hermitian_unknowns(rho.matrix)[unknown]).sum(axis=0)
+    assert np.abs(rebuilt - rho.matrix).max() <= 1e-15
     state = qj.random_density(dim, rng)
     assert np.array_equal(qj.parametrize(state), tomography_oracle.parametrize(state))
 
@@ -92,11 +112,14 @@ SPLIT_WORDS = st.one_of(
 
 
 def _dense_state(rmap, dist):
-    """The state the pseudo-inverse of the dense map gives for a distribution."""
+    """The state the oracle's pseudo-inverse gives for a distribution."""
     aligned = np.zeros(len(rmap.support), dtype=complex)
     aligned[rmap._support_index.match(dist.points)] = dist.weights
-    coords = linalg._real_svd_rank(rmap.map_matrix)[1] @ (analysis._re_im_rows(aligned) - rmap.offset)
-    return qj.embed(coords, rmap.dim)
+    return tomography_oracle.pinv_state(*rmap.observables, rmap.scheme, aligned)
+
+
+def _dense_singular_values(rmap):
+    return np.linalg.svd(rmap.map_matrix, compute_uv=False)
 
 
 @settings(PROPERTY, max_examples=150)
@@ -104,14 +127,15 @@ def _dense_state(rmap, dist):
 def test_block_rank_and_state_match_the_dense_map(spec, obs, seed):
     rmap = qj.reconstruction_map(*obs, spec)
     assert (rmap.blocks is not None) == (not obs[0].eig.degenerate)
-    rank, _, s = linalg._real_svd_rank(rmap.map_matrix)
-    assert rmap.rank == rank
+    assert rmap.rank == tomography_oracle.reconstruction_map(*obs, spec)[2]
+    s = _dense_singular_values(rmap)
+    kept = int(np.count_nonzero(s > linalg.rank_threshold(s[0])))
+    assert rmap.rank == max(kept - 1, 0)
     if rmap.blocks is None or not rmap.full_rank:
         return
-    # the margins come from different maps; the chart's singular values
-    # lie in [1, sqrt(N)], which bounds the dense one from below
-    dense_margin = s[rank - 1] / linalg.rank_threshold(s[0])
-    assert dense_margin >= rmap.diagnostics["rank_margin"] / np.sqrt(rmap.dim) * (1 - 1e-9)
+    # one basis on both: the margins are equal
+    dense_margin = s[kept - 1] / linalg.rank_threshold(s[0])
+    assert abs(dense_margin - rmap.diagnostics["rank_margin"]) <= 1e-9 * dense_margin
     rho = qj.random_density(rmap.dim, np.random.default_rng(seed))
     dist = qj.evaluate_distribution(rmap.atoms, rho)
     got = qj.reconstruct_state(rmap, dist)
@@ -134,44 +158,62 @@ def test_planted_merge_joins_a_diagonal_and_an_off_diagonal_pair():
     assert rmap.diagnostics["inversion"] == "blocks"
     # three atoms, one per eigenvalue of B, against Z[1, 1], Re and Im of Z[2, 0]
     assert rmap.diagnostics["largest_block"] == (6, 3)
-    assert rmap.rank == linalg._real_svd_rank(rmap.map_matrix)[0] == 8
+    assert rmap.rank == tomography_oracle.reconstruction_map(a, b, qj.scheme_s_alpha(0.5))[2] == 8
     dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(3, rng))
     got = qj.reconstruct_state(rmap, dist)
     assert np.abs(got.matrix - _dense_state(rmap, dist).matrix).max() <= 1e-10
 
 
-def test_off_range_weights_fall_back_to_the_dense_pseudo_inverse():
+@settings(PROPERTY, max_examples=60)
+@given(spec=SPLIT_WORDS, obs=observables(2, max_dim=6))
+def test_block_singular_values_are_the_dense_maps(spec, obs):
+    # the unknowns are orthonormal and the eigenbasis of A a unitary change
+    # of frame, so the blocks and the dense map share their singular values
+    rmap = qj.reconstruction_map(*obs, spec)
+    if rmap.blocks is None:
+        return
+    dense = _dense_singular_values(rmap)
+    blocks = np.zeros_like(dense)
+    blocks[: rmap.blocks.singular_values.size] = rmap.blocks.singular_values
+    assert np.abs(dense - blocks).max() <= 1e-12 * dense[0]
+
+
+def _refuse_the_dense_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense map was built or decomposed")
+
+    monkeypatch.setattr(analysis, "_dense_map", refuse)
+
+
+def test_off_range_weights_on_blocks_give_the_least_squares_state(monkeypatch):
     rng = np.random.default_rng(8)
-    rmap = qj.reconstruction_map(*_random_pair(rng, 4), qj.scheme_s_alpha(0.25))
-    assert rmap.diagnostics["inversion"] == "blocks" and rmap.full_rank
+    pair = _random_pair(rng, 4)
     rho = qj.random_density(4, rng)
+    _refuse_the_dense_map(monkeypatch)
+    rmap = qj.reconstruction_map(*pair, qj.scheme_s_alpha(0.25))
+    assert rmap.diagnostics["inversion"] == "blocks" and rmap.full_rank
     dist = qj.evaluate_distribution(rmap.atoms, rho, prune_tol=0.0)
     noise = 1e-6 * (rng.normal(size=len(dist)) + 1j * rng.normal(size=len(dist)))
     # unpruned, the points are the support in order, so the weights are aligned
     bad = qj.QuasiDistribution(2, dist.points, dist.weights + noise)
-    # no state has these weights: the blocks decline them
-    assert analysis._block_state(rmap, bad.weights) is None
+    # no state has these weights: the blocks solve the least-squares problem
     got = qj.reconstruct_state(rmap, bad)
     assert np.abs(got.matrix - _dense_state(rmap, bad).matrix).max() <= 1e-15
     assert 1e-8 < np.abs(got.matrix - rho.matrix).max() < 1e-5
 
 
 def test_block_route_builds_no_dense_map(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the dense map was built or decomposed")
-
     rng = np.random.default_rng(4)
     pair = _random_pair(rng, 8)
     states = [qj.random_density(8, rng) for _ in range(4)]
-    monkeypatch.setattr(linalg, "_real_svd_rank", refuse)
-    monkeypatch.setattr(analysis, "chart_matrices", refuse)
+    _refuse_the_dense_map(monkeypatch)
     rmap = qj.reconstruction_map(*pair, qj.scheme_s_alpha(0.25))
     assert rmap.rank == 63 and rmap.diagnostics["inversion"] == "blocks"
     for rho in states:
         got = qj.reconstruct_state(rmap, qj.evaluate_distribution(rmap.atoms, rho))
         assert np.abs(got.matrix - rho.matrix).max() <= 1e-12
     with pytest.raises(AssertionError, match="dense map"):
-        rmap.pinv  # the dense map and its SVD on demand
+        rmap._dense  # the dense block on demand
 
 
 # The paper's distinguishability comparison on spin (J1, J2), j = 1/2 ... 3.
@@ -191,4 +233,5 @@ def test_spin_pair_distinguishability_table(j_times_two):
     ]
     for spec, rank in table:
         rmap = qj.reconstruction_map(spin.j1, spin.j2, spec)
-        assert rmap.rank == rank == linalg._real_svd_rank(rmap.map_matrix)[0], spec.label
+        oracle_rank = tomography_oracle.reconstruction_map(spin.j1, spin.j2, spec)[2]
+        assert rmap.rank == rank == oracle_rank, spec.label

@@ -1,12 +1,15 @@
-"""Finite-difference reconstruction map and loop-based coordinate chart, kept as a test oracle.
+"""Finite-difference reconstruction map and loop-based coordinate charts, kept as a test oracle.
 
 These are the original definitions: ``parametrize`` and ``embed`` walk the
-index pairs in a Python double loop, and the map's columns are finite
-differences of the coefficient vector along the coordinate basis, one
-``embed`` and one trace of the dense atoms per coordinate. The library
-traces the atoms against each chart matrix in turn, through their cells;
-it must match these columns to rounding, the offset exactly, and the
-rank.
+index pairs in a Python double loop, ``chart_matrices`` spells the chart
+of ``embed`` out as rho(0) and the N^2 - 1 coordinate derivatives, and
+the map's columns are finite differences of the coefficient vector along
+the coordinate basis, one ``embed`` and one trace of the dense atoms per
+coordinate. ``hermitian_unknowns`` reads the Frobenius-orthonormal
+unknowns the library's map acts on, again in a double loop. The library
+map times the unknowns of each chart matrix must match these traces to
+rounding, its rank the finite-difference rank, and its states the ones
+the finite-difference pseudo-inverse gives (``pinv_state``).
 """
 
 from __future__ import annotations
@@ -56,6 +59,48 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
     return DensityState(m, require_positive=require_positive)
 
 
+def chart_matrices(dim: int):
+    """The chart of ``embed`` as N^2 matrices of shape (N, N), each made as it is yielded.
+
+    rho(x) equals ``m_0 + sum over k of x[k] * m_(1 + k)``: m_0 is the
+    state at x = 0, a unit in the last diagonal entry; a diagonal
+    coordinate k adds E_kk - E_(N-1)(N-1), and pair (i, j) adds
+    E_ji + E_ij through its real part and i (E_ji - E_ij) through its
+    imaginary part.
+    """
+    last = dim - 1
+    entries = [[(last, last, 1.0)]] + [[(k, k, 1.0), (last, last, -1.0)] for k in range(last)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            entries += [[(j, i, 1.0), (i, j, 1.0)], [(j, i, 1j), (i, j, -1j)]]
+    for entry in entries:
+        m = np.zeros((dim, dim), dtype=complex)
+        for row, col, value in entry:
+            m[row, col] = value
+        yield m
+
+
+def hermitian_unknowns(matrix) -> np.ndarray:
+    """The N^2 orthonormal real unknowns of a Hermitian matrix M.
+
+    M[i, i] first, then for each index pair i < j in row-major order
+    sqrt2 Re M[j, i] and sqrt2 Im M[j, i], so that the Frobenius norm of
+    M is the Euclidean norm of the unknowns.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
+    out = np.empty(n * n)
+    for i in range(n):
+        out[i] = m[i, i].real
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[k] = np.sqrt(2) * m[j, i].real
+            out[k + 1] = np.sqrt(2) * m[j, i].imag
+            k += 2
+    return out
+
+
 def stacked_coefficients(atoms: OperatorAtomSet, matrix) -> np.ndarray:
     """Interleaved (Re, Im) weight vector on the atom support, length 2P.
 
@@ -80,3 +125,15 @@ def reconstruction_map(a, b, spec):
         cols[:, k] = stacked_coefficients(atoms, embed(unit, n).matrix) - base
     rank, _ = linalg.real_rank_and_pinv(cols)
     return cols, base, rank
+
+
+def pinv_state(a, b, spec, weights) -> DensityState:
+    """The state the finite-difference map's pseudo-inverse gives for weights on the atom support.
+
+    ``weights`` are aligned with the support of ``build_atoms(spec, (a, b))``;
+    the result is Hermitian with unit trace and need not be positive.
+    """
+    cols, base, _ = reconstruction_map(a, b, spec)
+    w = np.asarray(weights, dtype=complex)
+    stacked = np.column_stack([w.real, w.imag]).ravel()
+    return embed(linalg.real_rank_and_pinv(cols)[1] @ (stacked - base), a.dim)
