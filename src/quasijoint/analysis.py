@@ -492,17 +492,13 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form, blocks=blocks)
 
 
-def _fitted_state(rho, weights_of, target) -> np.ndarray:
-    """The Hermitian part of ``rho`` with its trace set to 1, or None if it misses ``target``.
+def _unit_hermitian(rho) -> np.ndarray:
+    """The Hermitian part of ``rho`` with its trace reset to 1.
 
-    The trace is reset in the last diagonal entry, as in ``embed``. None
-    unless ``weights_of`` of the result reproduces ``target`` within
-    ``linalg.DEFECT_TOL``.
+    The reset goes into the last diagonal entry, as in ``embed``.
     """
     rho = (rho + rho.conj().T) / 2
     rho[-1, -1] += 1.0 - rho.trace().real
-    if not np.abs(weights_of(rho) - target).max() <= linalg.DEFECT_TOL:
-        return None
     return rho
 
 
@@ -511,21 +507,21 @@ def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
 
     Per atom, w = f Z + g conj(Z) gives
     Z = (conj(f) w - g conj(w)) / (|f|^2 - |g|^2) for Z[b, a] of
-    Z = U_B^dagger rho U_A; then rho = U_B Z U_A^dagger, kept as
-    :func:`_fitted_state` keeps it. Its weights are checked through the
-    form too, in O(N^3), which is cheaper than ``weights_for``.
+    Z = U_B^dagger rho U_A; then rho = U_B Z U_A^dagger, made Hermitian
+    with unit trace (:func:`_unit_hermitian`). None unless its weights,
+    computed through the form too, in O(N^3), which is cheaper than
+    ``weights_for``, reproduce ``aligned`` within ``linalg.DEFECT_TOL``.
     """
     form = rmap.closed_form
     u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
     f, g = form.forward, form.reverse
     w = aligned[form.index]
     z = (f.conj() * w - g * w.conj()) / (np.abs(f) ** 2 - np.abs(g) ** 2)
-
-    def weights_of(rho):
-        z = (u_b.conj().T @ rho @ u_a).T
-        return f * z + g * z.conj()
-
-    return _fitted_state(u_b @ z.T @ u_a.conj().T, weights_of, w)
+    rho = _unit_hermitian(u_b @ z.T @ u_a.conj().T)
+    z = (u_b.conj().T @ rho @ u_a).T
+    if not np.abs(f * z + g * z.conj() - w).max() <= linalg.DEFECT_TOL:
+        return None
+    return rho
 
 
 def _block_state(blocks: EntryBlocks, aligned, n: int) -> np.ndarray:
@@ -541,7 +537,8 @@ def _block_state(blocks: EntryBlocks, aligned, n: int) -> np.ndarray:
     constraint. Weights some state has give that state, and any others the
     minimizer the pseudo-inverse of the map on unit-trace states gives.
     The unknowns make up Z (:func:`_entry_unknowns`), and
-    rho = U_A Z U_A^dagger.
+    rho = U_A Z U_A^dagger, made Hermitian with unit trace
+    (:func:`_unit_hermitian`).
     """
     sol = np.empty((n * n, 2))  # columns: the free minimizer and (B^T B)^-1 t
     for g in blocks.groups:
@@ -556,7 +553,7 @@ def _block_state(blocks: EntryBlocks, aligned, n: int) -> np.ndarray:
     unknown, factor = _entry_unknowns(n)
     z = (factor * v[unknown]).sum(axis=0)
     u_a = blocks.vectors
-    return z if u_a is None else u_a @ z @ u_a.conj().T
+    return _unit_hermitian(z if u_a is None else u_a @ z @ u_a.conj().T)
 
 
 def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> DensityState:

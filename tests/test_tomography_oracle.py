@@ -200,6 +200,9 @@ def test_off_range_weights_on_blocks_give_the_least_squares_state(monkeypatch):
     got = qj.reconstruct_state(rmap, bad)
     assert np.abs(got.matrix - _dense_state(rmap, bad).matrix).max() <= 1e-15
     assert 1e-8 < np.abs(got.matrix - rho.matrix).max() < 1e-5
+    # Hermitian to the last bit, so the diagonal shows no imaginary rounding
+    assert np.array_equal(got.matrix, got.matrix.conj().T)
+    assert abs(got.matrix.trace() - 1.0) <= 1e-15
 
 
 def test_block_route_builds_no_dense_map(monkeypatch):
