@@ -12,10 +12,13 @@ coordinate vector of coefficient-weighted eigenvalue sums.
 Those products are fixed by the overlaps U_k^dagger U_{k+1} between the
 eigenbases of consecutive factors, so all products of a word come from
 one array contraction of the overlaps (summed within degenerate
-eigenspaces), the overlap chain, and all coordinates from one broadcast
-sum. Coordinates within ``linalg.COORD_TOL`` merge into one atom and
-atoms below ``linalg.ROUNDING_TOL`` are dropped; these rules are the same
-as for the scalar definition.
+eigenspaces), the overlap chain. A variable's coordinate depends only on
+the factors that carry it, so each variable's coordinates are summed and
+clustered on those factors' axes of the choice grid alone, and broadcast
+over the full grid only as cluster ids. Coordinates within
+``linalg.COORD_TOL`` merge into one atom and atoms below
+``linalg.ROUNDING_TOL`` are dropped; these rules are the same as for the
+scalar definition.
 
 A word that opens on observable F and closes on L puts U_F X U_L^dagger
 on its atoms, X sparse, so an atom set stores no N x N atom but a table
@@ -23,8 +26,8 @@ of cells: per atom, closing (F, L) and eigenvector pair (i, j), the summed
 weight x of the choices landing there, all found by one sort. Pairing
 atoms with a state by the trace gives the (generally complex) joint
 weights: each cell gathers one entry of U_L^dagger rho U_F. The same
-gather against one matrix at a time serves every other trace; only the
-reconstruction map reads the coordinate chart. The prune reads its
+gather against one matrix at a time serves every other trace, the
+reconstruction map's columns included. The prune reads its
 bounds off the cells, forming only the atoms left between them, and
 realness decides the atoms of the scheme minus its adjoint the same way.
 The adjoint scatters one coefficient per atom onto the cells' entries:
@@ -523,23 +526,46 @@ def _cluster_values(values, tol):
 
     Returns ``(reps, ids)``: the ascending cluster representatives and the
     cluster of each value, so ``reps[ids]`` maps every value to its
-    representative. Representatives are cluster means rounded to a 1e-12
-    grid so that coordinates arising from different rounding paths key
-    identically. Means and rounding go through numpy's slice ``mean`` and
-    Python's correctly rounded ``round``, one call per cluster, so
-    representatives do not depend on how the clusters were found.
-    Clusters lie more than ``tol`` apart, so rounding keeps them in order.
+    representative. One ``argsort`` orders the values; a gap above ``tol``
+    between neighbours opens a cluster. Representatives are the means of a
+    cluster's distinct values (numpy's slice ``mean``, exact for a single
+    value) rounded to a 1e-12 grid (:func:`_round12`), so coordinates
+    arising from different rounding paths key identically and repeated
+    values do not move a representative. Clusters lie more than ``tol``
+    apart, so rounding keeps them in order.
     """
-    uniq, inverse = np.unique(values, return_inverse=True)
-    opens = np.concatenate(([True], np.diff(uniq) > tol))
-    cluster = np.cumsum(opens) - 1
+    order = np.argsort(values)
+    ordered = values[order]
+    opens = np.empty(ordered.size, dtype=bool)
+    opens[0], opens[1:] = True, ordered[1:] - ordered[:-1] > tol
+    ids = np.empty(ordered.size, dtype=np.intp)
+    ids[order] = np.cumsum(opens) - 1
     starts = np.flatnonzero(opens)
-    sizes = np.diff(starts, append=uniq.size)
-    means = uniq[starts]  # exact for singleton clusters
-    for c in np.flatnonzero(sizes > 1):
-        means[c] = uniq[starts[c] : starts[c] + sizes[c]].mean()
-    reps = np.array([round(m, 12) for m in means.tolist()]) + 0.0  # no negative zero
-    return reps, cluster[inverse.reshape(-1)]
+    ends = np.concatenate((starts[1:], [ordered.size]))
+    means = ordered[starts]
+    for c in np.flatnonzero(ordered[ends - 1] != means):  # clusters of two or more values
+        run = ordered[starts[c] : ends[c]]
+        means[c] = run[np.concatenate(([True], run[1:] != run[:-1]))].mean()
+    return _round12(means) + 0.0, ids  # no negative zero
+
+
+def _round12(x) -> np.ndarray:
+    """``round(v, 12)`` of every entry of the float array ``x``, bit for bit.
+
+    rint(v 1e12) / 1e12 is Python's correctly rounded result wherever
+    v 1e12 is a finite float below 2^52 more than half an ulp from a
+    half-integer: the exact product then rounds to the same integer q,
+    and q / 1e12 is the float nearest q 10^-12, both exact. The rest
+    (ties, huge or non-finite values) go through ``round`` one by one.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 1e12
+        out = np.rint(scaled) / 1e12
+        tie = 2 * np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
+        exact = (np.abs(scaled) < 2.0**52) & ~tie
+    for k in np.flatnonzero(~exact):
+        out[k] = round(float(x[k]), 12)
+    return out
 
 
 def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
@@ -607,31 +633,34 @@ def _complex_matmul(a, b, out) -> None:
     np.matmul(a, block.reshape(a.shape[1], -1), out=out.view(float))
 
 
-def _group_coordinates(group: _TermGroup, eigs, n_vars) -> np.ndarray:
-    """Coordinate vector of every term's group choices, shape (T * G_1 * ... * G_L, n_vars).
+def _variable_coordinates(group: _TermGroup, eigs, var) -> np.ndarray:
+    """Coordinate ``var`` of every term's group choices, on that variable's own axes.
 
-    Rows run over the terms, then over their choices. Coefficient-weighted
-    eigenvalues are added in word order, starting from zero, for all terms
-    in one broadcast per factor, so each coordinate is rounded exactly as a
-    scalar running sum.
+    Shape (T, G_1', ..., G_L'), G_k' = G_k on the axes of factors that
+    some term puts on ``var`` and 1 on the others, so it broadcasts over
+    the group's choice grid. Each term adds its coefficient-weighted
+    eigenvalues of the factors it puts on ``var`` in word order, starting
+    from zero, so each coordinate is rounded exactly as a scalar running sum.
     """
-    grid = tuple(e.eigenvalues.size for e in eigs)
-    terms = np.arange(len(group.weights))
-    coords = np.zeros((terms.size, n_vars) + grid)
-    for k, eig in enumerate(eigs):
-        shape = [terms.size] + [1] * len(grid)
+    carries = group.vars == var  # (T, L)
+    t, on = carries.shape[0], carries.any(axis=0)
+    grid = [eigs[o].eigenvalues.size if c else 1 for o, c in zip(group.obs, on)]
+    coords = np.zeros([t] + grid)
+    ones = [1] * len(grid)
+    for k in np.flatnonzero(on):
+        shape = [t] + ones
         shape[1 + k] = grid[k]
-        # each term adds to its own variable of factor k
-        step = group.coeffs[:, k, None] * eig.eigenvalues
-        coords[terms, group.vars[:, k]] += step.reshape(shape)
-    return coords.reshape(terms.size, n_vars, -1).transpose(0, 2, 1).reshape(-1, n_vars)
+        step = group.coeffs[:, k, None] * eigs[group.obs[k]].eigenvalues
+        # terms that put factor k on another variable keep their sum
+        np.add(coords, step.reshape(shape), out=coords, where=carries[:, k].reshape([t] + ones))
+    return coords
 
 
 def _group_cells(group: _TermGroup, eigs, keys, closings):
     """A group's candidates per eigenvector column pair: their cell keys and values, flat.
 
-    ``keys`` holds the point key of each term's group choices, shifted
-    past the cells a point can hold. The end group axes expand to the
+    ``keys``, shape (T, G_1, ..., G_L), holds the point key of each term's
+    group choices, shifted past the cells a point can hold. The end group axes expand to the
     eigenvector columns i and j, k N^2 + j N + i is added for the group's
     closing k, and the value is weight * chain[i, mid, j]
     (:func:`_overlap_chain`); a one-factor word puts its weight on [i, i].
@@ -734,11 +763,15 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     that opens on F and closes on L adds weight * chain[i, mid, j] at
     [i, j] of X in U_F X U_L^dagger. Terms whose words visit the same
     observables in the same order (one of ``spec.groups``) share that
-    contraction, and their coordinates come in one broadcast
-    (:func:`_group_coordinates`). The merge and prune rules are those of
-    the scalar definition: coordinates within ``linalg.COORD_TOL`` of each
-    other (per variable, chained over sorted values) merge into one atom
-    at the rounded cluster mean, and merged atoms below
+    contraction. Each variable's coordinates are summed on the axes of the
+    factors that carry it (:func:`_variable_coordinates`), so a split
+    word at N = 24 clusters 576 values for variable 0 and 24 for variable
+    1 rather than 13,824 each; the cluster ids then broadcast over each
+    group's choice grid into point keys. The merge and prune rules are
+    those of the scalar definition: coordinates within
+    ``linalg.COORD_TOL`` of each other (per variable, chained over sorted
+    values) merge into one atom at the rounded mean of the cluster's
+    distinct values (:func:`_cluster_values`), and merged atoms below
     ``linalg.ROUNDING_TOL`` in max-norm are dropped. Every choice is keyed
     on (point, closing, j, i), so one stable sort gives the atoms and
     their cells (:class:`OperatorAtomSet`), repeated keys summed in
@@ -773,20 +806,22 @@ def _cell_table(groups, n_vars, eigs) -> tuple:
     Returned as the fields of :class:`OperatorAtomSet` after ``eigs``.
     """
     n = eigs[0].dim
-    coords = [_group_coordinates(g, [eigs[o] for o in g.obs], n_vars) for g in groups]
-    offsets = np.cumsum([0] + [c.shape[0] for c in coords])
-    coords = np.concatenate(coords)
-    reps, ids = zip(*(_cluster_values(coords[:, v], linalg.COORD_TOL) for v in range(n_vars)))
+    reps, ids = [], []
+    for v in range(n_vars):
+        coords = [_variable_coordinates(g, eigs, v) for g in groups]
+        r, flat = _cluster_values(np.concatenate([c.ravel() for c in coords]), linalg.COORD_TOL)
+        reps.append(r)
+        cuts = np.cumsum([c.size for c in coords])[:-1]
+        ids.append([i.reshape(c.shape) for i, c in zip(np.split(flat, cuts), coords)])
     closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in groups))
     # bits of the cells a point can hold, k N^2 + j N + i
     shift = (len(closings) * n * n - 1).bit_length()
     sizes = [r.size for r in reps]
-    # integer keys sort as the rows of cluster ids do lexicographically
-    points_keys = np.ravel_multi_index((*ids, 0), sizes + [1 << shift])
-    del coords, ids  # freed before the candidates' cells are built
+    # integer keys sort as the rows of cluster ids do lexicographically; each
+    # group's variables broadcast over its choice grid (T, G_1, ..., G_L)
     keys, values = zip(*(
-        _group_cells(g, eigs, points_keys[lo:hi], closings)
-        for g, lo, hi in zip(groups, offsets[:-1], offsets[1:])
+        _group_cells(g, eigs, np.ravel_multi_index((*g_ids, 0), sizes + [1 << shift]), closings)
+        for g, g_ids in zip(groups, zip(*ids))
     ))
     keys, values = np.concatenate(keys), np.concatenate(values)
     order = np.argsort(keys, kind="stable")

@@ -115,7 +115,11 @@ def eigensystem(matrix) -> EigenSystem:
     radius when that radius exceeds one) are grouped into a single
     eigenspace with summed multiplicity.
     """
-    m = require_hermitian(matrix)
+    return _eigensystem(require_hermitian(matrix))
+
+
+def _eigensystem(m) -> EigenSystem:
+    """:func:`eigensystem` of a complex matrix that :func:`require_hermitian` returned."""
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dim <= 64 always converges

@@ -39,7 +39,7 @@ class HermitianObservable:
 
     @cached_property
     def eig(self) -> linalg.EigenSystem:
-        return linalg.eigensystem(self.matrix)
+        return linalg._eigensystem(self.matrix)  # checked Hermitian in __init__
 
     @property
     def eigenvalues(self) -> np.ndarray:

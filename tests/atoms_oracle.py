@@ -12,6 +12,13 @@ h(s) of a scheme multiplied out from phased projectors at each frequency
 vector (:func:`mixture`), the dense atoms of a library atom set
 (:func:`matrices`) and the entrywise Hermiticity defect of dense atoms
 (:func:`hermiticity_defect`).
+
+And it keeps the library's earlier cell table (:func:`cell_table`): every
+coordinate of every candidate on the full choice grid of its group
+(:func:`group_coordinates`), each variable's column clustered by
+``np.unique`` with Python ``round`` per representative
+(:func:`unique_clusters`). The library's table, clustered on each
+variable's own factor axes, must equal it array for array.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from quasijoint.distributions import (
     WignerScheme,
     _check_observables,
     _check_points,
+    _group_cells,
 )
 from quasijoint.errors import QuasiJointError, UnsupportedSchemeError
 
@@ -49,6 +57,74 @@ def _cluster_values(values, tol):
                 rep[float(u)] = r
             start = i
     return rep
+
+
+def unique_clusters(values, tol):
+    """``(reps, ids)`` as the library's ``_cluster_values``, from ``np.unique``.
+
+    Chains sorted distinct values within tol, takes the slice mean of a
+    cluster's distinct values and rounds it with Python's ``round``.
+    """
+    uniq, inverse = np.unique(values, return_inverse=True)
+    opens = np.concatenate(([True], np.diff(uniq) > tol))
+    cluster = np.cumsum(opens) - 1
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(starts, append=uniq.size)
+    means = uniq[starts]  # exact for singleton clusters
+    for c in np.flatnonzero(sizes > 1):
+        means[c] = uniq[starts[c] : starts[c] + sizes[c]].mean()
+    reps = np.array([round(m, 12) for m in means.tolist()]) + 0.0  # no negative zero
+    return reps, cluster[inverse.reshape(-1)]
+
+
+def group_coordinates(group, eigs, n_vars) -> np.ndarray:
+    """Coordinate vector of every term's group choices, shape (T * G_1 * ... * G_L, n_vars).
+
+    Rows run over the terms, then over their choices. Each factor adds its
+    coefficient-weighted eigenvalues to its term's variable, in word order
+    from zero, on the full choice grid.
+    """
+    grid = tuple(e.eigenvalues.size for e in eigs)
+    terms = np.arange(len(group.weights))
+    coords = np.zeros((terms.size, n_vars) + grid)
+    for k, eig in enumerate(eigs):
+        shape = [terms.size] + [1] * len(grid)
+        shape[1 + k] = grid[k]
+        step = group.coeffs[:, k, None] * eig.eigenvalues
+        coords[terms, group.vars[:, k]] += step.reshape(shape)
+    return coords.reshape(terms.size, n_vars, -1).transpose(0, 2, 1).reshape(-1, n_vars)
+
+
+def cell_table(groups, n_vars, eigs) -> tuple:
+    """The library's ``_cell_table`` from one candidate-length coordinate table."""
+    n = eigs[0].dim
+    coords = [group_coordinates(g, [eigs[o] for o in g.obs], n_vars) for g in groups]
+    offsets = np.cumsum([0] + [c.shape[0] for c in coords])
+    coords = np.concatenate(coords)
+    reps, ids = zip(*(unique_clusters(coords[:, v], linalg.COORD_TOL) for v in range(n_vars)))
+    closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in groups))
+    shift = (len(closings) * n * n - 1).bit_length()
+    sizes = [r.size for r in reps]
+    points_keys = np.ravel_multi_index((*ids, 0), sizes + [1 << shift])
+    keys, values = zip(*(
+        _group_cells(g, eigs, points_keys[lo:hi], closings)
+        for g, lo, hi in zip(groups, offsets[:-1], offsets[1:])
+    ))
+    keys, values = np.concatenate(keys), np.concatenate(values)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    opens = np.concatenate(([True], keys[1:] != keys[:-1]))
+    cells = np.flatnonzero(opens)
+    x = values[order[cells]]
+    repeats = np.flatnonzero(~opens)
+    np.add.at(x, np.cumsum(opens)[repeats] - 1, values[order[repeats]])
+    keys = keys[cells]
+    point, entries = keys >> shift, keys & ((1 << shift) - 1)
+    bounds = np.flatnonzero(np.concatenate(([True], point[1:] != point[:-1], [True])))
+    points = np.column_stack(
+        [r[i] for r, i in zip(reps, np.unravel_index(point[bounds[:-1]], sizes))]
+    )
+    return points, closings, bounds, entries, x
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,22 @@ Random Hermitian observables of dimension 2-5, half of them with
 degenerate spectra (a random unitary times a few repeated integer
 eigenvalues), under every scheme constructor. The builder must return
 the oracle's atom count, bit-identical points and matrices within 1e-12.
+
+The cell table, whose coordinates are clustered per variable on that
+variable's own factor axes, must equal the oracle's full-grid table
+array for array, and its rounding of representatives Python's ``round``
+bit for bit.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint.distributions import _cluster_values
+from quasijoint import analysis, distributions
+from quasijoint.distributions import _cell_table, _cluster_values, _round12
 
 import atoms_oracle
 
@@ -110,7 +118,169 @@ def test_cluster_representatives_match_oracle():
     values = np.concatenate(
         [base + 3e-12 * rng.integers(-3, 4, size=base.size) for _ in range(4)]
     )
+    # clusters of values a few 1e-13 either side of a half-way point (k + 1/2) 1e-12,
+    # whose members round to different grid points one by one
+    halves = (rng.integers(-5 * 10**12, 5 * 10**12, size=1000) + 0.5) / 1e12
+    straddle = halves[:, None] + np.array([-3e-13, -1e-13, 0.0, 2e-13, 4e-13])
+    values = np.concatenate([values, straddle.ravel(), halves + 1e-13, halves - 1e-13])
     reps = atoms_oracle._cluster_values(values, 1e-9)
     want = np.array([reps[float(v)] for v in values])
     reps, ids = _cluster_values(values, 1e-9)
     assert np.array_equal(reps[ids], want)
+    assert np.array_equal(reps, np.unique(want))
+    reps_np, ids_np = atoms_oracle.unique_clusters(values, 1e-9)
+    assert np.array_equal(reps, reps_np) and np.array_equal(ids, ids_np)
+
+
+def _assert_rounds_as_python(x):
+    x = np.array(x, dtype=float)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _round12(x)
+    want = np.array([round(v, 12) for v in x.tolist()])
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert not differ.any(), x[differ]
+
+
+HALF_WAY = st.integers(-(2**60), 2**60).map(lambda k: (k + 0.5) / 1e12)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(
+    st.lists(
+        st.floats()
+        | HALF_WAY
+        | HALF_WAY.map(lambda x: np.nextafter(x, np.inf))
+        | HALF_WAY.map(lambda x: np.nextafter(x, -np.inf))
+        | st.tuples(st.floats(2.0**52 / 1e12, 1e308), st.sampled_from([1.0, -1.0])).map(np.prod)
+        | st.sampled_from([0.0, -0.0, 1e300, -1e300, 2.0**52 / 1e12, 5e-13, -5e-13]),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_round12_matches_python_round(values):
+    _assert_rounds_as_python(values)
+
+
+def test_round12_half_way_neighbours():
+    k = np.random.default_rng(3).integers(-(10**15), 10**15, size=20000)
+    halves = (k + 0.5) / 1e12
+    _assert_rounds_as_python(
+        np.concatenate([halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf)])
+    )
+    _assert_rounds_as_python([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, 2.0**52 / 1e12])
+
+
+# the cell table against the oracle's full-grid table
+
+
+def _assert_cell_table(groups, n_vars, eigs):
+    got = _cell_table(groups, n_vars, eigs)
+    want = atoms_oracle.cell_table(groups, n_vars, eigs)
+    assert got[1] == want[1]
+    for g, w in zip(got[:1] + got[2:], want[:1] + want[2:]):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def _eigs(obs):
+    return tuple(o.eig for o in obs)
+
+
+def _random_pair(rng, n, levels=None):
+    return tuple(_observable(rng, n, levels, label) for label in "AB")
+
+
+def _spin_pairs(max_j_times_two):
+    for jj in range(1, max_j_times_two + 1):
+        s = qj.spin_operators(jj)
+        yield from ((s.j1, s.j2), (s.j2, s.j3), (s.j3, s.j1), (s.j3, s.j3))
+
+
+SPLIT_PAIR = [(0, 0.5, 0), (1, 1.0, 1), (0, 0.5, 0)]
+SMALL_SCHEMES = (
+    qj.scheme_kirkwood(2),
+    qj.scheme_s_alpha(0.25),
+    qj.scheme_s_alpha(0.5),
+    qj.scheme_margenau_hill(0.3),
+    qj.scheme_born_jordan(5),
+    qj.scheme_alternating([0.3, 0.7], [0.6, 0.4]),
+)
+MIXED_CLOSINGS = (
+    qj.scheme_margenau_hill(0.3),
+    qj.scheme_margenau_hill(0.0),
+    qj.scheme_margenau_hill(-1.0),
+    qj.scheme_alternating([0.3, 0.7], [0.6, 0.4]),
+    qj.scheme_alternating([0.6, 0.4], [0.2, 0.3, 0.5], first_var=1),
+    qj.SchemeSpec(2, ((0.4, [(0, 0.3, 0), (0, 0.7, 0), (1, 1.0, 1)]),
+                      (0.6, [(1, 1.0, 1), (0, 0.7, 0), (0, 0.3, 0)]))),
+)
+# A (observable 0) on variable 1 and B on variable 0, and one group whose
+# terms put the factors of one observable sequence on different variables
+SWAPPED = (
+    qj.SchemeSpec(2, ((1.0, [(1, 1.0, 0), (0, 1.0, 1)]),)),
+    qj.SchemeSpec(2, ((0.5, [(1, 0.5, 0), (0, 1.0, 1), (1, 0.5, 0)]), (0.5, SPLIT_PAIR))),
+    qj.SchemeSpec(2, ((0.3, [(1, 1.0, 0), (0, 1.0, 1)]), (0.7, [(0, 1.0, 0), (1, 1.0, 1)]))),
+)
+
+
+def test_cell_table_matches_oracle_on_workload_pairs():
+    # the random pairs and sizes of the atoms_build benchmark
+    mix = (
+        [(qj.scheme_kirkwood(2), n) for n in (8, 16, 32)]
+        + [(qj.scheme_margenau_hill(0.3), n) for n in (8, 16, 32)]
+        + [(qj.scheme_s_alpha(0.25), n) for n in (8, 16, 24)]
+        + [(qj.scheme_born_jordan(21), n) for n in (4, 8)]
+        + [(qj.scheme_alternating([0.3, 0.7], [0.6, 0.4]), n) for n in (4, 6)]
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        for spec, n in mix:
+            _assert_cell_table(spec.groups, 2, _eigs(_random_pair(rng, n)))
+
+
+def test_cell_table_matches_oracle_on_degenerate_spectra():
+    rng = np.random.default_rng(12)
+    for n in range(2, 7):
+        for _ in range(4):
+            eigs = _eigs(_random_pair(rng, n, [-1, 0, 2]))
+            for spec in SMALL_SCHEMES:
+                _assert_cell_table(spec.groups, 2, eigs)
+
+
+def test_cell_table_matches_oracle_on_spin_pairs():
+    for obs in _spin_pairs(8):
+        for spec in SMALL_SCHEMES[:-1] + (qj.scheme_born_jordan(21),):
+            _assert_cell_table(spec.groups, 2, _eigs(obs))
+
+
+def test_cell_table_matches_oracle_on_mixed_closings_and_swapped_variables():
+    rng = np.random.default_rng(13)
+    for n in range(2, 7):
+        for levels in (None, [-1, 0, 2]):
+            eigs = _eigs(_random_pair(rng, n, levels))
+            for spec in MIXED_CLOSINGS + SWAPPED:
+                _assert_cell_table(spec.groups, 2, eigs)
+    for nv in (1, 3):
+        spec = qj.scheme_kirkwood(nv)
+        for n in range(2, 6):
+            obs = [_observable(rng, n, [-1, 0, 2] if v else None, "O") for v in range(nv)]
+            _assert_cell_table(spec.groups, nv, _eigs(obs))
+
+
+def test_cell_table_matches_oracle_on_scheme_plus_adjoint(monkeypatch):
+    # the groups scheme_is_real hands to the cell table: the scheme and its negated adjoint
+    seen = []
+
+    def checked(groups, n_vars, eigs):
+        _assert_cell_table(groups, n_vars, eigs)
+        seen.append(len(groups))
+        return _cell_table(groups, n_vars, eigs)
+
+    monkeypatch.setattr(distributions, "_cell_table", checked)
+    rng = np.random.default_rng(14)
+    pairs = [_random_pair(rng, n, levels) for n in (2, 3, 5) for levels in (None, [-1, 0, 2])]
+    pairs += list(_spin_pairs(3))
+    for obs in pairs:
+        for spec in SMALL_SCHEMES + MIXED_CLOSINGS[1:3] + SWAPPED:
+            analysis.scheme_is_real(spec, obs)
+    assert len(seen) == len(pairs) * 11 and min(seen) >= 2

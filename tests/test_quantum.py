@@ -180,6 +180,22 @@ def test_observable_caches_eigensystem(spin_half):
     assert spin_half.j3.eig is spin_half.j3.eig
 
 
+def test_observable_checks_hermiticity_once(monkeypatch):
+    # the constructor checks the matrix; .eig decomposes it without a second check
+    calls = []
+    check = qj.linalg.require_hermitian
+    monkeypatch.setattr(
+        qj.linalg, "require_hermitian", lambda *a, **k: calls.append(1) or check(*a, **k)
+    )
+    obs = qj.HermitianObservable(np.diag([1.0, 1.0, -2.0]))
+    eig = obs.eig
+    assert len(calls) == 1
+    want = qj.eigensystem(obs.matrix)
+    assert np.array_equal(eig.eigenvalues, want.eigenvalues)
+    assert eig.multiplicities == want.multiplicities == (2, 1)
+    assert np.array_equal(eig.vectors, want.vectors)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrices_rejected(bad):
     m = np.diag([bad, 0.0])
