@@ -85,9 +85,9 @@ def verify_support(
         left = np.maximum(right - 1, 0)
         gap = np.minimum(np.abs(spectrum[left] - x), np.abs(spectrum[right] - x))
         off |= gap > linalg.COORD_TOL
-    off &= ~(np.abs(dist.weights) <= tol)
+    off = np.flatnonzero(off & ~(np.abs(dist.weights) <= tol))  # rows by index: cheaper than a mask
     weights = dist.weights[off].astype(complex, copy=False)
-    return SupportReport(not off.any(), dist.points[off], weights)
+    return SupportReport(off.size == 0, dist.points.take(off, axis=0), weights)
 
 
 def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
@@ -365,6 +365,14 @@ class ReconstructionMap:
     (2, 2) for the closed form (Re and Im of one atom against Re and Im of
     one Kirkwood-Dirac weight), the block with the most unknowns for
     blocks, and the whole dense map, (2P, N^2), for the SVD.
+
+    What the inversion needs of the map alone is computed on the first
+    :func:`reconstruct_state` and cached, as ``_support_index`` is: the
+    closed form's conj(f), |f|^2 - |g|^2, U_A^dagger and U_B^dagger
+    (``_closed_form_inverse``), and the blocks' Lagrange step
+    (B^T B)^-1 t with its diagonal sum (``_lagrange_step``). Each is at
+    most N x N, so a map keeps O(N^2) more than its blocks' SVD; no
+    pseudo-inverse, (N^2, 2P), is kept.
     """
 
     observables: tuple
@@ -423,6 +431,28 @@ class ReconstructionMap:
     @cached_property
     def _support_index(self) -> _SupportIndex:
         return _SupportIndex(self.support)
+
+    @cached_property
+    def _closed_form_inverse(self) -> tuple:
+        """conj(f), |f|^2 - |g|^2, U_A^dagger and U_B^dagger of :func:`_closed_form_state`, each (N, N)."""
+        f, g = self.closed_form.forward, self.closed_form.reverse
+        u_a, u_b = (e.vectors for e in self.atoms.eigs)
+        return f.conj(), np.abs(f) ** 2 - np.abs(g) ** 2, u_a.conj().T, u_b.conj().T
+
+    @cached_property
+    def _lagrange_step(self) -> tuple:
+        """(B^T B)^-1 t on the unknowns, shape (N^2,), and the sum of its diagonal entries.
+
+        B is the map on the unknowns as ``_inverted`` solves it and t marks
+        the diagonal unknowns (:func:`_block_state`): V S^-2 V^T t block by
+        block. Needs every block of full column rank.
+        """
+        n = self.dim
+        step = np.empty(n * n)
+        for g in self._inverted.groups:
+            t = (g.unknowns < n)[..., None].astype(float)
+            step[g.unknowns] = (g.vt.transpose(0, 2, 1) @ ((g.vt @ t) / g.s[..., None] ** 2))[..., 0]
+        return step, step[:n].sum()
 
 
 def _singular_value_bounds(form: KirkwoodForm):
@@ -511,45 +541,52 @@ def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     with unit trace (:func:`_unit_hermitian`). None unless its weights,
     computed through the form too, in O(N^3), which is cheaper than
     ``weights_for``, reproduce ``aligned`` within ``linalg.DEFECT_TOL``.
+    conj(f), the denominators and the adjoint eigenvector matrices depend
+    on the map only and are cached on it (``_closed_form_inverse``, four
+    N x N arrays), so a call computes the same arrays as a fresh solve
+    would and its states are bit for bit the same.
     """
     form = rmap.closed_form
+    f_conj, denominator, u_a_h, u_b_h = rmap._closed_form_inverse
     u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
     f, g = form.forward, form.reverse
     w = aligned[form.index]
-    z = (f.conj() * w - g * w.conj()) / (np.abs(f) ** 2 - np.abs(g) ** 2)
-    rho = _unit_hermitian(u_b @ z.T @ u_a.conj().T)
-    z = (u_b.conj().T @ rho @ u_a).T
+    z = (f_conj * w - g * w.conj()) / denominator
+    rho = _unit_hermitian(u_b @ z.T @ u_a_h)
+    z = (u_b_h @ rho @ u_a).T
     if not np.abs(f * z + g * z.conj() - w).max() <= linalg.DEFECT_TOL:
         return None
     return rho
 
 
-def _block_state(blocks: EntryBlocks, aligned, n: int) -> np.ndarray:
+def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     """The unit-trace Hermitian matrix whose weights fit ``aligned`` best, in least squares.
 
-    The blocks must have full rank N^2 (map rank N^2 - 1), so every block
-    has full column rank and every unknown lies in one block. With B the
-    map on the unknowns v and b the Re and Im of the weights, the result
+    Solved on ``rmap._inverted``, the map's blocks or its dense block,
+    which must have full rank N^2 (map rank N^2 - 1), so every block has
+    full column rank and every unknown lies in one block. With B the map
+    on the unknowns v and b the Re and Im of the weights, the result
     minimizes |B v - b| subject to t.v = 1, t marking the diagonal
     unknowns, whose sum is the trace. The free minimizer is each block's
     least-squares solution V S^-1 U^T b; one Lagrange step along
-    (B^T B)^-1 t, which is V S^-2 V^T t block by block, puts it on the
-    constraint. Weights some state has give that state, and any others the
+    (B^T B)^-1 t puts it on the constraint. That step depends on the map
+    only: it is cached on the map with its diagonal sum
+    (``_lagrange_step``, N^2 floats, where a pseudo-inverse would take
+    2 P N^2), so a call does one V (S^-1 U^T b) per block shape and one
+    axpy. Weights some state has give that state, and any others the
     minimizer the pseudo-inverse of the map on unit-trace states gives.
     The unknowns make up Z (:func:`_entry_unknowns`), and
     rho = U_A Z U_A^dagger, made Hermitian with unit trace
     (:func:`_unit_hermitian`).
     """
-    sol = np.empty((n * n, 2))  # columns: the free minimizer and (B^T B)^-1 t
+    blocks, n = rmap._inverted, rmap.dim
+    step, diagonal = rmap._lagrange_step
+    v = np.empty(n * n)
     for g in blocks.groups:
         # rows Re, Im of each atom: the float view of the complex weights
         b = aligned[g.atoms].view(float)[..., None]
-        t = (g.unknowns < n)[..., None].astype(float)
-        s = g.s[..., None]
-        x = np.concatenate([(g.u.transpose(0, 2, 1) @ b) / s, (g.vt @ t) / s**2], axis=2)
-        sol[g.unknowns] = g.vt.transpose(0, 2, 1) @ x
-    v, step = sol.T
-    v = v + (1.0 - v[:n].sum()) / step[:n].sum() * step
+        v[g.unknowns] = (g.vt.transpose(0, 2, 1) @ ((g.u.transpose(0, 2, 1) @ b) / g.s[..., None]))[..., 0]
+    v += (1.0 - v[:n].sum()) / diagonal * step
     unknown, factor = _entry_unknowns(n)
     z = (factor * v[unknown]).sum(axis=0)
     u_a = blocks.vectors
@@ -581,7 +618,9 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     that state when its weights reproduce the aligned ones within
     ``linalg.DEFECT_TOL``: it then fits them as well as the least-squares
     solution but for that tolerance. Weights that no state reproduces go
-    to the dense block, built on demand.
+    to the dense block, built on demand. Both solvers read per-map
+    operators cached on ``rmap`` by the first call (:class:`ReconstructionMap`),
+    so later calls on one map pay only for the weights at hand.
     """
     n = rmap.dim
     if rmap.rank < n * n - 1:
@@ -614,7 +653,7 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     if rmap.closed_form is not None:
         rho = _closed_form_state(rmap, aligned)
     if rho is None:
-        rho = _block_state(rmap._inverted, aligned, n)
+        rho = _block_state(rmap, aligned)
     return DensityState(rho)
 
 

@@ -119,7 +119,13 @@ def eigensystem(matrix) -> EigenSystem:
 
 
 def _eigensystem(m) -> EigenSystem:
-    """:func:`eigensystem` of a complex matrix that :func:`require_hermitian` returned."""
+    """:func:`eigensystem` of a complex matrix that :func:`require_hermitian` returned.
+
+    The groups' bounds come from one vectorized comparison of neighbouring
+    eigenvalues. A group's eigenvalue is its first one, or the slice mean
+    of its members for the groups of two or more, the only ones visited
+    one by one.
+    """
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dim <= 64 always converges
@@ -128,13 +134,16 @@ def _eigensystem(m) -> EigenSystem:
     scale = max(1.0, float(np.abs(vals).max()))
     tol = DEGENERACY_TOL * scale
 
-    # a group starts after each gap above tol; only groups of two or more need a mean
-    bounds = [0, *(np.flatnonzero(vals[:-1] - vals[1:] > tol) + 1).tolist(), vals.size]
-    multiplicities = tuple([b - a for a, b in zip(bounds, bounds[1:])])
+    # group k spans bounds[k]:bounds[k + 1]; a bound follows each gap above tol
+    bounds = np.empty(vals.size + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.greater(vals[:-1] - vals[1:], tol, out=bounds[1:-1])
+    bounds = bounds.nonzero()[0]
+    sizes = bounds[1:] - bounds[:-1]
     evals = vals[bounds[:-1]]
-    for k, (start, size) in enumerate(zip(bounds, multiplicities)):
-        if size > 1:
-            evals[k] = vals[start : start + size].mean()
+    for k in (sizes > 1).nonzero()[0]:
+        evals[k] = vals[bounds[k] : bounds[k + 1]].mean()
+    multiplicities = tuple(sizes.tolist())
     evals.setflags(write=False)
     vecs = np.ascontiguousarray(vecs[:, ::-1])
     vecs.setflags(write=False)

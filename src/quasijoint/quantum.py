@@ -25,10 +25,14 @@ from .errors import (
 
 
 class HermitianObservable:
-    """Hermitian matrix with a lazily cached spectral decomposition."""
+    """Hermitian matrix with a lazily cached spectral decomposition.
+
+    The matrix is a read-only copy: the caller's array stays writeable,
+    and writing to it does not change the observable.
+    """
 
     def __init__(self, matrix, label: str = "A"):
-        m = linalg.require_hermitian(matrix, name=label)
+        m = linalg.require_hermitian(np.array(matrix, dtype=complex), name=label)
         m.setflags(write=False)
         self.matrix = m
         self.label = label
@@ -54,23 +58,35 @@ class DensityState:
     """Density matrix: Hermitian, unit trace, positive semidefinite.
 
     Hermiticity and trace hold within ``linalg.DEFECT_TOL``, positivity
-    within ``linalg.POSITIVITY_SLACK``. ``require_positive=False`` skips the
+    within ``linalg.POSITIVITY_SLACK``: the smallest eigenvalue must be at
+    least -``POSITIVITY_SLACK``. That is tested by one Cholesky
+    factorization of rho + ``POSITIVITY_SLACK`` I, which succeeds exactly
+    when that matrix is positive definite, up to the factorization's
+    rounding (about N eps, far below the slack); ``eigvalsh`` runs only
+    when it fails, to decide near the boundary and to name the smallest
+    eigenvalue in the error. ``require_positive=False`` skips the
     positivity check; only ``embed`` uses it, since its linear chart also
-    reaches Hermitian unit-trace matrices that are not positive.
+    reaches Hermitian unit-trace matrices that are not positive. The
+    matrix is a read-only copy, as in :class:`HermitianObservable`.
     """
 
     def __init__(self, matrix, *, require_positive: bool = True):
-        m = linalg.require_hermitian(matrix, name="density matrix")
+        m = linalg.require_hermitian(np.array(matrix, dtype=complex), name="density matrix")
         trace = m.trace().real
         if abs(trace - 1.0) > linalg.DEFECT_TOL:
             raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
         if require_positive:
-            smallest = float(np.linalg.eigvalsh(m).min())
-            if smallest < -linalg.POSITIVITY_SLACK:
-                raise DomainError(
-                    f"density matrix has eigenvalue {smallest:.3e} "
-                    f"below -{linalg.POSITIVITY_SLACK:.1e}"
-                )
+            shifted = m.copy()
+            shifted.ravel()[:: m.shape[0] + 1] += linalg.POSITIVITY_SLACK  # rho + slack I
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                smallest = float(np.linalg.eigvalsh(m).min())
+                if smallest < -linalg.POSITIVITY_SLACK:
+                    raise DomainError(
+                        f"density matrix has eigenvalue {smallest:.3e} "
+                        f"below -{linalg.POSITIVITY_SLACK:.1e}"
+                    ) from None
         m.setflags(write=False)
         self.matrix = m
 

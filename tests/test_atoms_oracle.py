@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint import analysis, distributions
+from quasijoint import analysis, distributions, linalg
 from quasijoint.distributions import _cell_table, _cluster_values, _round12
 
 import atoms_oracle
@@ -125,11 +125,35 @@ def test_cluster_representatives_match_oracle():
     values = np.concatenate([values, straddle.ravel(), halves + 1e-13, halves - 1e-13])
     reps = atoms_oracle._cluster_values(values, 1e-9)
     want = np.array([reps[float(v)] for v in values])
-    reps, ids = _cluster_values(values, 1e-9)
+    reps, ids, counts = _cluster_values(values, np.zeros(values.size, dtype=np.intp), 1e-9)
     assert np.array_equal(reps[ids], want)
     assert np.array_equal(reps, np.unique(want))
+    assert counts.tolist() == [reps.size]
     reps_np, ids_np = atoms_oracle.unique_clusters(values, 1e-9)
     assert np.array_equal(reps, reps_np) and np.array_equal(ids, ids_np)
+
+
+def test_clusters_never_span_two_variables():
+    # values of two variables interleave within COORD_TOL: variable 0 at
+    # b and b + 6e-10, variable 1 at b + 3e-10 and b + 9e-10, so the two
+    # would chain into one cluster per b; each variable must cluster alone
+    rng = np.random.default_rng(11)
+    tol = linalg.COORD_TOL
+    base = rng.uniform(-3.0, 3.0, size=500)
+    half = rng.random(base.size) < 0.5
+    per_var = [np.concatenate([base + shift, base[half] + shift + 6e-10]) for shift in (0.0, 3e-10)]
+    values = np.concatenate(per_var)
+    var = np.repeat([0, 1], [v.size for v in per_var])
+    shuffle = rng.permutation(values.size)
+    values, var = values[shuffle], var[shuffle]
+    reps, ids, counts = _cluster_values(values, var, tol)
+    assert counts.tolist() == [base.size, base.size]
+    for v, start in enumerate((0, base.size)):
+        want_reps, want_ids = atoms_oracle.unique_clusters(values[var == v], tol)
+        assert np.array_equal(reps[start : start + base.size], want_reps)
+        assert np.array_equal(ids[var == v] - start, want_ids)
+    merged, _, _ = _cluster_values(values, np.zeros_like(var), tol)
+    assert merged.size == base.size  # one cluster per b had the variables been mixed
 
 
 def _assert_rounds_as_python(x):

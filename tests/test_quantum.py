@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import quasijoint as qj
@@ -203,3 +205,55 @@ def test_non_finite_matrices_rejected(bad):
         qj.HermitianObservable(m)
     with pytest.raises(NotHermitianError):
         qj.DensityState(np.diag([1.0, 0.0]) + np.diag([0.0, bad]))
+
+
+@pytest.mark.parametrize("make", [qj.HermitianObservable, qj.DensityState])
+def test_constructors_leave_the_callers_array_writeable(make):
+    # a complex input is already the dtype the constructors keep: they must copy it
+    # before freezing, or the caller's array turns read-only and aliases obj.matrix
+    a = np.diag([0.75, 0.25]).astype(complex)
+    obj = make(a)
+    assert a.flags.writeable and not obj.matrix.flags.writeable
+    a[0, 0] = 5.0
+    assert obj.matrix[0, 0] == 0.75
+
+
+SLACK = qj.linalg.POSITIVITY_SLACK
+
+
+@st.composite
+def planted_states(draw):
+    """Hermitian unit-trace matrices U diag(lam) U^dagger, N = 1-16.
+
+    Pure states, random mixed states, and states whose smallest eigenvalue
+    is planted at -slack (1 + 1e-3) or -slack (1 - 1e-3), either side of
+    the positivity boundary.
+    """
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["pure", "mixed", "planted"] if n > 1 else ["pure"]))
+    lam = np.zeros(n)
+    if kind == "pure":
+        lam[0] = 1.0
+    elif kind == "mixed":
+        lam = rng.random(n)
+        lam /= lam.sum()
+    else:
+        lam[:-1] = rng.random(n - 1)
+        lam[-1] = -SLACK * (1.0 + draw(st.sampled_from([-1e-3, 1e-3])))
+        lam[:-1] *= (1.0 - lam[-1]) / lam[:-1].sum()
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (q * lam) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=planted_states())
+def test_density_state_accepts_exactly_by_the_eigenvalue_rule(m):
+    smallest = float(np.linalg.eigvalsh(m).min())
+    if smallest >= -SLACK:
+        assert np.array_equal(qj.DensityState(m).matrix, m)
+        return
+    with pytest.raises(DomainError) as err:
+        qj.DensityState(m)
+    assert str(err.value) == f"density matrix has eigenvalue {smallest:.3e} below -{SLACK:.1e}"

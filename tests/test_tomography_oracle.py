@@ -16,7 +16,14 @@ blocks', its margin theirs, the rank the finite-difference rank and the
 state the one the oracle's pseudo-inverse gives, also where merged atoms
 join entry pairs, where no state fits the weights (with no dense map
 built), and on the spin pairs of the paper's distinguishability table.
+
+``reconstruct_state`` keeps per-map operators on the map; its states
+must equal the oracle's per-call solve (``per_call_state``) bit for bit
+where the closed form holds, and within 1e-13 on blocks, on the dense
+block and where the closed form falls back to it.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +245,77 @@ def test_spin_pair_distinguishability_table(j_times_two):
         rmap = qj.reconstruction_map(spin.j1, spin.j2, spec)
         oracle_rank = tomography_oracle.reconstruction_map(spin.j1, spin.j2, spec)[2]
         assert rmap.rank == rank == oracle_rank, spec.label
+
+
+def _svd_pair(n):
+    """A pair whose Kirkwood-Dirac map takes the dense route: A with one double eigenvalue, B random."""
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a = qj.HermitianObservable((q * np.maximum(np.arange(n) - 1, 0)) @ q.conj().T, "A")
+    return a, qj.HermitianObservable(qj.random_hermitian(n, rng), "B")
+
+
+PER_CALL_MAPS = [
+    pytest.param("closed_form", lambda: _random_pair(np.random.default_rng(1), 3), qj.scheme_kirkwood(2),
+                 id="kirkwood-random-3"),
+    pytest.param("closed_form", lambda: _random_pair(np.random.default_rng(2), 8),
+                 qj.scheme_margenau_hill(0.5), id="margenau_hill-random-8"),
+    pytest.param("closed_form", lambda: qj.spin_operators(3).components[:2], qj.scheme_kirkwood(2),
+                 id="kirkwood-spin-3/2"),
+    pytest.param("blocks", lambda: _random_pair(np.random.default_rng(3), 4), qj.scheme_s_alpha(0.25),
+                 id="s_alpha-random-4"),
+    pytest.param("blocks", lambda: _random_pair(np.random.default_rng(4), 5), qj.scheme_born_jordan(5),
+                 id="born_jordan-random-5"),
+    pytest.param("svd", lambda: qj.spin_operators(2).components[:2], qj.scheme_kirkwood(2),
+                 id="kirkwood-spin-1"),
+    pytest.param("svd", lambda: _svd_pair(5), qj.scheme_kirkwood(2), id="kirkwood-degenerate-5"),
+]
+
+
+@pytest.mark.parametrize("route, pair, spec", PER_CALL_MAPS)
+def test_reconstruct_state_matches_the_per_call_solve(route, pair, spec):
+    rmap = qj.reconstruction_map(*pair(), spec)
+    assert rmap.diagnostics["inversion"] == route and rmap.full_rank
+    rng = np.random.default_rng(rmap.dim)
+    weights = []
+    for _ in range(3):
+        dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(rmap.dim, rng), prune_tol=0.0)
+        assert np.array_equal(dist.points, rmap.support)
+        weights.append(dist.weights)
+    # weights no state has: the closed form falls back to the dense block
+    weights.append(weights[0] + 1e-6 * rng.normal(size=weights[0].size))
+    routes = []
+    for w in weights:
+        got = qj.reconstruct_state(rmap, qj.QuasiDistribution(2, rmap.support, w)).matrix
+        want, solved_by = tomography_oracle.per_call_state(rmap, w.astype(complex))
+        routes.append(solved_by)
+        if solved_by == "closed_form":
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-13
+            assert np.array_equal(got, got.conj().T)
+    closed = route == "closed_form"
+    assert routes == ["closed_form"] * 3 + ["blocks"] if closed else ["blocks"] * 4
+
+
+@pytest.mark.parametrize("route, pair", [
+    ("svd", lambda: _svd_pair(16)),
+    ("closed_form", lambda: _random_pair(np.random.default_rng(16), 16)),
+])
+def test_reconstruction_keeps_no_more_than_n_squared_per_map(route, pair):
+    # what the first solve leaves on the map (the Lagrange step, or the closed
+    # form's four N x N arrays) stays O(N^2): a pseudo-inverse of the dense
+    # map, (N^2, 2P) floats, would hold 1 MB at N = 16
+    rmap = qj.reconstruction_map(*pair(), qj.scheme_kirkwood(2))
+    assert rmap.diagnostics["inversion"] == route and rmap.full_rank
+    n = rmap.dim
+    dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(n, np.random.default_rng(0)),
+                                    prune_tol=0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        qj.reconstruct_state(rmap, dist)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 4 * n * n * 16 + 4096

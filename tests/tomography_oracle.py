@@ -10,13 +10,16 @@ unknowns the library's map acts on, again in a double loop. The library
 map times the unknowns of each chart matrix must match these traces to
 rounding, its rank the finite-difference rank, and its states the ones
 the finite-difference pseudo-inverse gives (``pinv_state``).
+``per_call_state`` solves a map's weights as ``reconstruct_state`` does,
+but from the closed form or the blocks' ``u, s, vt`` alone on every call,
+with nothing kept on the map between calls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from quasijoint import linalg
+from quasijoint import analysis, linalg
 from quasijoint.distributions import OperatorAtomSet, build_atoms
 from quasijoint.errors import DimensionMismatchError, LengthMismatchError
 from quasijoint.quantum import DensityState
@@ -137,3 +140,41 @@ def pinv_state(a, b, spec, weights) -> DensityState:
     w = np.asarray(weights, dtype=complex)
     stacked = np.column_stack([w.real, w.imag]).ravel()
     return embed(linalg.real_rank_and_pinv(cols)[1] @ (stacked - base), a.dim)
+
+
+def per_call_state(rmap, aligned):
+    """(state, route) of the weights ``aligned`` on the map's support, nothing cached.
+
+    The closed form computes conj(f), |f|^2 - |g|^2 and the adjoint
+    eigenvector matrices per call, and its state is kept when its weights
+    reproduce ``aligned`` within ``linalg.DEFECT_TOL`` (route
+    ``"closed_form"``). Otherwise (route ``"blocks"``) each block shape
+    solves the free minimizer V S^-1 U^T b and the Lagrange step
+    V S^-2 V^T t as two columns of one product, and the step puts the
+    minimizer on the unit trace. The result is an (N, N) array.
+    """
+    n = rmap.dim
+    if rmap.closed_form is not None:
+        form = rmap.closed_form
+        u_a, u_b = (e.vectors for e in rmap.atoms.eigs)
+        f, g = form.forward, form.reverse
+        w = aligned[form.index]
+        z = (f.conj() * w - g * w.conj()) / (np.abs(f) ** 2 - np.abs(g) ** 2)
+        rho = analysis._unit_hermitian(u_b @ z.T @ u_a.conj().T)
+        z = (u_b.conj().T @ rho @ u_a).T
+        if np.abs(f * z + g * z.conj() - w).max() <= linalg.DEFECT_TOL:
+            return rho, "closed_form"
+    blocks = rmap._inverted
+    sol = np.empty((n * n, 2))  # columns: the free minimizer and (B^T B)^-1 t
+    for grp in blocks.groups:
+        b = aligned[grp.atoms].view(float)[..., None]
+        t = (grp.unknowns < n)[..., None].astype(float)
+        s = grp.s[..., None]
+        x = np.concatenate([(grp.u.transpose(0, 2, 1) @ b) / s, (grp.vt @ t) / s**2], axis=2)
+        sol[grp.unknowns] = grp.vt.transpose(0, 2, 1) @ x
+    v, step = sol.T
+    v = v + (1.0 - v[:n].sum()) / step[:n].sum() * step
+    unknown, factor = analysis._entry_unknowns(n)
+    z = (factor * v[unknown]).sum(axis=0)
+    u_a = blocks.vectors
+    return analysis._unit_hermitian(z if u_a is None else u_a @ z @ u_a.conj().T), "blocks"
