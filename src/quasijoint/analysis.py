@@ -95,6 +95,18 @@ def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
     return dist.max_imag() <= tol
 
 
+def _negated_adjoint(groups) -> tuple:
+    """The term groups of the scheme's adjoint, negated: every word reversed, its weight -conj(w).
+
+    A reversed word moves a spectral variable's factor from position k to
+    L - 1 - k.
+    """
+    return tuple(g._replace(obs=g.obs[::-1], weights=-g.weights.conj(), vars=g.vars[:, ::-1],
+                            coeffs=g.coeffs[:, ::-1],
+                            spectral=tuple(k if k is None else len(g.obs) - 1 - k for k in g.spectral))
+                 for g in groups)
+
+
 def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
@@ -117,9 +129,8 @@ def scheme_is_real(spec, observables) -> bool:
     if isinstance(spec, WignerScheme):
         return True
     tol, eigs = linalg.DEFECT_TOL, tuple(o.eig for o in observables)
-    adjoint = tuple(g._replace(obs=g.obs[::-1], weights=-g.weights.conj(), vars=g.vars[:, ::-1],
-                               coeffs=g.coeffs[:, ::-1]) for g in spec.groups)
-    points, *table = distributions._cell_table(spec.groups + adjoint, spec.n_vars, eigs)
+    groups = spec.groups + _negated_adjoint(spec.groups)
+    points, *table = distributions._cell_table(groups, spec.n_vars, eigs)
     gap = OperatorAtomSet(spec.n_vars, points, eigs, *table)
     lower, upper = distributions._norm_bounds(gap)
     if (lower > tol).any():
@@ -249,9 +260,12 @@ def _entry_blocks(atoms: OperatorAtomSet):
     x Z[j, i] to the weight of atom p, with Z = U_A^dagger rho U_A, so it
     touches one Hermitian entry pair {Z[i, j], Z[j, i]}, one or two real
     unknowns (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
-    its connected components, labelled by propagating the least unknown
-    (``np.minimum.at`` over the edges), are the blocks: rows Re and Im of
-    the component's atoms, columns its unknowns. The unknowns are
+    its connected components are the blocks: rows Re and Im of the
+    component's atoms, columns its unknowns. Each is labelled by its least
+    unknown. Where every atom holds one cell (split words on random pairs)
+    that is the first unknown of the atom's entry pair, read off the
+    cells; otherwise the labels are propagated (``np.minimum.at`` over the
+    edges, atom to unknown and back) until none moves. The unknowns are
     Frobenius-orthonormal, so the blocks' singular values are those of the
     map on Hermitian matrices; blocks of one shape share one batched SVD.
     An unknown no atom touches lies in the kernel. Returns None for any
@@ -263,24 +277,32 @@ def _entry_blocks(atoms: OperatorAtomSet):
     eig = atoms.eigs[first]
     n, p = atoms.dim, len(atoms)
     unknown, factor = _entry_unknowns(n)
+    one_cell = atoms.values.size == p
     # one edge per cell and unknown it touches, shape (2, C)
-    edge_atom = np.tile(np.repeat(np.arange(p), np.diff(atoms.bounds)), 2)
+    atom = np.arange(p) if one_cell else np.repeat(np.arange(p), np.diff(atoms.bounds))
+    edge_atom = np.concatenate((atom, atom))
     edge_unknown = unknown.reshape(2, -1)[:, atoms.entries].ravel()  # entries are j N + i
     coef = (factor.reshape(2, -1)[:, atoms.entries] * atoms.values).ravel()
 
     label = np.arange(n * n)
-    while True:
-        atom_label = np.full(p, n * n)
-        np.minimum.at(atom_label, edge_atom, label[edge_unknown])
-        new = label.copy()
-        np.minimum.at(new, edge_unknown, atom_label[edge_atom])
-        new = new[new]  # labels are unknowns of the same component
-        if np.array_equal(new, label):
-            break
-        label = new
+    if one_cell:
+        # one cell per atom: its component is the pair of unknowns at its entry,
+        # labelled by the first, the Re part (or the diagonal entry)
+        atom_label = unknown[0].reshape(-1)[atoms.entries]
+        label[unknown[1].reshape(-1)[atoms.entries]] = atom_label
+    else:
+        while True:
+            atom_label = np.full(p, n * n)
+            np.minimum.at(atom_label, edge_atom, label[edge_unknown])
+            new = label.copy()
+            np.minimum.at(new, edge_unknown, atom_label[edge_atom])
+            new = new[new]  # labels are unknowns of the same component
+            if np.array_equal(new, label):
+                break
+            label = new
     root = np.zeros(n * n, dtype=bool)
     root[atom_label] = True
-    comp = np.cumsum(root) - 1  # component of each root label
+    comp = root.cumsum() - 1  # component of each root label
     atom_comp = comp[atom_label]
     touched = np.zeros(n * n, dtype=bool)
     touched[edge_unknown] = True
@@ -295,7 +317,7 @@ def _entry_blocks(atoms: OperatorAtomSet):
     renumber[order] = np.arange(order.size)
     rows, cols, shape = rows[order], cols[order], shape[order]
     atom_comp, unknown_comp = renumber[atom_comp], renumber[unknown_comp]
-    atom_start, unknown_start = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    atom_start, unknown_start = rows.cumsum() - rows, cols.cumsum() - cols
     atom_order, atom_local = _by_component(atom_comp, atom_start)
     unknown_order, local = _by_component(unknown_comp, unknown_start)
     unknown_order = unknowns[unknown_order]
@@ -304,7 +326,7 @@ def _entry_blocks(atoms: OperatorAtomSet):
 
     # all blocks in one buffer, each (2R, U) in row-major order
     size = 2 * rows * cols
-    block_start = np.cumsum(size) - size
+    block_start = size.cumsum() - size
     edge_comp = atom_comp[edge_atom]
     re = block_start[edge_comp] + 2 * atom_local[edge_atom] * cols[edge_comp]
     re += unknown_local[edge_unknown]
@@ -632,10 +654,10 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
         raise DimensionMismatchError(
             f"distribution has {dist.n_vars} variables, the map {rmap.support.shape[1]}"
         )
-    bad = np.flatnonzero(~np.isfinite(dist.weights))
-    if bad.size:
-        raise DomainError(f"weight at {tuple(dist.points[bad[0]])} is not finite")
-    if np.array_equal(dist.points, rmap.support):
+    if not np.isfinite(dist.weights).all():  # the scan for the culprit runs only on failure
+        bad = np.flatnonzero(~np.isfinite(dist.weights))[0]
+        raise DomainError(f"weight at {tuple(dist.points[bad])} is not finite")
+    if np.shape(dist.points) == rmap.support.shape and (rmap.support == dist.points).all():
         # the complex dtype matters: the block route reads Re, Im as a float view
         aligned = np.asarray(dist.weights, dtype=complex)
     else:

@@ -15,7 +15,9 @@ one array contraction of the overlaps (summed within degenerate
 eigenspaces), the overlap chain. A variable's coordinate depends only on
 the factors that carry it, so each variable's coordinates are summed and
 clustered on those factors' axes of the choice grid alone, and broadcast
-over the full grid only as cluster ids. Coordinates within
+over the full grid only as cluster ids; a variable carried by one
+coefficient-1 factor needs no clustering, its clusters being that
+observable's eigenvalues. Coordinates within
 ``linalg.COORD_TOL`` merge into one atom and atoms below
 ``linalg.ROUNDING_TOL`` are dropped; these rules are the same as for the
 scalar definition.
@@ -104,6 +106,9 @@ class _TermGroup(NamedTuple):
     vars: np.ndarray  # variable of each factor, shape (T, L)
     coeffs: np.ndarray  # coefficient of each factor, shape (T, L)
     blocks: tuple  # the terms split into :class:`_Block`
+    # per variable, the position of the one coefficient-1 factor every term puts
+    # on it, or None (:func:`_spectral_positions`)
+    spectral: tuple
 
 
 def _free_coefficients(seq, coeffs, free) -> tuple:
@@ -123,7 +128,24 @@ def _free_coefficients(seq, coeffs, free) -> tuple:
     return tuple(out)
 
 
-def _group_terms(terms) -> tuple:
+def _spectral_positions(factor_vars, coeffs, n_vars) -> tuple:
+    """Per variable, the word position k where every term carries it by one factor of coefficient 1.0.
+
+    Such a variable's coordinates are the eigenvalues of that factor's
+    observable, exactly (0.0 + 1.0 lambda); None where the terms carry the
+    variable by several factors, at several positions or with another
+    coefficient.
+    """
+    out = []
+    for v in range(n_vars):
+        carries = factor_vars == v
+        (cols,) = carries.any(axis=0).nonzero()
+        one = cols.size == 1 and carries[:, cols[0]].all() and (coeffs[:, cols[0]] == 1.0).all()
+        out.append(int(cols[0]) if one else None)
+    return tuple(out)
+
+
+def _group_terms(terms, n_vars) -> tuple:
     """One :class:`_TermGroup` per observable sequence, in order of first appearance.
 
     Within a sequence, terms with the same variable pattern whose
@@ -131,7 +153,9 @@ def _group_terms(terms) -> tuple:
     characteristic function contracts their other factors once. A block
     also keeps the distinct coefficients of its variable-0 factors per
     observable, so factors that run over the same values (Born-Jordan's
-    mirrored (1 - k)/2 and (1 + k)/2) share their phases.
+    mirrored (1 - k)/2 and (1 + k)/2) share their phases. Each group
+    also records where its terms carry a variable by one coefficient-1
+    factor (:func:`_spectral_positions`), which the cell table reads.
     """
     grouped = {}
     for t, (_, word) in enumerate(terms):
@@ -150,7 +174,8 @@ def _group_terms(terms) -> tuple:
             free = np.flatnonzero(v == 0)
             free_coeffs = _free_coefficients(seq, coeffs[b], free)
             blocks.append(_Block(np.array(b), free, np.flatnonzero(v), free_coeffs))
-        groups.append(_TermGroup(seq, weights, factor_vars, coeffs, tuple(blocks)))
+        spectral = _spectral_positions(factor_vars, coeffs, n_vars)
+        groups.append(_TermGroup(seq, weights, factor_vars, coeffs, tuple(blocks), spectral))
     return tuple(groups)
 
 
@@ -205,7 +230,7 @@ class SchemeSpec:
                 raise DomainError(
                     f"term {t_idx}: coefficients per variable must sum to 1, got {sums}"
                 )
-        object.__setattr__(self, "groups", _group_terms(self.terms))
+        object.__setattr__(self, "groups", _group_terms(self.terms, self.n_vars))
 
 
 @dataclass(frozen=True)
@@ -368,18 +393,21 @@ class OperatorAtomSet:
 
         Tr(U_F E_ij U_L^dagger M) is (U_L^dagger M U_F)[j, i], so each cell
         gathers its entry of its closing matrix, and the products are summed
-        per atom. Every trace of the atoms goes through here (joint weights,
-        blindness, the reconstruction map), one matrix per call;
-        :meth:`operator_for` is its adjoint.
+        per atom (atoms of one cell each need no sum). Every trace of the
+        atoms goes through here (joint weights, blindness, the
+        reconstruction map), one matrix per call; :meth:`operator_for` is
+        its adjoint.
         """
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"expected one {self.dim} x {self.dim} matrix, got shape {m.shape}"
             )
-        stack = np.stack([self.eigs[last].vectors.conj().T @ m @ self.eigs[first].vectors
-                          for first, last in self.closings])
-        return np.add.reduceat(self.values * stack.reshape(-1)[self.entries], self.bounds[:-1])
+        stack = [(self.eigs[last].vectors.conj().T @ m @ self.eigs[first].vectors).reshape(-1)
+                 for first, last in self.closings]
+        stack = stack[0] if len(stack) == 1 else np.concatenate(stack)
+        products = self.values * stack[self.entries]
+        return products if products.size == len(self) else np.add.reduceat(products, self.bounds[:-1])
 
     def operator_for(self, values) -> np.ndarray:
         """Sum of values[p] * A_p over the atoms, shape (N, N): the adjoint of :meth:`weights_for`.
@@ -427,7 +455,8 @@ class OperatorAtomSet:
         pair = np.where(forward, i * n + j, j * n + i)  # a n + b
         first = pair[self.bounds[:-1]]
         index = np.argsort(first)  # the atom of each pair, if each has one
-        one_pair = (pair == np.repeat(first, np.diff(self.bounds))).all()
+        # atoms of one cell lie on one pair (Kirkwood-Dirac); others must have all theirs on it
+        one_pair = pair.size == first.size or (pair == np.repeat(first, np.diff(self.bounds))).all()
         if not one_pair or (first[index] != np.arange(n * n)).any():
             return None
         coefs = np.zeros((2, n * n), dtype=complex)
@@ -539,6 +568,8 @@ def _cluster_values(values, var, tol):
     so coordinates arising from different rounding paths key identically
     and repeated values do not move a representative. A variable's
     clusters lie more than ``tol`` apart, so rounding keeps them in order.
+    The cell table sends no spectral variable here (:func:`_spectral_variable`):
+    these rules would make each of its eigenvalues a cluster of one value.
     """
     order = values.argsort()
     order = order[var[order].argsort(kind="stable")]  # by variable, then value
@@ -570,8 +601,9 @@ def _round12(x) -> np.ndarray:
         out = np.rint(scaled) / 1e12
         tie = 2 * np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
         exact = (np.abs(scaled) < 2.0**52) & ~tie
-    for k in np.flatnonzero(~exact):
-        out[k] = round(float(x[k]), 12)
+    if not exact.all():
+        for k in np.flatnonzero(~exact):
+            out[k] = round(float(x[k]), 12)
     return out
 
 
@@ -695,13 +727,17 @@ def _norm_bounds(atoms: OperatorAtomSet):
     Upper: ||A_p||_F, at most the sum over closings of ||X_p^k||_F as U_F
     and U_L are unitary. Lower: |u^dagger A_p v| / N for the unit vectors
     u = U_F[:, i] and v = U_L[:, j] of the atom's largest cell (i, j, x).
-    On one closing that is |x| / N; on mixed closings, the sum over the
-    atom's cells (F', L', i', j', x') of x' (U_F^dagger U_F')[i, i']
-    (U_L'^dagger U_L)[j', j], the overlap of a basis with itself the identity.
+    On one closing that is |x| / N, and with one cell per atom both bounds
+    are |x| (the lower over N); on mixed closings, the sum over the atom's
+    cells (F', L', i', j', x') of x' (U_F^dagger U_F')[i, i']
+    (U_L'^dagger U_L)[j', j], read from one table of the overlaps between
+    all eigenvector columns, the overlap of a basis with itself the identity.
     """
     n, p, width = atoms.dim, len(atoms), len(atoms.closings)
-    atom = np.repeat(np.arange(p), np.diff(atoms.bounds))
     size = np.abs(atoms.values)
+    if width == 1 and size.size == p:
+        return size / n, np.sqrt(size * size)
+    atom = np.repeat(np.arange(p), np.diff(atoms.bounds))
     lower = np.zeros(p)
     np.maximum.at(lower, atom, size)
     if width == 1:
@@ -711,13 +747,16 @@ def _norm_bounds(atoms: OperatorAtomSet):
     top = np.empty(p, dtype=np.intp)
     largest = np.flatnonzero(size == lower[atom])
     top[atom[largest]] = largest  # a largest cell of each atom
-    top, kt = top[atom], k[top[atom]]
-    u = [e.vectors for e in atoms.eigs]
-    overlap = np.array([[u[a].conj().T @ u[b] if a != b else np.eye(n) for b in range(len(u))]
-                        for a in range(len(u))])
+    top = top[atom]
+    # overlap[a N + i, b N + i'] = (U_a^dagger U_b)[i, i']
+    eigs = atoms.eigs
+    overlap = np.empty((len(eigs) * n, len(eigs) * n), dtype=complex)
+    for a, b in np.ndindex(len(eigs), len(eigs)):
+        block = eigs[a].vectors.conj().T @ eigs[b].vectors if a != b else np.eye(n)
+        overlap[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
     firsts, lasts = np.array(atoms.closings).T
-    terms = overlap[firsts[:, None], firsts].reshape(-1)[((kt * width + k) * n + i[top]) * n + i]
-    terms *= overlap[lasts[:, None], lasts].reshape(-1)[((k * width + kt) * n + j) * n + j[top]]
+    rows, cols = firsts[k] * n + i, lasts[k] * n + j  # each cell's columns of U_F and U_L
+    terms = overlap[rows[top], rows] * overlap[cols, cols[top]]
     sums = np.zeros(p, dtype=complex)
     np.add.at(sums, atom, terms * atoms.values)
     return np.abs(sums) / n, upper.sum(axis=1)
@@ -729,8 +768,8 @@ def _max_norms(atoms: OperatorAtomSet, which) -> np.ndarray:
     return np.array([np.abs(atoms._scatter(atoms.values[c], c)).max() for c in cells])
 
 
-def _prune(atoms: OperatorAtomSet) -> OperatorAtomSet:
-    """The atoms whose max-norm reaches ``linalg.ROUNDING_TOL``, decided off the cells.
+def _kept(atoms: OperatorAtomSet) -> np.ndarray:
+    """Which atoms have a max-norm of at least ``linalg.ROUNDING_TOL``, decided off the cells.
 
     An atom is dropped when its upper bound (:func:`_norm_bounds`) lies
     below the tolerance and kept when its lower bound reaches it; the few
@@ -742,17 +781,42 @@ def _prune(atoms: OperatorAtomSet) -> OperatorAtomSet:
     residue = np.flatnonzero(~keep & (upper >= tol))
     if residue.size:
         keep[residue] = _max_norms(atoms, residue) >= tol
-    if keep.all():
-        return atoms
-    counts = np.diff(atoms.bounds)
-    cells, counts = np.repeat(keep, counts), counts[keep]
-    return replace(
-        atoms,
-        points=atoms.points.take(np.flatnonzero(keep), axis=0),
-        bounds=np.concatenate(([0], np.cumsum(counts))),
-        entries=atoms.entries[cells],
-        values=atoms.values[cells],
-    )
+    return keep
+
+
+def _prune(atoms: OperatorAtomSet):
+    """The atoms :func:`_kept` keeps and their identity defect, with dropped atoms put back if it fails.
+
+    Each dropped atom is below ``linalg.ROUNDING_TOL``, but thousands of
+    them can sum past ``linalg.DEFECT_TOL`` (born_jordan(5) on the spin
+    pairs of j = 59/2 ... 63/2 drops 3508 to 5564 for a defect of 1.1e-10
+    to 1.7e-10). Only when the kept atoms miss the identity by more than
+    that are dropped atoms put back, largest upper bound first, 1, 2, 4,
+    ... of them, each set checked with one scatter of its cells
+    (:meth:`OperatorAtomSet.identity_defect`), up to the first within
+    ``DEFECT_TOL``; with all of them back, the unpruned atoms are returned.
+    Atoms that pass without it are returned as the prune alone leaves them.
+    """
+    keep, order, back = _kept(atoms), None, 0
+    while not keep.all():
+        counts = np.diff(atoms.bounds)
+        cells, counts = np.repeat(keep, counts), counts[keep]
+        kept = replace(
+            atoms,
+            points=atoms.points.take(np.flatnonzero(keep), axis=0),
+            bounds=np.concatenate(([0], np.cumsum(counts))),
+            entries=atoms.entries[cells],
+            values=atoms.values[cells],
+        )
+        defect = kept.identity_defect()
+        if defect <= linalg.DEFECT_TOL:
+            return kept, defect
+        if order is None:  # the dropped atoms, largest upper bound first
+            dropped = np.flatnonzero(~keep)
+            order = dropped[np.argsort(-_norm_bounds(atoms)[1][dropped], kind="stable")]
+        back = 2 * back or 1
+        keep[order[:back]] = True
+    return atoms, atoms.identity_defect()
 
 
 def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
@@ -773,17 +837,22 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     contraction. Each variable's coordinates are summed on the axes of the
     factors that carry it (:func:`_variable_coordinates`), so a split
     word at N = 24 clusters 576 values for variable 0 and 24 for variable
-    1 rather than 13,824 each; the cluster ids then broadcast over each
-    group's choice grid into point keys. The merge and prune rules are
-    those of the scalar definition: coordinates within
-    ``linalg.COORD_TOL`` of each other (per variable, chained over sorted
-    values) merge into one atom at the rounded mean of the cluster's
-    distinct values (:func:`_cluster_values`), and merged atoms below
-    ``linalg.ROUNDING_TOL`` in max-norm are dropped. Every choice is keyed
-    on (point, closing, j, i), so one stable sort gives the atoms and
-    their cells (:class:`OperatorAtomSet`), repeated keys summed in
-    order, and the prune reads its bounds off the cells (:func:`_prune`).
-    The atom sum must be the identity within ``linalg.DEFECT_TOL``.
+    1 rather than 13,824 each; a variable carried by one coefficient-1
+    factor is not clustered at all, its clusters being that observable's
+    eigenvalues (:func:`_spectral_variable`: both variables of
+    Kirkwood-Dirac and Margenau-Hill, variable 1 of split words). The
+    cluster ids then broadcast over each group's choice grid into point
+    keys. The merge and prune rules are those of the scalar definition:
+    coordinates within ``linalg.COORD_TOL`` of each other (per variable,
+    chained over sorted values) merge into one atom at the rounded mean
+    of the cluster's distinct values (:func:`_cluster_values`), and merged
+    atoms below ``linalg.ROUNDING_TOL`` in max-norm are dropped. Every
+    choice is keyed on (point, closing, j, i), so one stable sort gives
+    the atoms and their cells (:class:`OperatorAtomSet`), repeated keys
+    summed in order, and the prune reads its bounds off the cells
+    (:func:`_prune`). The atom sum must be the identity within
+    ``linalg.DEFECT_TOL``; where the dropped atoms alone break that,
+    the largest of them are put back until it holds (:func:`_prune`).
     """
     if isinstance(spec, WignerScheme):
         raise UnsupportedSchemeError(
@@ -798,8 +867,7 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
         "observables": tuple(o.label for o in observables),
         "approximate": spec.approximate,
     }
-    atoms = _prune(OperatorAtomSet(spec.n_vars, points, eigs, *table, meta))
-    defect = atoms.identity_defect()
+    atoms, defect = _prune(OperatorAtomSet(spec.n_vars, points, eigs, *table, meta))
     if not defect <= linalg.DEFECT_TOL:
         raise QuasiJointError(
             f"atom normalization failed: identity defect {defect:.3e}"
@@ -807,46 +875,113 @@ def build_atoms(spec: SchemeSpec, observables) -> OperatorAtomSet:
     return atoms
 
 
+def _spectral_variable(groups, eigs, var):
+    """The ascending spectrum whose eigenvalues are the clusters of variable ``var``, or None.
+
+    That holds when every group carries ``var`` by one coefficient-1 factor
+    at one position (:attr:`_TermGroup.spectral`), all on one observable,
+    and every gap of its ascending spectrum exceeds ``linalg.COORD_TOL``:
+    the coordinates are then its eigenvalues, and each forms a cluster of
+    one value. Otherwise None, and ``var`` is clustered from its
+    coordinates (:func:`_cluster_values`).
+    """
+    positions = [g.spectral[var] for g in groups]
+    if None in positions:
+        return None
+    observables = {g.obs[k] for g, k in zip(groups, positions)}
+    if len(observables) > 1:
+        return None
+    spectrum = eigs[observables.pop()].eigenvalues[::-1]
+    return spectrum if (spectrum[1:] - spectrum[:-1] > linalg.COORD_TOL).all() else None
+
+
+def _sum_repeats(keys, values):
+    """The distinct ``keys``, ascending, and the sum of the ``values`` on each, repeats added in order.
+
+    One stable sort; the sum runs only when some key repeats.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    opens = np.empty(keys.size, dtype=bool)
+    opens[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=opens[1:])
+    if opens.all():
+        return keys, values[order]
+    cells, repeats = np.flatnonzero(opens), np.flatnonzero(~opens)
+    x = values[order[cells]]
+    # candidates on a cell already open: add in order
+    np.add.at(x, np.cumsum(opens)[repeats] - 1, values[order[repeats]])
+    return keys[cells], x
+
+
 def _cell_table(groups, n_vars, eigs) -> tuple:
     """Points and cells of the unpruned atoms of the term ``groups`` (:class:`_TermGroup`).
 
     Returned as the fields of :class:`OperatorAtomSet` after ``eigs``.
+    A spectral variable (:func:`_spectral_variable`) takes its clusters
+    from its spectrum: ids the reversed group index on its factor's axis,
+    representatives its rounded ascending eigenvalues (:func:`_round12`),
+    as :func:`_cluster_values` would give. The other variables are summed
+    on their own axes (:func:`_variable_coordinates`) and clustered in one
+    call. One group skips the concatenation of the candidates, and the
+    sum of repeated cell keys runs only when some key repeats (never for
+    Kirkwood-Dirac, Margenau-Hill and split words on random pairs).
     """
-    n = eigs[0].dim
-    # every variable's coordinates, variable by variable, clustered in one call
-    coords = [_variable_coordinates(g, eigs, v) for v in range(n_vars) for g in groups]
-    lengths = [c.size for c in coords]
-    var = np.repeat(np.repeat(np.arange(n_vars), len(groups)), lengths)
-    reps, flat, counts = _cluster_values(np.concatenate([c.ravel() for c in coords]), var,
-                                         linalg.COORD_TOL)
-    first = np.cumsum(counts) - counts
-    flat -= first[var]  # each variable's clusters count from 0
-    ids = [i.reshape(c.shape) for i, c in zip(np.split(flat, np.cumsum(lengths)[:-1]), coords)]
-    reps, sizes = np.split(reps, first[1:]), counts.tolist()
+    n, width = eigs[0].dim, len(groups)
+    spectra = [_spectral_variable(groups, eigs, v) for v in range(n_vars)]
+    # per variable its cluster representatives and their count, and per variable and group its ids
+    reps, sizes, ids = [None] * n_vars, [0] * n_vars, [None] * (n_vars * width)
+    spectral = [v for v, spectrum in enumerate(spectra) if spectrum is not None]
+    if spectral:
+        # every eigenvalue of a spectral variable is its own cluster; one rounding for all
+        rounded = _round12(np.concatenate([spectra[v] for v in spectral])) + 0.0  # no negative zero
+        start = 0
+        for v in spectral:
+            size = spectra[v].size
+            reps[v], sizes[v], start = rounded[start : start + size], size, start + size
+            reversed_index = np.arange(size - 1, -1, -1)  # ascending cluster of each group index
+            for k, g in enumerate(groups):
+                shape = [1] * (len(g.obs) + 1)
+                shape[1 + g.spectral[v]] = size
+                index = reversed_index.reshape(shape)
+                # run over the terms, as the other variables' ids do
+                terms = g.weights.size
+                ids[v * width + k] = index if terms == 1 else np.broadcast_to(index, [terms] + shape[1:])
+    rest = [v for v, spectrum in enumerate(spectra) if spectrum is None]
+    if rest:
+        # the other variables' coordinates, variable by variable, clustered in one call
+        coords = [_variable_coordinates(g, eigs, v) for v in rest for g in groups]
+        lengths = [c.size for c in coords]
+        var = np.repeat(np.repeat(np.arange(len(rest)), width), lengths)
+        values = coords[0].ravel() if len(coords) == 1 else np.concatenate([c.ravel() for c in coords])
+        clustered, flat, counts = _cluster_values(values, var, linalg.COORD_TOL)
+        first = np.cumsum(counts) - counts
+        flat -= first[var]  # each variable's clusters count from 0
+        ends = np.cumsum(lengths).tolist()
+        for c, (coord, hi) in enumerate(zip(coords, ends)):
+            v = rest[c // width]
+            ids[v * width + c % width] = flat[hi - coord.size : hi].reshape(coord.shape)
+        for r, v in enumerate(rest):
+            sizes[v] = int(counts[r])
+            reps[v] = clustered[first[r] : first[r] + sizes[v]]
     closings = tuple(dict.fromkeys((g.obs[0], g.obs[-1]) for g in groups))
     # bits of the cells a point can hold, k N^2 + j N + i
     shift = (len(closings) * n * n - 1).bit_length()
     # integer keys sort as the rows of cluster ids do lexicographically; each
     # group's variables broadcast over its choice grid (T, G_1, ..., G_L)
     keys, values = zip(*(
-        _group_cells(g, eigs, np.ravel_multi_index((*ids[k :: len(groups)], 0), sizes + [1 << shift]),
-                     closings)
+        _group_cells(g, eigs, np.ravel_multi_index((*ids[k::width], 0), sizes + [1 << shift]), closings)
         for k, g in enumerate(groups)
     ))
-    keys, values = np.concatenate(keys), np.concatenate(values)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    opens = np.concatenate(([True], keys[1:] != keys[:-1]))
-    cells = np.flatnonzero(opens)
-    x = values[order[cells]]
-    repeats = np.flatnonzero(~opens)  # candidates on a cell already open: add in order
-    np.add.at(x, np.cumsum(opens)[repeats] - 1, values[order[repeats]])
-    keys = keys[cells]
+    keys, x = _sum_repeats(*((keys[0], values[0]) if width == 1 else map(np.concatenate, (keys, values))))
     point, entries = keys >> shift, keys & ((1 << shift) - 1)
-    bounds = np.flatnonzero(np.concatenate(([True], point[1:] != point[:-1], [True])))
-    points = np.column_stack(
-        [r[i] for r, i in zip(reps, np.unravel_index(point[bounds[:-1]], sizes))]
-    )
+    opens = np.empty(point.size + 1, dtype=bool)
+    opens[0] = opens[-1] = True
+    np.not_equal(point[1:], point[:-1], out=opens[1:-1])
+    bounds = np.flatnonzero(opens)
+    points = np.empty((bounds.size - 1, n_vars))
+    for v, (r, i) in enumerate(zip(reps, np.unravel_index(point[bounds[:-1]], sizes))):
+        points[:, v] = r[i]
     return points, closings, bounds, entries, x
 
 

@@ -308,3 +308,92 @@ def test_cell_table_matches_oracle_on_scheme_plus_adjoint(monkeypatch):
         for spec in SMALL_SCHEMES + MIXED_CLOSINGS[1:3] + SWAPPED:
             analysis.scheme_is_real(spec, obs)
     assert len(seen) == len(pairs) * 11 and min(seen) >= 2
+
+
+# spectral variables: a variable that every term carries by one coefficient-1
+# factor takes its clusters from that observable's spectrum, when every gap of
+# the ascending spectrum exceeds COORD_TOL; otherwise it is clustered
+
+# adjacent gaps of an ascending spectrum at and on both sides of COORD_TOL
+GAPS = (0.9e-9, 1e-9, float(np.nextafter(1e-9, 1.0)), 1.1e-9)
+# variable 0 by one coefficient-1 factor in one term and by split factors in the
+# other, over two groups and within one (a coefficient-0 factor keeps the sequence);
+# a group of two terms that carry both variables spectrally; and each variable by
+# one coefficient-1 factor in both groups, but on A in one and on B in the other
+SPECTRAL_AND_SPLIT = (
+    qj.SchemeSpec(2, ((0.5, [(0, 1.0, 0), (1, 1.0, 1)]), (0.5, SPLIT_PAIR))),
+    qj.SchemeSpec(2, ((0.5, [(0, 1.0, 0), (1, 1.0, 1), (0, 0.0, 0)]), (0.5, SPLIT_PAIR))),
+    qj.SchemeSpec(2, ((0.3, [(0, 1.0, 0), (1, 1.0, 1)]), (0.7, [(0, 1.0, 0), (1, 1.0, 1)]))),
+    qj.SchemeSpec(2, ((0.5, [(0, 1.0, 0), (1, 1.0, 1)]), (0.5, [(0, 1.0, 1), (1, 1.0, 0)]))),
+)
+SPECTRAL_SCHEMES = st.sampled_from(SMALL_SCHEMES + MIXED_CLOSINGS + SWAPPED + SPECTRAL_AND_SPLIT)
+
+
+def _spectrum_system(rng, ascending, multiplicities):
+    """An eigensystem with exactly these eigenvalues (given ascending) on random eigenvectors."""
+    n = sum(multiplicities)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return linalg.EigenSystem(np.array(ascending[::-1]), tuple(multiplicities[::-1]), q)
+
+
+@st.composite
+def straddling_systems(draw, n_levels=st.integers(2, 4)):
+    """Eigensystems of 2-4 levels from 0.0 up, groups of one or two columns.
+
+    The gaps are drawn from ``GAPS`` and from gaps far above them; the
+    first, from 0.0, is exact, so a degenerate group of two can sit next
+    to a level just over or just under the merge gap.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = draw(st.lists(st.sampled_from(GAPS + (0.5, 1.25)), min_size=1, max_size=draw(n_levels) - 1))
+    ascending = [0.0]
+    for gap in gaps:
+        ascending.append(ascending[-1] + gap)
+    multiplicities = draw(st.lists(st.integers(1, 2), min_size=len(ascending), max_size=len(ascending)))
+    return _spectrum_system(rng, ascending, multiplicities)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(spec=SPECTRAL_SCHEMES, a=straddling_systems(), data=st.data())
+def test_cell_table_matches_oracle_on_spectra_straddling_the_merge_gap(spec, a, data):
+    # B straddles the gap too, or is a random spectrum of A's size
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        ascending = np.cumsum([-1.0] + list(rng.choice(GAPS + (0.5,), a.dim - 1))).tolist()
+        b = _spectrum_system(rng, ascending, [1] * a.dim)
+    else:
+        b = _random_pair(rng, a.dim)[0].eig
+    for eigs in ((a, b), (b, a)):
+        _assert_cell_table(spec.groups, 2, eigs)
+        _assert_cell_table(spec.groups + analysis._negated_adjoint(spec.groups), 2, eigs)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(spec=SPECTRAL_SCHEMES, obs=observables(2, max_dim=4))
+def test_cell_table_matches_oracle_with_and_without_spectral_variables(spec, obs):
+    # random spectra, half of them degenerate, with the scheme's groups and
+    # with the scheme-plus-adjoint groups scheme_is_real hands to the table
+    eigs = _eigs(obs)
+    _assert_cell_table(spec.groups, 2, eigs)
+    _assert_cell_table(spec.groups + analysis._negated_adjoint(spec.groups), 2, eigs)
+
+
+def test_spectral_positions_per_group():
+    # the word position of each variable's one coefficient-1 factor, per group, or None
+    def positions(spec):
+        return [g.spectral for g in spec.groups]
+
+    assert positions(qj.scheme_kirkwood(3)) == [(0, 1, 2)]
+    assert positions(qj.scheme_margenau_hill(0.5)) == [(0, 1), (1, 0)]
+    assert positions(qj.scheme_s_alpha(0.25)) == [(None, 1)]
+    assert positions(qj.scheme_s_alpha(0.0)) == [(None, 1)]  # two factors carry variable 0
+    assert positions(qj.scheme_born_jordan(5)) == [(None, 1)]
+    assert positions(qj.scheme_alternating([0.3, 0.7], [1.0])) == [(None, 1)]
+    assert positions(SPECTRAL_AND_SPLIT[0]) == [(0, 1), (None, 1)]
+    assert positions(SPECTRAL_AND_SPLIT[1]) == [(None, 1)]
+    assert positions(SPECTRAL_AND_SPLIT[2]) == [(0, 1)]
+    assert positions(SPECTRAL_AND_SPLIT[3]) == [(0, 1), (0, 1)]  # on different observables
+    assert positions(SWAPPED[2]) == [(None, None)]  # the terms put each variable at two positions
+    # a reversed word moves position k to L - 1 - k
+    adjoint = analysis._negated_adjoint(qj.scheme_born_jordan(5).groups + qj.scheme_kirkwood(2).groups)
+    assert [g.spectral for g in adjoint] == [(None, 1), (1, 0)]

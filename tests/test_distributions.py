@@ -571,6 +571,29 @@ def test_identity_gate_rejects_nan_defect(spin_half, monkeypatch):
         qj.build_atoms(qj.scheme_kirkwood(2), (spin_half.j1, spin_half.j2))
 
 
+def test_identity_gate_puts_back_dropped_atoms_on_a_large_spin_pair():
+    # born_jordan(5) on spin-59/2 (N = 60) has 431940 atoms, and the prune drops
+    # 3508 of them, each below ROUNDING_TOL; their sum misses the identity by
+    # 1.12e-10 > DEFECT_TOL, so the largest are put back until the gate passes
+    spin = qj.spin_operators(59)
+    obs = (spin.j1, spin.j2)
+    atoms = qj.build_atoms(qj.scheme_born_jordan(5), obs)
+    assert atoms.identity_defect() <= linalg.DEFECT_TOL
+    assert 431940 - 3508 < len(atoms) < 431940
+    rho = qj.random_density(60, np.random.default_rng(59))
+    dist = qj.evaluate_distribution(atoms, rho)
+    for v, o in enumerate(obs):
+        assert qj.max_weight_deviation(qj.marginal(dist, v), qj.born_distribution(o, rho)) <= 1e-9
+
+
+def test_identity_gate_puts_nothing_back_where_the_prune_passes():
+    # on spin-57/2 the prune alone passes the gate: its 390166 - 6268 atoms stay as they are
+    spin = qj.spin_operators(57)
+    atoms = qj.build_atoms(qj.scheme_born_jordan(5), (spin.j1, spin.j2))
+    assert len(atoms) == 383898
+    assert atoms.identity_defect() <= linalg.DEFECT_TOL
+
+
 READERS = {
     "marginal": lambda dist, obs: qj.marginal(dist, 0),
     "verify_support": lambda dist, obs: qj.verify_support(dist, obs),

@@ -17,6 +17,10 @@ state the one the oracle's pseudo-inverse gives, also where merged atoms
 join entry pairs, where no state fits the weights (with no dense map
 built), and on the spin pairs of the paper's distinguishability table.
 
+The blocks must equal the oracle's ``entry_blocks``, which labels every
+atom set's components by propagation, byte for byte: on random and spin
+pairs, degenerate spectra and merged atoms.
+
 ``reconstruct_state`` keeps per-map operators on the map; its states
 must equal the oracle's per-call solve (``per_call_state``) bit for bit
 where the closed form holds, and within 1e-13 on blocks, on the dense
@@ -169,6 +173,44 @@ def test_planted_merge_joins_a_diagonal_and_an_off_diagonal_pair():
     dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(3, rng))
     got = qj.reconstruct_state(rmap, dist)
     assert np.abs(got.matrix - _dense_state(rmap, dist).matrix).max() <= 1e-10
+
+
+def _entry_block_pairs():
+    """Random pairs, spin pairs j <= 8, degenerate spectra of A or B, and equally spaced spectra."""
+    rng = np.random.default_rng(27)
+    yield from (_random_pair(rng, n) for n in (2, 3, 4, 6, 8) for _ in range(2))
+    for jj in range(1, 17):
+        s = qj.spin_operators(jj)
+        yield from ((s.j1, s.j2), (s.j2, s.j3), (s.j3, s.j1))
+    for n in (3, 4, 5):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        degenerate = qj.HermitianObservable((q * rng.choice([-1.0, 0.0, 2.0], n)) @ q.conj().T)
+        spaced = qj.HermitianObservable((q * np.arange(n)) @ q.conj().T)  # merges under s_alpha(0.5)
+        other = qj.HermitianObservable(qj.random_hermitian(n, rng))
+        yield from ((degenerate, other), (other, degenerate), (spaced, other))
+
+
+def _block_arrays(blocks):
+    return [blocks.vectors, blocks.singular_values, *(a for g in blocks.groups for a in g)]
+
+
+def test_entry_blocks_match_the_propagation_oracle():
+    # atoms of one cell each take their labels off their entries, the others by
+    # propagation; both must give the oracle's blocks byte for byte
+    one_cell = set()
+    for obs in _entry_block_pairs():
+        for spec in (qj.scheme_s_alpha(0.25), qj.scheme_s_alpha(0.5), qj.scheme_born_jordan(5),
+                     qj.scheme_born_jordan(21)):
+            atoms = qj.build_atoms(spec, obs)
+            got, want = analysis._entry_blocks(atoms), tomography_oracle.entry_blocks(atoms)
+            assert (got is None) == (want is None) == obs[0].eig.degenerate
+            if got is None:
+                continue
+            one_cell.add(atoms.values.size == len(atoms))
+            assert got.kept == want.kept and len(got.groups) == len(want.groups)
+            for x, y in zip(_block_arrays(got), _block_arrays(want)):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert one_cell == {True, False}
 
 
 @settings(PROPERTY, max_examples=60)

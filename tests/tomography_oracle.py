@@ -12,7 +12,10 @@ rounding, its rank the finite-difference rank, and its states the ones
 the finite-difference pseudo-inverse gives (``pinv_state``).
 ``per_call_state`` solves a map's weights as ``reconstruct_state`` does,
 but from the closed form or the blocks' ``u, s, vt`` alone on every call,
-with nothing kept on the map between calls.
+with nothing kept on the map between calls. ``entry_blocks`` splits a map
+into blocks as the library's ``_entry_blocks`` does, but labels every
+atom set's components by propagating the least unknown over its edges,
+also where each atom holds one cell and the label can be read off it.
 """
 
 from __future__ import annotations
@@ -178,3 +181,73 @@ def per_call_state(rmap, aligned):
     z = (factor * v[unknown]).sum(axis=0)
     u_a = blocks.vectors
     return analysis._unit_hermitian(z if u_a is None else u_a @ z @ u_a.conj().T), "blocks"
+
+
+def entry_blocks(atoms: OperatorAtomSet):
+    """``analysis._entry_blocks`` with the components always labelled by propagation.
+
+    Each pass gives every atom the least label of the unknowns it touches
+    and every unknown the least label of its atoms (``np.minimum.at`` over
+    the edges), until no label moves; the rest is the library's.
+    """
+    (first, last), *others = atoms.closings
+    if others or first != last or atoms.eigs[first].degenerate:
+        return None
+    eig = atoms.eigs[first]
+    n, p = atoms.dim, len(atoms)
+    unknown, factor = analysis._entry_unknowns(n)
+    edge_atom = np.tile(np.repeat(np.arange(p), np.diff(atoms.bounds)), 2)
+    edge_unknown = unknown.reshape(2, -1)[:, atoms.entries].ravel()
+    coef = (factor.reshape(2, -1)[:, atoms.entries] * atoms.values).ravel()
+
+    label = np.arange(n * n)
+    while True:
+        atom_label = np.full(p, n * n)
+        np.minimum.at(atom_label, edge_atom, label[edge_unknown])
+        new = label.copy()
+        np.minimum.at(new, edge_unknown, atom_label[edge_atom])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    root = np.zeros(n * n, dtype=bool)
+    root[atom_label] = True
+    comp = np.cumsum(root) - 1
+    atom_comp = comp[atom_label]
+    touched = np.zeros(n * n, dtype=bool)
+    touched[edge_unknown] = True
+    unknowns = np.flatnonzero(touched)
+    unknown_comp = comp[label[unknowns]]
+    rows = np.bincount(atom_comp)
+    cols = np.bincount(unknown_comp, minlength=rows.size)
+    shape = rows * (n * n + 1) + cols
+    order = np.argsort(shape, kind="stable")
+    renumber = np.empty_like(order)
+    renumber[order] = np.arange(order.size)
+    rows, cols, shape = rows[order], cols[order], shape[order]
+    atom_comp, unknown_comp = renumber[atom_comp], renumber[unknown_comp]
+    atom_start, unknown_start = np.cumsum(rows) - rows, np.cumsum(cols) - cols
+    atom_order, atom_local = analysis._by_component(atom_comp, atom_start)
+    unknown_order, local = analysis._by_component(unknown_comp, unknown_start)
+    unknown_order = unknowns[unknown_order]
+    unknown_local = np.empty(n * n, dtype=np.intp)
+    unknown_local[unknowns] = local
+
+    size = 2 * rows * cols
+    block_start = np.cumsum(size) - size
+    edge_comp = atom_comp[edge_atom]
+    re = block_start[edge_comp] + 2 * atom_local[edge_atom] * cols[edge_comp]
+    re += unknown_local[edge_unknown]
+    flat = np.zeros(size.sum())
+    np.add.at(flat, np.concatenate([re, re + cols[edge_comp]]), np.concatenate([coef.real, coef.imag]))
+    bounds = np.flatnonzero(shape[1:] != shape[:-1]) + 1
+    groups = []
+    for lo, hi in zip([0, *bounds], [*bounds, rows.size]):
+        r, u = rows[lo], cols[lo]
+        block = flat[block_start[lo] : block_start[lo] + (hi - lo) * 2 * r * u]
+        groups.append(analysis._BlockGroup(
+            atom_order[atom_start[lo] : atom_start[lo] + (hi - lo) * r].reshape(-1, r),
+            unknown_order[unknown_start[lo] : unknown_start[lo] + (hi - lo) * u].reshape(-1, u),
+            *np.linalg.svd(block.reshape(-1, 2 * r, u), full_matrices=False),
+        ))
+    return analysis._ranked(eig.vectors, groups)
