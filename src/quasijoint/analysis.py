@@ -10,6 +10,7 @@ and an identity in h(s) for all s holds atom by atom.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -95,16 +96,21 @@ def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
     return dist.max_imag() <= tol
 
 
-def _negated_adjoint(groups) -> tuple:
-    """The term groups of the scheme's adjoint, negated: every word reversed, its weight -conj(w).
+def _hermitian_atoms(atoms: OperatorAtomSet) -> bool:
+    """True when every atom's max |A_p - A_p^dagger| is at most ``linalg.DEFECT_TOL``.
 
-    A reversed word moves a spectral variable's factor from position k to
-    L - 1 - k.
+    The atoms A_p - A_p^dagger (:func:`distributions._anti_hermitian`) are
+    decided as the prune decides atoms: a lower bound above the tolerance
+    means not Hermitian, an upper bound at or below it Hermitian, and the
+    atoms in between are formed from their cells in one call.
     """
-    return tuple(g._replace(obs=g.obs[::-1], weights=-g.weights.conj(), vars=g.vars[:, ::-1],
-                            coeffs=g.coeffs[:, ::-1],
-                            spectral=tuple(k if k is None else len(g.obs) - 1 - k for k in g.spectral))
-                 for g in groups)
+    tol = linalg.DEFECT_TOL
+    gap = distributions._anti_hermitian(atoms)
+    lower, upper = distributions._norm_bounds(gap)
+    if (lower > tol).any():
+        return False
+    residue = np.flatnonzero(upper > tol)
+    return not residue.size or bool((distributions._max_norms(gap, residue) <= tol).all())
 
 
 def scheme_is_real(spec, observables) -> bool:
@@ -112,32 +118,19 @@ def scheme_is_real(spec, observables) -> bool:
 
     That is h(-s)^dagger = h(s) for all s; distinct atom points make the
     exp(-i s.x_p) linearly independent, so this holds exactly when every
-    operator atom is Hermitian. The adjoint scheme, every word reversed
-    and its weight conjugated, has the mixture h(-s)^dagger and so the atom
-    A_p^dagger at x_p; the scheme minus its adjoint has the atoms
-    A_p - A_p^dagger. Their cells come from the table :func:`build_atoms`
-    builds, and each is decided as the prune decides its atoms: the scheme
-    is real when every max |A_p - A_p^dagger| is at most
-    ``linalg.DEFECT_TOL``. A lower bound above it ends the read, an atom
-    whose upper bound is at most it is Hermitian, and the atoms in between
-    are formed from their cells, largest upper bound first, up to the
-    first that exceeds it. No trace is taken, and the scheme's own atoms
-    are not built. The symmetric scheme is always real: exp(-i s.A)^dagger
-    at -s is exp(-i s.A) for Hermitian A.
+    operator atom is Hermitian. The atoms are those :func:`build_atoms`
+    returns, and A_p - A_p^dagger is read off their cells, each cell's
+    conjugate transpose on the reversed closing: the scheme is real when
+    every max |A_p - A_p^dagger| is at most ``linalg.DEFECT_TOL``
+    (:func:`_hermitian_atoms`). No trace is taken. An atom the prune drops
+    has a max-norm below ``linalg.ROUNDING_TOL``, so its gap could not
+    reach the tolerance. The symmetric scheme is always real:
+    exp(-i s.A)^dagger at -s is exp(-i s.A) for Hermitian A.
     """
     _check_observables(spec.n_vars, observables)
     if isinstance(spec, WignerScheme):
         return True
-    tol, eigs = linalg.DEFECT_TOL, tuple(o.eig for o in observables)
-    groups = spec.groups + _negated_adjoint(spec.groups)
-    points, *table = distributions._cell_table(groups, spec.n_vars, eigs)
-    gap = OperatorAtomSet(spec.n_vars, points, eigs, *table)
-    lower, upper = distributions._norm_bounds(gap)
-    if (lower > tol).any():
-        return False
-    residue = np.flatnonzero(upper > tol)
-    residue = residue[np.argsort(-upper[residue])]  # largest upper bound first
-    return all(distributions._max_norms(gap, [p])[0] <= tol for p in residue)
+    return _hermitian_atoms(build_atoms(spec, observables))
 
 
 def diag_equality_check(spec, observables) -> bool:
@@ -714,10 +707,17 @@ def degeneracy_feasible(n: int, n_a: int, n_b: int) -> FeasibilityReport:
 
 
 def equal_spectra_bound(n: int) -> float:
-    """Least distinct-eigenvalue count when both observables share it."""
+    """Least distinct-eigenvalue count when both observables share it.
+
+    Any integer n works up to where 2 n^2 - 1 leaves the float range,
+    where a :class:`DomainError` is raised.
+    """
     if n < 1:
         raise DomainError(f"system dimension must be positive, got {n}")
-    return (np.sqrt(2 * n * n - 1) + 1) / 2
+    try:
+        return (math.sqrt(2 * n * n - 1) + 1) / 2
+    except OverflowError as exc:  # math.sqrt converts the exact int to a float
+        raise DomainError("system dimension too large: 2 n^2 - 1 lies past the float range") from exc
 
 
 def nondegenerate_partner_bound(n: int) -> float:

@@ -13,6 +13,7 @@ digits, lexicographically sorted support) and stable exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -112,14 +113,17 @@ def _parse_complex_matrix(node, where: str) -> np.ndarray:
 def _spin_component(token: str, component, where: str) -> quantum.HermitianObservable:
     try:
         j = Fraction(token.split(":", 1)[1])
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ZeroDivisionError) as exc:  # "spin:1/0" divides by zero
         raise ValidationError(f"cannot parse spin token {token!r}", field=where) from exc
     j_times_two = 2 * j
     if j_times_two.denominator != 1 or j_times_two < 1:
         raise ValidationError(f"spin must be a positive multiple of 1/2, got {j}", field=where)
     if component not in (1, 2, 3):
         raise ValidationError(f"component must be 1, 2 or 3, got {component}", field=where)
-    triple = quantum.spin_operators(int(j_times_two))
+    try:
+        triple = quantum.spin_operators(int(j_times_two))
+    except (OverflowError, ValueError) as exc:  # past float range, or no array has that size
+        raise ValidationError(f"spin token {token!r} is too large", field=where) from exc
     return triple.components[component - 1]
 
 
@@ -386,6 +390,17 @@ def run_marginals(args):
     return header, rows, footers, {"variables": payload_vars, "max_deviation": worst}
 
 
+def _record_rows(header, records):
+    """CSV rows of JSON records, one field per header key: bools as true/false, ints as is, floats by ``fmt_g``."""
+
+    def field(value) -> str:
+        if isinstance(value, bool):  # before int: a bool is an int
+            return str(value).lower()
+        return str(value) if isinstance(value, int) else fmt_g(value)
+
+    return [[field(record[key]) for key in header] for record in records]
+
+
 def _matrix_payload(m: np.ndarray):
     return [[[float(e.real), float(e.imag)] for e in row] for row in m]
 
@@ -414,17 +429,15 @@ def run_tomography(args):
 def run_rank(args):
     observables, scheme, _ = _load_problem(args, need_state=False, n_obs=2)
     rmap = analysis.reconstruction_map(observables[0], observables[1], scheme)
-    full = rmap.dim**2 - 1
-    header = ["dim", "rank", "full_rank_needed", "support_size", "distinguishes_states"]
-    rows = [[str(rmap.dim), str(rmap.rank), str(full), str(len(rmap.support)), str(rmap.full_rank).lower()]]
     payload = {
         "dim": rmap.dim,
         "rank": rmap.rank,
-        "full_rank_needed": full,
-        "support_size": int(len(rmap.support)),
+        "full_rank_needed": rmap.dim**2 - 1,
+        "support_size": len(rmap.support),
         "distinguishes_states": rmap.full_rank,
     }
-    return header, rows, [], payload
+    header = list(payload)
+    return header, _record_rows(header, [payload]), [], payload
 
 
 def run_verify(args):
@@ -437,10 +450,9 @@ def run_verify(args):
     observables, scheme, state = _load_problem(args)
     atoms = distributions.build_atoms(scheme, observables)
     dist = distributions.evaluate_distribution(atoms, state)
-    del atoms  # the realness read builds its own table; free the atoms first
     support = analysis.verify_support(dist, observables, args.tol_support)
     real = analysis.is_real(dist, args.tol_real)
-    scheme_real = analysis.scheme_is_real(scheme, observables)
+    scheme_real = analysis._hermitian_atoms(atoms)
     header = ["check", "result", "detail"]
     offending = ";".join(
         "(" + " ".join(fmt_g(c) for c in p) + ")" for p in support.offending
@@ -484,30 +496,16 @@ def run_degeneracy(args):
         report = analysis.degeneracy_feasible(n, n_a, n_b)
     except DomainError as exc:
         raise ValidationError(str(exc), field="--na/--nb") from exc
-    header = ["n", "n_a", "n_b", "lhs", "rhs", "feasible", "equal_spectra_bound", "nondegenerate_partner_bound"]
-    rows = [
-        [
-            str(report.n),
-            str(report.n_a),
-            str(report.n_b),
-            str(report.lhs),
-            str(report.rhs),
-            str(report.feasible).lower(),
-            fmt_g(analysis.equal_spectra_bound(n)),
-            fmt_g(analysis.nondegenerate_partner_bound(n)),
-        ]
-    ]
-    payload = {
-        "n": report.n,
-        "n_a": report.n_a,
-        "n_b": report.n_b,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "feasible": report.feasible,
-        "equal_spectra_bound": float(analysis.equal_spectra_bound(n)),
-        "nondegenerate_partner_bound": float(analysis.nondegenerate_partner_bound(n)),
-    }
-    return header, rows, [], payload
+    try:
+        bounds = {
+            "equal_spectra_bound": analysis.equal_spectra_bound(n),
+            "nondegenerate_partner_bound": analysis.nondegenerate_partner_bound(n),
+        }
+    except DomainError as exc:
+        raise ValidationError(str(exc), field="--n") from exc
+    payload = dataclasses.asdict(report) | bounds
+    header = list(payload)
+    return header, _record_rows(header, [payload]), [], payload
 
 
 def run_scan_realness(args):
@@ -526,26 +524,16 @@ def run_scan_realness(args):
     scheme = resolve_scheme(args.scheme or "kirkwood", 2)
     atoms = distributions.build_atoms(scheme, observables)
     header = ["theta", "phi", "m", "max_abs_imag", "z_expectation"]
-    rows = []
-    payload_rows = []
+    records = []
     for theta in np.linspace(0.0, np.pi, args.theta_steps):
         for phi in np.linspace(0.0, 2 * np.pi, args.phi_steps, endpoint=False):
             for m in np.linspace(0.0, 1.0, args.m_steps):
                 state = quantum.bloch_state(theta, phi, m)
                 dist = distributions.evaluate_distribution(atoms, state, prune_tol=0.0)
-                top_imag = dist.max_imag()
                 z = quantum.expectation(triple.j3, state)
-                rows.append([fmt_g(theta), fmt_g(phi), fmt_g(m), fmt_g(top_imag), fmt_g(z)])
-                payload_rows.append(
-                    {
-                        "theta": float(theta),
-                        "phi": float(phi),
-                        "m": float(m),
-                        "max_abs_imag": float(top_imag),
-                        "z_expectation": float(z),
-                    }
-                )
-    return header, rows, [], {"rows": payload_rows}
+                values = (theta, phi, m, dist.max_imag(), z)
+                records.append({key: float(x) for key, x in zip(header, values)})
+    return header, _record_rows(header, records), [], {"rows": records}
 
 
 RUNNERS = {

@@ -31,7 +31,8 @@ weights: each cell gathers one entry of U_L^dagger rho U_F. The same
 gather against one matrix at a time serves every other trace, the
 reconstruction map's columns included. The prune reads its
 bounds off the cells, forming only the atoms left between them, and
-realness decides the atoms of the scheme minus its adjoint the same way.
+realness decides the atoms A_p - A_p^dagger the same way, each cell's
+conjugate transpose being a cell on the reversed closing.
 The adjoint scatters one coefficient per atom onto the cells' entries:
 the identity check, and the quantization of a classical function, whose
 trace with a state is its quasi-expectation. Both sides of that duality
@@ -760,6 +761,29 @@ def _norm_bounds(atoms: OperatorAtomSet):
     sums = np.zeros(p, dtype=complex)
     np.add.at(sums, atom, terms * atoms.values)
     return np.abs(sums) / n, upper.sum(axis=1)
+
+
+def _anti_hermitian(atoms: OperatorAtomSet) -> OperatorAtomSet:
+    """The atoms A_p - A_p^dagger at the same points, read off the cells.
+
+    (U_F E_ij U_L^dagger)^dagger is U_L E_ji U_F^dagger, so each cell x at
+    [i, j] of closing (F, L) adds -conj(x) at [j, i] of closing (L, F).
+    The reversed closings follow the atoms' own, so their cells keep their
+    closing index; cells that land on one entry of one atom are summed.
+    """
+    n, size = atoms.dim, atoms.values.size
+    closings = tuple(dict.fromkeys(atoms.closings + tuple(c[::-1] for c in atoms.closings)))
+    stride = len(closings) * n * n
+    k, j, i = np.unravel_index(atoms.entries, (len(atoms.closings), n, n))
+    reversed_closing = np.array([closings.index(c[::-1]) for c in atoms.closings])
+    keys = np.concatenate((atoms.entries, (reversed_closing[k] * n + i) * n + j))
+    del k, j, i  # keyed on (atom, entry) below; the index arrays would only add to the peak
+    keys += np.tile(np.repeat(np.arange(len(atoms)) * stride, np.diff(atoms.bounds)), 2)
+    values = np.concatenate((atoms.values, atoms.values))
+    values.real[size:] *= -1  # -conj(x)
+    keys, values = _sum_repeats(keys, values)
+    bounds = np.searchsorted(keys, np.arange(len(atoms) + 1) * stride)
+    return replace(atoms, closings=closings, bounds=bounds, entries=keys % stride, values=values)
 
 
 def _max_norms(atoms: OperatorAtomSet, which) -> np.ndarray:

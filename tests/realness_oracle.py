@@ -8,8 +8,8 @@ For a product scheme the sampled realness verdict is cross-checked
 against the entrywise Hermiticity of the dense atoms
 (``atoms_oracle.matrices``) and a
 disagreement raises. The library reads both verdicts off the atoms
-exactly, realness off the cells of the scheme minus its adjoint; it must
-return the oracle's.
+exactly, realness off the cells of A_p - A_p^dagger, each atom's cells
+with their conjugate transposes; it must return the oracle's.
 """
 
 from __future__ import annotations

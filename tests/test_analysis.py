@@ -341,6 +341,12 @@ def test_corollary_bounds():
     assert abs(qj.nondegenerate_partner_bound(2) - 5 / 3) <= 1e-15
     assert abs(qj.nondegenerate_partner_bound(3) - 11 / 5) <= 1e-15
     assert abs(qj.equal_spectra_bound(2) - (np.sqrt(7) + 1) / 2) <= 1e-15
+    # 2 n^2 - 1 past int64 still has a bound; past the float range it is a domain error
+    for n in (4 * 10**9, 10**150):
+        assert qj.degeneracy_feasible(n, 1, 1).lhs == 2 * n * n - 1
+        assert abs(qj.equal_spectra_bound(n) / ((n * np.sqrt(2) + 1) / 2) - 1) <= 1e-12
+    with pytest.raises(DomainError, match="float range"):
+        qj.equal_spectra_bound(10**200)
     # bounds are consistent with the raw inequality
     for n in range(2, 7):
         thr = qj.equal_spectra_bound(n)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint import analysis, distributions, linalg
+from quasijoint import distributions, linalg
 from quasijoint.distributions import _cell_table, _cluster_values, _round12
 
 import atoms_oracle
@@ -291,23 +291,27 @@ def test_cell_table_matches_oracle_on_mixed_closings_and_swapped_variables():
             _assert_cell_table(spec.groups, nv, _eigs(obs))
 
 
-def test_cell_table_matches_oracle_on_scheme_plus_adjoint(monkeypatch):
-    # the groups scheme_is_real hands to the cell table: the scheme and its negated adjoint
-    seen = []
+def test_anti_hermitian_atoms_match_the_dense_atoms():
+    # A_p - A_p^dagger read off the cells, each cell's conjugate transpose on
+    # the reversed closing, against the dense atoms: one closing, mixed and
+    # self-reversed closings, swapped variables, one and three variables
+    def check(spec, obs):
+        atoms = qj.build_atoms(spec, obs)
+        gap = distributions._anti_hermitian(atoms)
+        dense = atoms_oracle.matrices(atoms)
+        assert np.array_equal(gap.points, atoms.points)
+        assert np.abs(atoms_oracle.matrices(gap) - (dense - dense.conj().transpose(0, 2, 1))).max() <= 1e-14
 
-    def checked(groups, n_vars, eigs):
-        _assert_cell_table(groups, n_vars, eigs)
-        seen.append(len(groups))
-        return _cell_table(groups, n_vars, eigs)
-
-    monkeypatch.setattr(distributions, "_cell_table", checked)
     rng = np.random.default_rng(14)
     pairs = [_random_pair(rng, n, levels) for n in (2, 3, 5) for levels in (None, [-1, 0, 2])]
-    pairs += list(_spin_pairs(3))
-    for obs in pairs:
-        for spec in SMALL_SCHEMES + MIXED_CLOSINGS[1:3] + SWAPPED:
-            analysis.scheme_is_real(spec, obs)
-    assert len(seen) == len(pairs) * 11 and min(seen) >= 2
+    for obs in pairs + list(_spin_pairs(3)):
+        for spec in SMALL_SCHEMES + MIXED_CLOSINGS + SWAPPED:
+            check(spec, obs)
+    for nv in (1, 3):
+        for n in (2, 3, 4):
+            check(qj.scheme_kirkwood(nv), [_observable(rng, n, [-1, 0, 2] if v else None, "O") for v in range(nv)])
+        for jj in (1, 2, 3):
+            check(qj.scheme_kirkwood(nv), qj.spin_operators(jj).components[:nv])
 
 
 # spectral variables: a variable that every term carries by one coefficient-1
@@ -365,17 +369,13 @@ def test_cell_table_matches_oracle_on_spectra_straddling_the_merge_gap(spec, a, 
         b = _random_pair(rng, a.dim)[0].eig
     for eigs in ((a, b), (b, a)):
         _assert_cell_table(spec.groups, 2, eigs)
-        _assert_cell_table(spec.groups + analysis._negated_adjoint(spec.groups), 2, eigs)
 
 
 @settings(PROPERTY, max_examples=100)
 @given(spec=SPECTRAL_SCHEMES, obs=observables(2, max_dim=4))
 def test_cell_table_matches_oracle_with_and_without_spectral_variables(spec, obs):
-    # random spectra, half of them degenerate, with the scheme's groups and
-    # with the scheme-plus-adjoint groups scheme_is_real hands to the table
-    eigs = _eigs(obs)
-    _assert_cell_table(spec.groups, 2, eigs)
-    _assert_cell_table(spec.groups + analysis._negated_adjoint(spec.groups), 2, eigs)
+    # random spectra, half of them degenerate
+    _assert_cell_table(spec.groups, 2, _eigs(obs))
 
 
 def test_spectral_positions_per_group():
@@ -394,6 +394,3 @@ def test_spectral_positions_per_group():
     assert positions(SPECTRAL_AND_SPLIT[2]) == [(0, 1)]
     assert positions(SPECTRAL_AND_SPLIT[3]) == [(0, 1), (0, 1)]  # on different observables
     assert positions(SWAPPED[2]) == [(None, None)]  # the terms put each variable at two positions
-    # a reversed word moves position k to L - 1 - k
-    adjoint = analysis._negated_adjoint(qj.scheme_born_jordan(5).groups + qj.scheme_kirkwood(2).groups)
-    assert [g.spectral for g in adjoint] == [(None, 1), (1, 0)]

@@ -357,21 +357,27 @@ def test_verify_honours_tol_real(fixtures, tmp_path):
 
 @pytest.mark.parametrize("scheme", ["kirkwood", "s_alpha:0.5"])
 def test_verify_builds_the_atoms_once(fixtures, tmp_path, monkeypatch, scheme):
-    # the scheme realness verdict reads the atoms the distribution was built from
-    build = distributions.build_atoms
-    calls = []
+    # the scheme realness verdict reads the atoms the distribution was built
+    # from, so one cell table serves both
+    build, cell_table = distributions.build_atoms, distributions._cell_table
+    calls, tables = [], []
 
     def counted(spec, observables):
         calls.append(spec.label)
         return build(spec, observables)
 
+    def counted_table(*args):
+        tables.append(len(args[0]))
+        return cell_table(*args)
+
     monkeypatch.setattr(distributions, "build_atoms", counted)
     monkeypatch.setattr(analysis, "build_atoms", counted)
+    monkeypatch.setattr(distributions, "_cell_table", counted_table)
     argv = ["verify", "--scheme", scheme, "--obs", fixtures["j1"], "--obs", fixtures["j2"],
             "--state", fixtures["y_plus"], "--format", "json"]
     out = tmp_path / "verify.json"
     assert run_cli(argv, out) == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(tables) == 1
     # Kirkwood-Dirac is not real on the spin-1/2 pair, the split word at 1/2 is
     assert json.loads(out.read_text())["scheme_real_for_all_states"] == (scheme != "kirkwood")
 
@@ -466,6 +472,9 @@ FUZZ_DOCS = {
     "obs_spin_one": {"builtin": "spin:1", "component": 3},
     "obs_float_component": {"builtin": "spin:1/2", "component": 1.0},
     "obs_bad_spin": {"builtin": "spin:x"},
+    # Fraction("1/0") divides by zero; 1e400 is an exact integer past the float range
+    "obs_spin_zero_denominator": {"builtin": "spin:1/0"},
+    "obs_spin_huge": {"builtin": "spin:1e400"},
     "obs_list": [1, 2],
     "state_theta_x": {"bloch": {"theta": "x"}},
     "state_theta_null": {"bloch": {"theta": None}},
@@ -564,6 +573,8 @@ def command_lines_to_fuzz(draw, files):
         options.append(st.tuples(st.just("--grid"), st.sampled_from(GRIDS)))
     if command in STEP_FLAGS:  # weighted up: they are all these commands take
         options += [st.tuples(st.sampled_from(STEP_FLAGS[command]), steps)] * 2
+    if command == "degeneracy":  # 2 n^2 - 1 past int64 at n = 4e9 and past the float range at 1e200
+        options.append(st.tuples(st.just("--n"), st.sampled_from([4 * 10**9, 10**200]).map(str)))
     if command == "verify":
         options.append(st.tuples(st.sampled_from(TOL_FLAGS), st.sampled_from(TOLERANCES)))
     # most draws start from a well-formed spin-1/2 problem, so that the
@@ -619,6 +630,8 @@ INVALID_INPUTS = [
     (["verify", "--scheme=s_alpha:0.5", "--tol-real=nan"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-real=-1"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-real=inf"], cli.EXIT_VALIDATION),
+    (["degeneracy", "--n=4000000000", "--na=1", "--nb=1"], cli.EXIT_OK),
+    (["degeneracy", f"--n={10**200}", "--na=1", "--nb=1"], cli.EXIT_VALIDATION),
 ]
 # a JSON true or false where a number belongs, and the field its error names
 BOOL_FIELDS = {
@@ -641,11 +654,16 @@ CAST_FIELDS = {
     "scheme_fraction_var": ("--scheme", ":terms[0]:word[0]:var"),
     "scheme_string_coeff": ("--scheme", ":terms[0]:word[0]:coeff"),
 }
+# a spin token that parses to no spin matrices, and the field its error names
+SPIN_FIELDS = {
+    "obs_spin_zero_denominator": ("--obs", ":builtin"),
+    "obs_spin_huge": ("--obs", ":builtin"),
+}
 FIELD_ARGV = {
     doc: ["compute", flag, doc] + ([] if flag == "--scheme" else ["--scheme=kirkwood"])
-    for doc, (flag, _) in (BOOL_FIELDS | CAST_FIELDS).items()
+    for doc, (flag, _) in (BOOL_FIELDS | CAST_FIELDS | SPIN_FIELDS).items()
 }
-INVALID_INPUTS += [(FIELD_ARGV[doc], cli.EXIT_VALIDATION) for doc in BOOL_FIELDS]
+INVALID_INPUTS += [(FIELD_ARGV[doc], cli.EXIT_VALIDATION) for doc in BOOL_FIELDS | SPIN_FIELDS]
 
 
 def _filled(fuzz_files, argv):
@@ -707,3 +725,9 @@ def test_json_booleans_name_their_field(fuzz_files, capsys, doc):
 def test_json_strings_and_fractions_name_their_field(fuzz_files, capsys, doc):
     # each of these used to be cast and run, with exit code 0
     _assert_field_named(fuzz_files, capsys, doc, CAST_FIELDS[doc][1])
+
+
+@pytest.mark.parametrize("doc", SPIN_FIELDS)
+def test_spin_tokens_without_spin_matrices_name_their_field(fuzz_files, capsys, doc):
+    # each of these used to end in a traceback
+    _assert_field_named(fuzz_files, capsys, doc, SPIN_FIELDS[doc][1])

@@ -7,9 +7,10 @@ of ``TWO_VAR_SCHEMES`` and ``WignerScheme(2)`` over random observables,
 half with degenerate spectra, and never evaluate the mixture h(s).
 Realness must also match on one- and three-variable Kirkwood-Dirac, and
 read neither the coordinate chart nor a trace of the atoms: it decides
-the atoms A_p - A_p^dagger of the scheme minus its adjoint from their
-cells, as the prune decides atoms, so "real" means an entrywise defect
-of at most ``DEFECT_TOL``, also where the defect lies just above it. At
+the atoms A_p - A_p^dagger, each cell of A_p with its conjugate
+transpose, from the cells of the scheme's own atoms, as the prune
+decides atoms, so "real" means an entrywise defect of at most
+``DEFECT_TOL`` of those atoms, also where the defect lies just above it. At
 two levels a scheme is real exactly when its reconstruction map is rank
 deficient, the paper's statement that the imaginary part is essential.
 That equivalence holds away from the thresholds only: realness is judged
@@ -104,6 +105,25 @@ def test_realness_is_the_entrywise_defect_in_the_band():
         assert qj.scheme_is_real(spec, pair) == want, f"seed {seed}"
         above += not want
     assert above, "no draw above the tolerance"
+
+
+def test_realness_is_the_entrywise_defect_near_the_tolerance():
+    # Margenau-Hill at alpha and the split word at 1/2 + alpha, alpha from far
+    # below DEFECT_TOL to far above it, on the spin-1/2 and spin-1 pairs and
+    # nine random pairs of N = 2-4: 220 verdicts, both ways
+    alphas = (1e-12, 1e-11, 3e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1.4e-8, 1e-7)
+    pairs = [qj.spin_operators(jj).components[:2] for jj in (1, 2)]
+    for seed, n in enumerate((2, 3, 4) * 3):
+        rng = np.random.default_rng(seed)
+        pairs.append(tuple(qj.HermitianObservable(qj.random_hermitian(n, rng), f"O{v}") for v in range(2)))
+    verdicts = []
+    for alpha in alphas:
+        for spec in (qj.scheme_margenau_hill(alpha), qj.scheme_s_alpha(0.5 + alpha)):
+            for pair in pairs:
+                want = _entrywise_real(spec, pair)
+                assert qj.scheme_is_real(spec, pair) == want, (spec.label, pair[0].label)
+                verdicts.append(want)
+    assert len(verdicts) == 220 and 0 < sum(verdicts) < 220
 
 
 def test_commuting_kirkwood_is_decided_by_the_residue(monkeypatch):
