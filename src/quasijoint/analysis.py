@@ -40,7 +40,6 @@ from .errors import (
 from .quantum import (
     DensityState,
     SpinTriple,
-    _pairs,
     bloch_state,
     expectation,
     random_density,
@@ -192,14 +191,17 @@ class EntryBlocks(NamedTuple):
 def _entry_unknowns(n: int):
     """The Frobenius-orthonormal real unknowns v of a Hermitian Z, as tables over Z's entries.
 
-    The unknowns are Z[i, i] (unknown i) and, for pair k = (i, j), i < j,
-    of ``quantum._pairs``, sqrt2 Re Z[j, i] (unknown N + 2k) and
-    sqrt2 Im Z[j, i] (unknown N + 2k + 1). Returns read-only ``unknown``
-    and ``factor``, both of shape (2, N, N), with
+    This is the one layout of Hermitian unknowns in the package: the N
+    diagonal entries Z[i, i] (unknown i), then, for the k-th index pair
+    i < j in row-major order, sqrt2 Re Z[j, i] (unknown N + 2k) and
+    sqrt2 Im Z[j, i] (unknown N + 2k + 1) of its lower-triangle entry, so
+    that the Frobenius norm of Z is the Euclidean norm of v. Returns
+    read-only ``unknown`` and ``factor``, both of shape (2, N, N), with
     Z[j, i] = sum over r of factor[r, j, i] v[unknown[r, j, i]]; on the
     diagonal the second term has factor 0.
     """
-    i, j = _pairs(n)
+    index = np.arange(n)
+    i, j = np.nonzero(index[:, None] < index)  # np.triu_indices(n, 1), at a tenth of its cost
     k = n + 2 * np.arange(i.size)
     unknown = np.empty((2, n, n), dtype=np.intp)
     unknown[:, np.arange(n), np.arange(n)] = np.arange(n)
@@ -393,7 +395,6 @@ class ReconstructionMap:
     observables: tuple
     scheme: SchemeSpec
     atoms: OperatorAtomSet
-    support: np.ndarray
     closed_form: KirkwoodForm = field(default=None, repr=False)
     blocks: EntryBlocks = field(default=None, repr=False)
     rank: int = field(init=False)
@@ -406,6 +407,11 @@ class ReconstructionMap:
     @property
     def dim(self) -> int:
         return self.observables[0].dim
+
+    @property
+    def support(self) -> np.ndarray:
+        """The atoms' points, shape (P, n_vars): the rows the weight vector runs over."""
+        return self.atoms.points
 
     @property
     def full_rank(self) -> bool:
@@ -534,13 +540,13 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
         if not (lower > 2 * linalg.rank_threshold(upper) and lower >= linalg.INVERSION_FLOOR):
             form = None
     blocks = _entry_blocks(atoms) if form is None else None
-    return ReconstructionMap((a, b), spec, atoms, atoms.points, closed_form=form, blocks=blocks)
+    return ReconstructionMap((a, b), spec, atoms, closed_form=form, blocks=blocks)
 
 
 def _unit_hermitian(rho) -> np.ndarray:
     """The Hermitian part of ``rho`` with its trace reset to 1.
 
-    The reset goes into the last diagonal entry, as in ``embed``.
+    The reset goes into the last diagonal entry.
     """
     rho = (rho + rho.conj().T) / 2
     rho[-1, -1] += 1.0 - rho.trace().real
@@ -721,10 +727,17 @@ def equal_spectra_bound(n: int) -> float:
 
 
 def nondegenerate_partner_bound(n: int) -> float:
-    """Least distinct-eigenvalue count of B when A is non-degenerate."""
+    """Least distinct-eigenvalue count of B when A is non-degenerate.
+
+    Any integer n works up to where the bound, about n / 2, leaves the
+    float range, where a :class:`DomainError` is raised.
+    """
     if n < 1:
         raise DomainError(f"system dimension must be positive, got {n}")
-    return (n * n + n - 1) / (2 * n - 1)
+    try:
+        return (n * n + n - 1) / (2 * n - 1)
+    except OverflowError as exc:  # the exact int quotient is rounded to a float
+        raise DomainError("system dimension too large: the bound lies past the float range") from exc
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,9 @@ EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+
+# most states one scan-realness run evaluates: theta x phi x m steps
+MAX_SCAN_STATES = 10**6
 
 SCHEME_NAMES = ("kirkwood", "s_alpha", "margenau_hill", "born_jordan", "wigner")
 COMMANDS = (
@@ -509,9 +513,18 @@ def run_degeneracy(args):
 
 
 def run_scan_realness(args):
-    for flag in ("theta", "phi", "m"):
-        if getattr(args, f"{flag}_steps") < 0:
+    steps = [args.theta_steps, args.phi_steps, args.m_steps]
+    for flag, count in zip(("theta", "phi", "m"), steps):
+        if count < 0:
             raise ValidationError("step count must not be negative", field=f"--{flag}-steps")
+    # a zero count empties the grid, but the counts before it still reach
+    # np.linspace: each count is taken as at least 1
+    if math.prod(max(count, 1) for count in steps) > MAX_SCAN_STATES:
+        raise ValidationError(
+            f"step counts {' x '.join(map(str, steps))} exceed {MAX_SCAN_STATES} states"
+            " (zeros count as 1)",
+            field="--theta-steps/--phi-steps/--m-steps",
+        )
     triple = quantum.spin_operators(1)
     if args.obs:
         observables = tuple(parse_observable(_load_json(p), p) for p in args.obs)

@@ -28,10 +28,6 @@ class DomainError(QuasiJointError, ValueError):
     """Scalar or structural argument outside its documented domain."""
 
 
-class LengthMismatchError(QuasiJointError, ValueError):
-    """Vector length inconsistent with the target dimension."""
-
-
 class DimensionMismatchError(QuasiJointError, ValueError):
     """Operator and state dimensions do not agree."""
 

@@ -1,11 +1,8 @@
 """Quantum-domain objects: observables, spin representations, density states.
 
-States carry a canonical real coordinate vector of length N^2 - 1 (leading
-diagonal entries first, then Re/Im pairs of the lower-triangle entries in
-row-major order of the pairs). Only this module knows that layout:
-``parametrize`` and ``embed`` convert between states and coordinates.
-Tomography does not read it: the reconstruction map works on the
-Frobenius-orthonormal unknowns of ``analysis._entry_unknowns``.
+States are held as matrices. Tomography reads a state through the
+Frobenius-orthonormal real unknowns of ``analysis._entry_unknowns``, the
+one place their layout is defined.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    LengthMismatchError,
     NonRealExpectationError,
 )
 
@@ -64,29 +60,27 @@ class DensityState:
     when that matrix is positive definite, up to the factorization's
     rounding (about N eps, far below the slack); ``eigvalsh`` runs only
     when it fails, to decide near the boundary and to name the smallest
-    eigenvalue in the error. ``require_positive=False`` skips the
-    positivity check; only ``embed`` uses it, since its linear chart also
-    reaches Hermitian unit-trace matrices that are not positive. The
-    matrix is a read-only copy, as in :class:`HermitianObservable`.
+    eigenvalue in the error. Every instance passes all three checks; a
+    Hermitian unit-trace matrix that is not positive stays a plain array.
+    The matrix is a read-only copy, as in :class:`HermitianObservable`.
     """
 
-    def __init__(self, matrix, *, require_positive: bool = True):
+    def __init__(self, matrix):
         m = linalg.require_hermitian(np.array(matrix, dtype=complex), name="density matrix")
         trace = m.trace().real
         if abs(trace - 1.0) > linalg.DEFECT_TOL:
             raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
-        if require_positive:
-            shifted = m.copy()
-            shifted.ravel()[:: m.shape[0] + 1] += linalg.POSITIVITY_SLACK  # rho + slack I
-            try:
-                np.linalg.cholesky(shifted)
-            except np.linalg.LinAlgError:
-                smallest = float(np.linalg.eigvalsh(m).min())
-                if smallest < -linalg.POSITIVITY_SLACK:
-                    raise DomainError(
-                        f"density matrix has eigenvalue {smallest:.3e} "
-                        f"below -{linalg.POSITIVITY_SLACK:.1e}"
-                    ) from None
+        shifted = m.copy()
+        shifted.ravel()[:: m.shape[0] + 1] += linalg.POSITIVITY_SLACK  # rho + slack I
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(m).min())
+            if smallest < -linalg.POSITIVITY_SLACK:
+                raise DomainError(
+                    f"density matrix has eigenvalue {smallest:.3e} "
+                    f"below -{linalg.POSITIVITY_SLACK:.1e}"
+                ) from None
         m.setflags(write=False)
         self.matrix = m
 
@@ -186,55 +180,6 @@ def bloch_state(theta: float, phi: float, m: float = 1.0) -> DensityState:
         ]
     )
     return DensityState(rho)
-
-
-def _pairs(dim: int):
-    """Index pairs i < j of the off-diagonal coordinates, in coordinate order.
-
-    Pair k owns coordinates N - 1 + 2k (real part) and N + 2k (imaginary
-    part) of the lower-triangle entry rho[j, i].
-    """
-    index = np.arange(dim)
-    return np.nonzero(index[:, None] < index)  # np.triu_indices(dim, 1), at a tenth of its cost
-
-
-def parametrize(rho: DensityState) -> np.ndarray:
-    """Canonical real coordinates of a density matrix, length N^2 - 1.
-
-    Order: the first N-1 diagonal entries, then for each index pair i < j
-    in row-major order the real and imaginary part of the lower-triangle
-    entry rho[j, i].
-    """
-    m = rho.matrix
-    n = rho.dim
-    i, j = _pairs(n)
-    out = np.empty(n * n - 1)
-    out[: n - 1] = np.diag(m).real[: n - 1]
-    lower = m[j, i]
-    out[n - 1 :: 2] = lower.real
-    out[n::2] = lower.imag
-    return out
-
-
-def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
-    """Inverse of ``parametrize``; the last diagonal entry absorbs the trace.
-
-    Positivity is not checked by default: the map is the linear coordinate
-    chart, which also reaches Hermitian unit-trace matrices that are not
-    states.
-    """
-    v = np.asarray(values, dtype=float)
-    if v.shape != (dim * dim - 1,):
-        raise LengthMismatchError(
-            f"expected {dim * dim - 1} coordinates for dim {dim}, got shape {v.shape}"
-        )
-    m = np.zeros((dim, dim), dtype=complex)
-    m[np.diag_indices(dim - 1)] = v[: dim - 1]
-    m[dim - 1, dim - 1] = 1.0 - v[: dim - 1].sum()
-    i, j = _pairs(dim)
-    m[j, i] = v[dim - 1 :: 2] + 1j * v[dim::2]
-    m[i, j] = v[dim - 1 :: 2] - 1j * v[dim::2]
-    return DensityState(m, require_positive=require_positive)
 
 
 def expectation(observable: HermitianObservable, rho: DensityState) -> float:

@@ -347,6 +347,8 @@ def test_corollary_bounds():
         assert abs(qj.equal_spectra_bound(n) / ((n * np.sqrt(2) + 1) / 2) - 1) <= 1e-12
     with pytest.raises(DomainError, match="float range"):
         qj.equal_spectra_bound(10**200)
+    with pytest.raises(DomainError, match="float range"):
+        qj.nondegenerate_partner_bound(10**400)
     # bounds are consistent with the raw inequality
     for n in range(2, 7):
         thr = qj.equal_spectra_bound(n)

@@ -317,6 +317,18 @@ def test_scan_realness_rows(command_lines, tmp_path):
         assert (top_imag <= 1e-12) == (abs(z) <= 1e-12)
 
 
+def test_scan_realness_step_cap(command_lines, tmp_path, capsys, monkeypatch):
+    # 3 x 2 x 3 states sit at a cap of 18; one more step, or a count hidden
+    # behind a zero, is rejected before any grid is made
+    monkeypatch.setattr(cli, "MAX_SCAN_STATES", 18)
+    assert run_cli(command_lines["scan-realness"], tmp_path / "scan.csv") == 0
+    for steps in (["3", "2", "4"], ["1", "19", "0"]):
+        argv = ["scan-realness"] + [f"--{flag}-steps={n}" for flag, n in zip(("theta", "phi", "m"), steps)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --theta-steps/--phi-steps/--m-steps: step counts ")
+        assert "exceed 18 states" in err
+
 def test_rank_csv(command_lines, tmp_path):
     out = tmp_path / "rank.csv"
     assert run_cli(command_lines["rank"], out) == 0
@@ -624,6 +636,8 @@ INVALID_INPUTS = [
     (["scan-realness", "--theta-steps=-1"], cli.EXIT_VALIDATION),
     (["scan-realness", "--phi-steps=-2"], cli.EXIT_VALIDATION),
     (["scan-realness", "--m-steps=-3"], cli.EXIT_VALIDATION),
+    (["scan-realness", "--theta-steps=1" + "0" * 200], cli.EXIT_VALIDATION),
+    (["scan-realness", "--theta-steps", "4000000000"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-support=nan"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-support=-1"], cli.EXIT_VALIDATION),
     (["verify", "--scheme=s_alpha:0.5", "--tol-support=inf"], cli.EXIT_VALIDATION),

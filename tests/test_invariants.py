@@ -174,7 +174,7 @@ def test_closed_form_matches_the_dense_map(spec, pair, seed):
             # reach 1e8 (Margenau-Hill near 0); the closed form certifies
             # s_min >= linalg.INVERSION_FLOOR, where 1e-12 holds as it is
             tol += 1e-15 / np.linalg.svd(rmap.map_matrix, compute_uv=False)[-1]
-        assert np.abs(got.matrix - want.matrix).max() <= tol
+        assert np.abs(got.matrix - want).max() <= tol
 
 
 _RNG = np.random.default_rng(3)
@@ -249,7 +249,7 @@ def test_off_range_weights_return_the_least_squares_state():
     # no state has these weights: the closed form declines them
     assert analysis._closed_form_state(rmap, bad.weights) is None
     got = qj.reconstruct_state(rmap, bad)
-    assert np.abs(got.matrix - _pinv_state(rmap, bad.weights).matrix).max() <= 1e-15
+    assert np.abs(got.matrix - _pinv_state(rmap, bad.weights)).max() <= 1e-15
     assert 1e-8 < np.abs(got.matrix - rho.matrix).max() < 1e-5
 
 

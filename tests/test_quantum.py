@@ -8,7 +8,6 @@ import quasijoint as qj
 from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
-    LengthMismatchError,
     NotHermitianError,
 )
 
@@ -113,46 +112,6 @@ def test_bloch_pure_expectations_on_sphere(spin_half):
 def test_bloch_domain(theta, phi, m):
     with pytest.raises(DomainError):
         qj.bloch_state(theta, phi, m)
-
-
-def test_parametrize_two_level_examples():
-    assert_allclose(qj.parametrize(qj.DensityState(np.diag([1.0, 0.0]))), [1, 0, 0])
-    assert_allclose(qj.parametrize(qj.DensityState.maximally_mixed(2)), [0.5, 0, 0])
-
-
-def test_parametrize_three_level_readoff():
-    a, b, c, d, f, g, h, k = 0.3, 0.05, -0.02, 0.01, 0.03, 0.25, -0.04, 0.02
-    rho = np.array(
-        [
-            [a, b - 1j * c, d - 1j * f],
-            [b + 1j * c, 1 - a - g, h - 1j * k],
-            [d + 1j * f, h + 1j * k, g],
-        ]
-    )
-    vec = qj.parametrize(qj.DensityState(rho))
-    assert_allclose(vec, [a, 1 - a - g, b, c, d, f, h, k], atol=1e-15)
-
-
-def test_round_trip_random_states():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        dim = int(rng.integers(2, 7))
-        rho = qj.random_density(dim, rng)
-        vec = qj.parametrize(rho)
-        back = qj.embed(vec, dim, require_positive=True)
-        assert np.abs(back.matrix - rho.matrix).max() <= 1e-14
-        assert np.abs(qj.parametrize(back) - vec).max() <= 1e-14
-
-
-def test_embed_length_mismatch():
-    with pytest.raises(LengthMismatchError):
-        qj.embed([1.0, 0.0], 2)
-
-
-def test_embed_accepts_unphysical_coordinates():
-    # coordinate basis elements are Hermitian with unit trace but not positive
-    state = qj.embed([0.0, 1.0, 0.0], 2)
-    assert np.abs(state.matrix - np.array([[0, 1], [1, 1]])).max() <= 1e-15
 
 
 def test_density_validation():

@@ -1,7 +1,8 @@
 """Finite-difference reconstruction map and loop-based coordinate charts, kept as a test oracle.
 
-These are the original definitions: ``parametrize`` and ``embed`` walk the
-index pairs in a Python double loop, ``chart_matrices`` spells the chart
+These are the original definitions, on plain Hermitian arrays: the chart
+``parametrize`` and ``embed`` walk the index pairs in a Python double loop
+(the library keeps no such chart), ``chart_matrices`` spells the chart
 of ``embed`` out as rho(0) and the N^2 - 1 coordinate derivatives, and
 the map's columns are finite differences of the coefficient vector along
 the coordinate basis, one ``embed`` and one trace of the dense atoms per
@@ -24,16 +25,20 @@ import numpy as np
 
 from quasijoint import analysis, linalg
 from quasijoint.distributions import OperatorAtomSet, build_atoms
-from quasijoint.errors import DimensionMismatchError, LengthMismatchError
-from quasijoint.quantum import DensityState
+from quasijoint.errors import DimensionMismatchError
 
 import atoms_oracle
 
 
-def parametrize(rho: DensityState) -> np.ndarray:
-    """Canonical real coordinates of a density matrix, length N^2 - 1."""
-    m = rho.matrix
-    n = rho.dim
+def parametrize(matrix) -> np.ndarray:
+    """Real coordinates of a Hermitian matrix, length N^2 - 1.
+
+    Order: the first N-1 diagonal entries, then for each index pair i < j
+    in row-major order the real and imaginary part of the lower-triangle
+    entry M[j, i]. The last diagonal entry is left to the trace.
+    """
+    m = np.asarray(matrix, dtype=complex)
+    n = m.shape[0]
     out = np.empty(n * n - 1)
     out[: n - 1] = np.diag(m).real[: n - 1]
     k = n - 1
@@ -45,13 +50,13 @@ def parametrize(rho: DensityState) -> np.ndarray:
     return out
 
 
-def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
-    """Inverse of ``parametrize``; the last diagonal entry absorbs the trace."""
+def embed(values, dim: int) -> np.ndarray:
+    """Inverse of ``parametrize`` on unit-trace matrices; the last diagonal entry absorbs the trace.
+
+    The chart is linear, so it also reaches Hermitian unit-trace matrices
+    that are not positive: the result is an (N, N) array, not a state.
+    """
     v = np.asarray(values, dtype=float)
-    if v.shape != (dim * dim - 1,):
-        raise LengthMismatchError(
-            f"expected {dim * dim - 1} coordinates for dim {dim}, got shape {v.shape}"
-        )
     m = np.zeros((dim, dim), dtype=complex)
     for i in range(dim - 1):
         m[i, i] = v[i]
@@ -62,7 +67,7 @@ def embed(values, dim: int, *, require_positive: bool = False) -> DensityState:
             m[j, i] = v[k] + 1j * v[k + 1]
             m[i, j] = v[k] - 1j * v[k + 1]
             k += 2
-    return DensityState(m, require_positive=require_positive)
+    return m
 
 
 def chart_matrices(dim: int):
@@ -123,21 +128,22 @@ def reconstruction_map(a, b, spec):
     n = a.dim
     atoms = build_atoms(spec, (a, b))
     n_params = n * n - 1
-    base = stacked_coefficients(atoms, embed(np.zeros(n_params), n).matrix)
+    base = stacked_coefficients(atoms, embed(np.zeros(n_params), n))
     cols = np.empty((base.size, n_params))
     for k in range(n_params):
         unit = np.zeros(n_params)
         unit[k] = 1.0
-        cols[:, k] = stacked_coefficients(atoms, embed(unit, n).matrix) - base
+        cols[:, k] = stacked_coefficients(atoms, embed(unit, n)) - base
     rank, _ = linalg.real_rank_and_pinv(cols)
     return cols, base, rank
 
 
-def pinv_state(a, b, spec, weights) -> DensityState:
+def pinv_state(a, b, spec, weights) -> np.ndarray:
     """The state the finite-difference map's pseudo-inverse gives for weights on the atom support.
 
     ``weights`` are aligned with the support of ``build_atoms(spec, (a, b))``;
-    the result is Hermitian with unit trace and need not be positive.
+    the result is an (N, N) Hermitian array with unit trace and need not be
+    positive.
     """
     cols, base, _ = reconstruction_map(a, b, spec)
     w = np.asarray(weights, dtype=complex)
