@@ -33,7 +33,6 @@ from .distributions import (
 from .errors import (
     DimensionMismatchError,
     DomainError,
-    QuasiJointError,
     RankDeficientError,
     SupportMismatchError,
 )
@@ -169,7 +168,7 @@ class EntryBlocks(NamedTuple):
     ``vectors`` are the eigenvectors U_A of the frame Z = U_A^dagger rho U_A
     the unknowns (:func:`_entry_unknowns`) read: those of the observable
     every word opens and closes on (:func:`_entry_blocks`), or None for the
-    standard frame, U_A = I, of the dense map (:func:`_dense_map`).
+    standard frame, U_A = I, of the dense block (:func:`_dense_blocks`).
     ``groups`` are the blocks by shape (:class:`_BlockGroup`),
     ``singular_values`` those of all blocks, descending, and ``kept`` how
     many lie above the rank cut of the largest one.
@@ -237,6 +236,17 @@ def _dense_map(atoms: OperatorAtomSet) -> np.ndarray:
     for k in range(n * n):
         out[:, k] = atoms.weights_for((factor * (unknown == k)).sum(axis=0)).view(float)
     return out
+
+
+def _dense_blocks(atoms: OperatorAtomSet) -> EntryBlocks:
+    """The dense map as one block over all N^2 unknowns, in the standard frame (no ``vectors``).
+
+    Built apart from ``map_matrix``, so that only its SVD stays cached.
+    """
+    matrix = _dense_map(atoms)
+    rows, cols = matrix.shape
+    svd = np.linalg.svd(matrix[None], full_matrices=False)
+    return _ranked(None, [_BlockGroup(np.arange(rows // 2)[None], np.arange(cols)[None], *svd)])
 
 
 def _by_component(comp, start):
@@ -354,23 +364,45 @@ class ReconstructionMap:
     unit-trace states is rank N^2 on all Hermitian matrices, and the
     distribution then determines the state.
 
-    The rank comes from one of three routes, named by
-    ``diagnostics["inversion"]``:
+    The map works out its route from its atoms when it is constructed,
+    and names it in ``diagnostics["inversion"]``:
 
-    - ``"closed_form"``: ``closed_form`` is the atoms'
-      :class:`~quasijoint.distributions.KirkwoodForm`, whose singular-value
-      bounds certify full rank and an accurate per-atom inversion; the
-      rank is N^2 - 1.
-    - ``"blocks"``: ``blocks`` is the map split into independent blocks
-      over entry pairs of the state (:class:`EntryBlocks`, from
-      :func:`_entry_blocks`).
-    - ``"svd"``: ``blocks`` is None; the map is one dense block
-      (:func:`_dense_map` and its SVD, cached as ``_dense``), built for it.
+    - ``"closed_form"``: atoms in Kirkwood form
+      (:meth:`~quasijoint.distributions.OperatorAtomSet.kirkwood_form`:
+      Kirkwood-Dirac, Margenau-Hill, a lone reversed word, on
+      nondegenerate pairs) bound the map's singular values
+      (:func:`_singular_value_bounds`). A lower bound above twice the rank
+      cut certifies full rank N^2 - 1, the factor 2 leaving room for the
+      SVD's rounding; one of at least ``linalg.INVERSION_FLOOR`` also
+      keeps the per-atom inversion accurate. ``closed_form`` is then the
+      atoms' :class:`~quasijoint.distributions.KirkwoodForm`, and the map
+      is neither built nor decomposed.
+    - ``"blocks"``: atoms whose words all open and close on one
+      nondegenerate observable A (split words, Born-Jordan and their
+      mixtures) split the map into independent blocks over entry pairs of
+      U_A^dagger rho U_A (:func:`_entry_blocks`); the map is not built
+      either. Blocks are small where atoms rarely merge (two unknowns on
+      random pairs) and grow with the merges (equally spaced spectra, a
+      factor with coefficient 0).
+    - ``"svd"``: every other map (mixed closings such as alternating
+      words, a degenerate closing observable, other Kirkwood-Dirac-like
+      words on degenerate pairs, and Kirkwood-form maps where the bound
+      falls short: vanishing overlaps, Margenau-Hill near alpha = 0) is
+      built (:func:`_dense_map`, one
+      :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
+      unknown) and decomposed as one block (:func:`_dense_blocks`).
 
-    On the last two the rank is the number of block singular values above
-    the rank cut of the largest one, minus 1, and :func:`reconstruct_state`
-    solves block by block (:func:`_block_state`); the closed form inverts
-    per atom and falls back to the dense block. ``diagnostics`` also holds
+    ``blocks`` is the map's least-squares split (:class:`EntryBlocks`):
+    the entry blocks where they apply, else the dense block, whose
+    ``vectors`` are None. It is built at construction on the last two
+    routes, and on the closed form's first fallback. There the rank is
+    the number of block singular values above ``linalg.RANK_RATIO``
+    times max(s_0, 1), minus 1: the weights sum to the trace, so the map
+    on unit-trace states loses exactly one dimension. A map that is zero
+    but for the trace and rounding, as for two multiples of the
+    identity, has rank 0. :func:`reconstruct_state` solves block by
+    block (:func:`_block_state`); the closed form inverts per atom and
+    falls back to ``blocks``. ``diagnostics`` also holds
     ``rank_margin``: the smallest kept singular value (the largest when
     none is kept) over the rank cut
     (:func:`~quasijoint.linalg.rank_threshold`), and for the closed form
@@ -395,14 +427,29 @@ class ReconstructionMap:
     observables: tuple
     scheme: SchemeSpec
     atoms: OperatorAtomSet
-    closed_form: KirkwoodForm = field(default=None, repr=False)
-    blocks: EntryBlocks = field(default=None, repr=False)
+    closed_form: KirkwoodForm = field(init=False, repr=False)
     rank: int = field(init=False)
+    diagnostics: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # certified by the closed form, or counted on the blocks solved
-        rank = self.dim**2 - 1 if self.closed_form is not None else max(self._inverted.kept - 1, 0)
-        object.__setattr__(self, "rank", rank)
+        form = self.atoms.kirkwood_form()
+        if form is not None:
+            lower, upper = _singular_value_bounds(form)
+            cut = linalg.rank_threshold(upper)
+            if not (lower > 2 * cut and lower >= linalg.INVERSION_FLOOR):
+                form = None
+        if form is not None:
+            rank = self.dim**2 - 1
+            diagnostics = {"inversion": "closed_form", "rank_margin": lower / cut, "largest_block": (2, 2)}
+        else:
+            blocks = self.blocks
+            s = blocks.singular_values
+            margin = s[max(blocks.kept, 1) - 1] / linalg.rank_threshold(s[0])
+            route = "svd" if blocks.vectors is None else "blocks"
+            rank = max(blocks.kept - 1, 0)
+            diagnostics = {"inversion": route, "rank_margin": float(margin), "largest_block": blocks.largest}
+        for name, value in (("closed_form", form), ("rank", rank), ("diagnostics", diagnostics)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -422,32 +469,10 @@ class ReconstructionMap:
         return _dense_map(self.atoms)
 
     @cached_property
-    def _dense(self) -> EntryBlocks:
-        """The dense map as one block over all N^2 unknowns, in the standard frame (no ``vectors``).
-
-        Built apart from ``map_matrix``, so that only its SVD stays cached.
-        """
-        matrix = _dense_map(self.atoms)
-        rows, cols = matrix.shape
-        svd = np.linalg.svd(matrix[None], full_matrices=False)
-        return _ranked(None, [_BlockGroup(np.arange(rows // 2)[None], np.arange(cols)[None], *svd)])
-
-    @property
-    def _inverted(self) -> EntryBlocks:
-        """``blocks``, or the dense block: solved off the closed form, and as its fallback."""
-        return self._dense if self.blocks is None else self.blocks
-
-    @cached_property
-    def diagnostics(self) -> dict:
-        if self.closed_form is not None:
-            lower, upper = _singular_value_bounds(self.closed_form)
-            margin = lower / linalg.rank_threshold(upper)
-            return {"inversion": "closed_form", "rank_margin": margin, "largest_block": (2, 2)}
-        blocks = self._inverted
-        s = blocks.singular_values
-        margin = s[max(blocks.kept, 1) - 1] / linalg.rank_threshold(s[0])
-        route = "svd" if self.blocks is None else "blocks"
-        return {"inversion": route, "rank_margin": float(margin), "largest_block": blocks.largest}
+    def blocks(self) -> EntryBlocks:
+        """The map's least-squares split: its entry blocks, or else its dense block."""
+        blocks = _entry_blocks(self.atoms)
+        return _dense_blocks(self.atoms) if blocks is None else blocks
 
     @cached_property
     def _support_index(self) -> _SupportIndex:
@@ -464,13 +489,13 @@ class ReconstructionMap:
     def _lagrange_step(self) -> tuple:
         """(B^T B)^-1 t on the unknowns, shape (N^2,), and the sum of its diagonal entries.
 
-        B is the map on the unknowns as ``_inverted`` solves it and t marks
+        B is the map on the unknowns as ``blocks`` splits it and t marks
         the diagonal unknowns (:func:`_block_state`): V S^-2 V^T t block by
         block. Needs every block of full column rank.
         """
         n = self.dim
         step = np.empty(n * n)
-        for g in self._inverted.groups:
+        for g in self.blocks.groups:
             t = (g.unknowns < n)[..., None].astype(float)
             step[g.unknowns] = (g.vt.transpose(0, 2, 1) @ ((g.vt @ t) / g.s[..., None] ** 2))[..., 0]
         return step, step[:n].sum()
@@ -497,50 +522,12 @@ def reconstruction_map(a, b, spec: SchemeSpec) -> ReconstructionMap:
     """Build the coefficient map of a scheme for a pair of observables.
 
     The weight of atom A_p is Tr(A_p rho), linear in the unknowns of rho
-    (:func:`_entry_unknowns`). Every route reads them; the routes differ
-    in how much of the map they build.
-
-    Atoms in Kirkwood form
-    (:meth:`~quasijoint.distributions.OperatorAtomSet.kirkwood_form`:
-    Kirkwood-Dirac, Margenau-Hill, a lone reversed word, on nondegenerate
-    pairs) bound the map's singular values (:func:`_singular_value_bounds`).
-    A lower bound above twice the rank cut certifies full rank N^2 - 1, the
-    factor 2 leaving room for the SVD's rounding; one of at least
-    ``linalg.INVERSION_FLOOR`` also keeps the closed-form inversion
-    accurate. Such a map is neither built nor decomposed here.
-
-    Atoms whose words all open and close on one nondegenerate
-    observable A (split words, Born-Jordan and their mixtures) split the
-    map into independent blocks over entry pairs of U_A^dagger rho U_A
-    (:func:`_entry_blocks`). Such a map is not built either. Blocks are
-    small where atoms rarely merge (two unknowns on random pairs) and grow
-    with the merges (equally spaced spectra, a factor with coefficient 0).
-
-    Every other map (mixed closings such as alternating words, a
-    degenerate closing observable, other Kirkwood-Dirac-like words on
-    degenerate pairs, and Kirkwood-form maps where the bound falls short:
-    vanishing overlaps, Margenau-Hill near alpha = 0) is built
-    (:func:`_dense_map`, one
-    :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
-    unknown) and decomposed as one block.
-
-    On the last two routes the rank is the number of block singular values
-    above ``linalg.RANK_RATIO`` times max(s_0, 1), minus 1: the weights sum
-    to the trace, so every kernel element is traceless and the map on
-    unit-trace states loses exactly one dimension. A map that is zero but
-    for the trace and rounding, as for two multiples of the identity, has
-    rank 0.
+    (:func:`_entry_unknowns`). The map works out its route, its rank and
+    how much of itself to build from the atoms (:class:`ReconstructionMap`).
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"observable dims differ: {a.dim} vs {b.dim}")
-    atoms = build_atoms(spec, (a, b))
-    form = atoms.kirkwood_form()
-    if form is not None:
-        lower, upper = _singular_value_bounds(form)
-        if not (lower > 2 * linalg.rank_threshold(upper) and lower >= linalg.INVERSION_FLOOR):
-            form = None
-    blocks = _entry_blocks(atoms) if form is None else None
-    return ReconstructionMap((a, b), spec, atoms, closed_form=form, blocks=blocks)
+    return ReconstructionMap((a, b), spec, build_atoms(spec, (a, b)))
 
 
 def _unit_hermitian(rho) -> np.ndarray:
@@ -583,7 +570,7 @@ def _closed_form_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
 def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     """The unit-trace Hermitian matrix whose weights fit ``aligned`` best, in least squares.
 
-    Solved on ``rmap._inverted``, the map's blocks or its dense block,
+    Solved on ``rmap.blocks``, the map's entry blocks or its dense block,
     which must have full rank N^2 (map rank N^2 - 1), so every block has
     full column rank and every unknown lies in one block. With B the map
     on the unknowns v and b the Re and Im of the weights, the result
@@ -600,7 +587,7 @@ def _block_state(rmap: ReconstructionMap, aligned) -> np.ndarray:
     rho = U_A Z U_A^dagger, made Hermitian with unit trace
     (:func:`_unit_hermitian`).
     """
-    blocks, n = rmap._inverted, rmap.dim
+    blocks, n = rmap.blocks, rmap.dim
     step, diagonal = rmap._lagrange_step
     v = np.empty(n * n)
     for g in blocks.groups:
@@ -774,13 +761,6 @@ def _symmetrized_real_state(rho: DensityState) -> DensityState:
     return DensityState(sym)
 
 
-def _zero_z_state(rho: DensityState) -> DensityState:
-    """Three-level state averaged with its flip: z expectation vanishes."""
-    f = np.eye(3)[::-1]
-    sym = (rho.matrix + f @ rho.matrix @ f) / 2
-    return DensityState(sym)
-
-
 def realness_z_report(
     spin: SpinTriple, n_samples: int = 500, *, seed: int = 0
 ) -> RealnessZReport:
@@ -789,10 +769,12 @@ def realness_z_report(
     Two-level systems: checks the equivalence both ways on a mix of
     generic states and states constructed in the equatorial plane.
     Three-level systems: checks that realness forces a zero z expectation
-    on states symmetrized into the real family, and searches up to 10000
-    states for one with zero z expectation but complex weights (the
-    converse fails). Weights count as real within ``linalg.REAL_TOL``, the
-    z expectation as zero within ``linalg.DEFECT_TOL``.
+    on states symmetrized into the real family, and gives a state with
+    zero z expectation but complex weights (the converse fails): I/3 with
+    the coherence 0.1 i between the J3 eigenstates m = 1 and m = 0, whose
+    largest |Im w| under Kirkwood-Dirac on (J1, J2) is about 0.035.
+    Weights count as real within ``linalg.REAL_TOL``, the z expectation as
+    zero within ``linalg.DEFECT_TOL``.
     """
     if spin.j_times_two not in (1, 2):
         raise DomainError("realness report covers two- and three-level systems only")
@@ -827,17 +809,6 @@ def realness_z_report(
             real_cases += 1
             if abs(expectation(spin.j3, state)) > linalg.DEFECT_TOL:
                 disagreements += 1
-    counterexample = None
-    for _ in range(10_000):
-        state = _zero_z_state(random_density(3, rng))
-        if abs(expectation(spin.j3, state)) <= linalg.DEFECT_TOL and not is_real(
-            evaluate_distribution(atoms, state), linalg.REAL_TOL
-        ):
-            counterexample = state
-            break
-    if counterexample is None:
-        raise QuasiJointError(
-            "no zero-z state with complex weights found; "
-            "the converse search exhausted its budget"
-        )
-    return RealnessZReport(3, n_samples, disagreements, real_cases, counterexample)
+    counterexample = np.eye(3, dtype=complex) / 3  # in the J3 eigenbasis, m = 1, 0, -1
+    counterexample[0, 1], counterexample[1, 0] = 0.1j, -0.1j
+    return RealnessZReport(3, n_samples, disagreements, real_cases, DensityState(counterexample))

@@ -40,16 +40,6 @@ EXIT_VALIDATION = 3
 MAX_SCAN_STATES = 10**6
 
 SCHEME_NAMES = ("kirkwood", "s_alpha", "margenau_hill", "born_jordan", "wigner")
-COMMANDS = (
-    "compute",
-    "marginals",
-    "tomography",
-    "rank",
-    "verify",
-    "charfunc",
-    "degeneracy",
-    "scan-realness",
-)
 
 
 def fmt_g(x) -> str:
@@ -282,7 +272,7 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
         raise ValidationError(
             f"grid needs {n_vars} comma-separated ranges, got {len(parts)}", field="--grid"
         )
-    axes = []
+    ranges = []
     for part in parts:
         pieces = part.split(":")
         if len(pieces) != 3:
@@ -295,8 +285,13 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
             raise ValidationError(f"range {part!r} has a non-finite end", field="--grid")
         if steps < 1:
             raise ValidationError("steps must be at least 1", field="--grid")
-        axes.append(np.linspace(lo, hi, steps))
-    mesh = np.meshgrid(*axes, indexing="ij")
+        ranges.append((lo, hi, steps))
+    # a grid no array can index is refused before numpy sees its step counts;
+    # one that fits the index range but not the memory is an out-of-memory error
+    points = math.prod(steps for _, _, steps in ranges)
+    if points * n_vars * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"grid of {points} points is past the largest array size", field="--grid")
+    mesh = np.meshgrid(*(np.linspace(*r) for r in ranges), indexing="ij")
     return np.column_stack([m.ravel() for m in mesh])
 
 
@@ -305,7 +300,8 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
 # (header, rows, footers, json_payload)
 
 
-def _load_problem(args, *, need_state=True, n_obs=None):
+def _load_problem(args, *, n_obs=None):
+    """Observables, scheme and, for a command that takes ``--state``, the state."""
     observables = tuple(parse_observable(_load_json(p), p) for p in args.obs)
     if not observables:
         raise ValidationError("at least one --obs is required", field="--obs")
@@ -316,7 +312,7 @@ def _load_problem(args, *, need_state=True, n_obs=None):
         raise ValidationError(f"observables have mixed dimensions {sorted(dims)}", field="--obs")
     scheme = resolve_scheme(args.scheme, len(observables))
     state = None
-    if need_state:
+    if "state" in args:
         if args.state is None:
             raise ValidationError("this command needs --state", field="--state")
         state = parse_state(_load_json(args.state), args.state)
@@ -431,7 +427,7 @@ def run_tomography(args):
 
 
 def run_rank(args):
-    observables, scheme, _ = _load_problem(args, need_state=False, n_obs=2)
+    observables, scheme, _ = _load_problem(args, n_obs=2)
     rmap = analysis.reconstruction_map(observables[0], observables[1], scheme)
     payload = {
         "dim": rmap.dim,
@@ -559,6 +555,7 @@ RUNNERS = {
     "degeneracy": run_degeneracy,
     "scan-realness": run_scan_realness,
 }
+COMMANDS = tuple(RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scheme", help="scheme JSON file, or name token like s_alpha:0.5")
-        p.add_argument("--obs", action="append", default=[], help="observable JSON file (repeatable)")
-        p.add_argument("--state", help="state JSON file")
+        if name != "degeneracy":
+            p.add_argument("--scheme", help="scheme JSON file, or name token like s_alpha:0.5")
+            p.add_argument("--obs", action="append", default=[], help="observable JSON file (repeatable)")
+        if name in ("compute", "marginals", "tomography", "verify", "charfunc"):
+            p.add_argument("--state", help="state JSON file")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         if name == "verify":

@@ -616,7 +616,7 @@ def _group_sum(x, eig: linalg.EigenSystem, axis: int) -> np.ndarray:
 
 
 def _overlap_chain(eigs):
-    """Chained overlaps of a word, or None for a one-factor word.
+    """Chained overlaps of a word of at least two factors.
 
     Returns c of shape (N, G_2, ..., G_{L-1}, N): with eigenvector matrices
     U_k, c[i, g_2, ..., g_{L-1}, j] is the product of the overlaps
@@ -625,8 +625,6 @@ def _overlap_chain(eigs):
     group. Then P_1[g_1] ... P_L[g_L] is the sum over i in g_1, j in g_L of
     u_i c[i, g_2, ..., g_{L-1}, j] v_j^dagger.
     """
-    if len(eigs) == 1:
-        return None
     chain = eigs[0].vectors.conj().T @ eigs[1].vectors
     for k in range(1, len(eigs) - 1):
         overlap = eigs[k].vectors.conj().T @ eigs[k + 1].vectors

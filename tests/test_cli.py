@@ -401,6 +401,22 @@ def test_tolerance_flags_only_on_verify(command_lines, capsys):
     assert "--tol-real" in capsys.readouterr().err
 
 
+UNREAD_FLAGS = [
+    ["degeneracy", "--scheme", "kirkwood"],
+    ["degeneracy", "--state", "x.json"],
+    ["rank", "--state", "x.json"],
+    ["scan-realness", "--state", "x.json"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[" ".join(argv) for argv in UNREAD_FLAGS])
+def test_commands_take_only_the_flags_they_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 def test_marginals_accept_state_trace_within_tolerance(fixtures, tmp_path):
     # trace 1 + 5e-11 passes DensityState; Born weights sum to that trace
     state = tmp_path / "trace_off.json"
@@ -560,12 +576,15 @@ SCHEME_TOKENS = [
 GRIDS = [
     "-1:1:3,0:2:2", "0:nan:3,0:1:2", "0:1:3,-inf:1:2", "inf:inf:1,0:1:1", "0:1:0,0:1:2",
     "0:1:-3,0:1:2", "0:1:3", "a:b:c,0:1:2", "0:1,0:1:2", "0:1:2,0:1:2,0:1:2",
+    "0:1:9223372036854775807,0:1:2",
 ]
 STEP_FLAGS = {
     "degeneracy": ["--n", "--na", "--nb"],
     "scan-realness": ["--theta-steps", "--phi-steps", "--m-steps"],
 }
 TOL_FLAGS = ["--tol-support", "--tol-real"]
+# the flags each command takes: the names its parsed defaults hold
+FLAGS = {command: set(vars(cli.build_parser().parse_args([command]))) for command in cli.COMMANDS}
 TOLERANCES = ["0", "1e-10", "0.3", "nan", "inf", "-1", "-0.0", "x"]
 
 
@@ -575,12 +594,15 @@ def command_lines_to_fuzz(draw, files):
     doc = st.sampled_from(sorted(files)).map(files.get)
     steps = st.integers(-3, 6).map(str)
     options = [
-        st.tuples(st.just("--scheme"), st.sampled_from(SCHEME_TOKENS)),
-        st.tuples(st.sampled_from(["--scheme", "--obs", "--state"]), doc),
         st.tuples(st.just("--format"), st.sampled_from(["csv", "json"])),
         st.tuples(st.just("--out"), st.just(files["out_in_missing_dir"])),
     ]
     # only flags the command accepts, so that few draws end in argparse's exit
+    if "scheme" in FLAGS[command]:
+        options.append(st.tuples(st.just("--scheme"), st.sampled_from(SCHEME_TOKENS)))
+    doc_flags = [f"--{name}" for name in ("scheme", "obs", "state") if name in FLAGS[command]]
+    if doc_flags:
+        options.append(st.tuples(st.sampled_from(doc_flags), doc))
     if command == "charfunc":
         options.append(st.tuples(st.just("--grid"), st.sampled_from(GRIDS)))
     if command in STEP_FLAGS:  # weighted up: they are all these commands take
@@ -596,7 +618,8 @@ def command_lines_to_fuzz(draw, files):
         if command == "degeneracy":
             argv += ["--n=3", "--na=3", "--nb=2"]
         elif command != "scan-realness":
-            argv += ["--obs", files["j1"], "--obs", files["j2"], "--state", files["y_plus"]]
+            argv += ["--obs", files["j1"], "--obs", files["j2"]]
+            argv += ["--state", files["y_plus"]] if "state" in FLAGS[command] else []
             argv += ["--scheme", draw(st.sampled_from(SCHEME_TOKENS))]
             argv += ["--grid=0:1:2,0:1:2"] if command == "charfunc" else []
     for flag, value in draw(st.lists(st.one_of(options), max_size=5)):
@@ -633,6 +656,10 @@ INVALID_INPUTS = [
     (["compute", "--scheme=kirkwood", "--out", "out_in_missing_dir"], cli.EXIT_PARSE),
     (["charfunc", "--scheme=kirkwood", "--grid=0:nan:3,0:1:2"], cli.EXIT_VALIDATION),
     (["charfunc", "--scheme=kirkwood", "--grid=0:1:3,-inf:1:2"], cli.EXIT_VALIDATION),
+    # step counts no array can index: refused before numpy's own errors
+    (["charfunc", "--scheme=kirkwood", "--grid=0:1:4611686018427387904,0:1:2"], cli.EXIT_VALIDATION),
+    (["charfunc", "--scheme=kirkwood", "--grid=0:1:9223372036854775807,0:1:2"], cli.EXIT_VALIDATION),
+    (["charfunc", "--scheme=kirkwood", "--grid=0:1:100000000000000000000,0:1:2"], cli.EXIT_VALIDATION),
     (["scan-realness", "--theta-steps=-1"], cli.EXIT_VALIDATION),
     (["scan-realness", "--phi-steps=-2"], cli.EXIT_VALIDATION),
     (["scan-realness", "--m-steps=-3"], cli.EXIT_VALIDATION),
@@ -682,12 +709,12 @@ INVALID_INPUTS += [(FIELD_ARGV[doc], cli.EXIT_VALIDATION) for doc in BOOL_FIELDS
 
 def _filled(fuzz_files, argv):
     """A bare file name names a fuzz document; spin-1/2 observables and a
-    state fill in what the command line leaves out."""
+    state fill in what the command line leaves out, where the command takes them."""
     argv = [fuzz_files.get(a, a) for a in argv]
     if argv[0] != "scan-realness":
-        if "--obs" not in argv:
+        if "--obs" not in argv and "obs" in FLAGS[argv[0]]:
             argv += ["--obs", fuzz_files["j1"], "--obs", fuzz_files["j2"]]
-        if "--state" not in argv:
+        if "--state" not in argv and "state" in FLAGS[argv[0]]:
             argv += ["--state", fuzz_files["y_plus"]]
     if "--obs" in argv and argv.count("--obs") == 1:
         argv += ["--obs", fuzz_files["j2"]]

@@ -223,7 +223,9 @@ def test_inversion_route(spec, pair, route):
     rmap = qj.reconstruction_map(*pair, spec)
     assert rmap.diagnostics["inversion"] == route
     assert (rmap.closed_form is not None) == (route == "closed_form")
-    assert (rmap.blocks is not None) == (route == "blocks")
+    if route != "closed_form":  # the least-squares split: the dense block has no frame
+        assert isinstance(rmap.blocks, analysis.EntryBlocks)
+        assert (rmap.blocks.vectors is None) == (route == "svd")
     if route == "closed_form":
         assert rmap.full_rank and rmap.diagnostics["rank_margin"] > 2
     elif rmap.full_rank:

@@ -25,9 +25,12 @@ pairs, degenerate spectra and merged atoms.
 ``reconstruct_state`` keeps per-map operators on the map; its states
 must equal the oracle's per-call solve (``per_call_state``) bit for bit
 where the closed form holds, and within 1e-13 on blocks, on the dense
-block and where the closed form falls back to it.
+block and where the closed form falls back to it. A map built from its
+inputs alone works out the route, rank, diagnostics and states that
+``reconstruction_map`` gives, with the Kirkwood bound computed once.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -137,12 +140,12 @@ def _dense_singular_values(rmap):
 @given(spec=SPLIT_WORDS, obs=observables(2), seed=st.integers(0, 2**32 - 1))
 def test_block_rank_and_state_match_the_dense_map(spec, obs, seed):
     rmap = qj.reconstruction_map(*obs, spec)
-    assert (rmap.blocks is not None) == (not obs[0].eig.degenerate)
+    assert (rmap.diagnostics["inversion"] == "blocks") == (not obs[0].eig.degenerate)
     assert rmap.rank == tomography_oracle.reconstruction_map(*obs, spec)[2]
     s = _dense_singular_values(rmap)
     kept = int(np.count_nonzero(s > linalg.rank_threshold(s[0])))
     assert rmap.rank == max(kept - 1, 0)
-    if rmap.blocks is None or not rmap.full_rank:
+    if rmap.diagnostics["inversion"] != "blocks" or not rmap.full_rank:
         return
     # one basis on both: the margins are equal
     dense_margin = s[kept - 1] / linalg.rank_threshold(s[0])
@@ -219,7 +222,7 @@ def test_block_singular_values_are_the_dense_maps(spec, obs):
     # the unknowns are orthonormal and the eigenbasis of A a unitary change
     # of frame, so the blocks and the dense map share their singular values
     rmap = qj.reconstruction_map(*obs, spec)
-    if rmap.blocks is None:
+    if rmap.diagnostics["inversion"] != "blocks":
         return
     dense = _dense_singular_values(rmap)
     blocks = np.zeros_like(dense)
@@ -265,7 +268,7 @@ def test_block_route_builds_no_dense_map(monkeypatch):
         got = qj.reconstruct_state(rmap, qj.evaluate_distribution(rmap.atoms, rho))
         assert np.abs(got.matrix - rho.matrix).max() <= 1e-12
     with pytest.raises(AssertionError, match="dense map"):
-        rmap._dense  # the dense block on demand
+        rmap.map_matrix  # the dense map on demand
 
 
 # The paper's distinguishability comparison on spin (J1, J2), j = 1/2 ... 3.
@@ -338,6 +341,33 @@ def test_reconstruct_state_matches_the_per_call_solve(route, pair, spec):
             assert np.array_equal(got, got.conj().T)
     closed = route == "closed_form"
     assert routes == ["closed_form"] * 3 + ["blocks"] if closed else ["blocks"] * 4
+
+
+@pytest.mark.parametrize("route, pair, spec", PER_CALL_MAPS)
+def test_map_works_out_its_route(route, pair, spec, monkeypatch):
+    pair = tuple(pair())
+    want = qj.reconstruction_map(*pair, spec)
+    bounds = []
+    counted = analysis._singular_value_bounds
+    monkeypatch.setattr(analysis, "_singular_value_bounds", lambda form: bounds.append(form) or counted(form))
+    rmap = analysis.ReconstructionMap(pair, spec, qj.build_atoms(spec, pair))
+    assert [f.name for f in dataclasses.fields(rmap) if f.init] == ["observables", "scheme", "atoms"]
+    assert rmap.diagnostics == want.diagnostics and rmap.diagnostics["inversion"] == route
+    assert rmap.rank == want.rank and rmap.full_rank
+    assert (rmap.closed_form is not None) == (route == "closed_form")
+    if route != "closed_form":
+        assert isinstance(rmap.blocks, analysis.EntryBlocks)
+        assert (rmap.blocks.vectors is None) == (route == "svd")
+    rng = np.random.default_rng(rmap.dim)
+    dist = qj.evaluate_distribution(rmap.atoms, qj.random_density(rmap.dim, rng), prune_tol=0.0)
+    # weights no state has: the closed form falls back to the least-squares split
+    noisy = dist.weights + 1e-6 * rng.normal(size=dist.weights.size)
+    for w in (dist.weights, noisy):
+        dist = qj.QuasiDistribution(2, rmap.support, w)
+        assert np.array_equal(qj.reconstruct_state(rmap, dist).matrix, qj.reconstruct_state(want, dist).matrix)
+    # the bound is computed at construction only, and only for a Kirkwood form
+    assert len(bounds) == (rmap.atoms.kirkwood_form() is not None)
+    assert not hasattr(rmap, "_dense") and not hasattr(rmap, "_inverted")
 
 
 @pytest.mark.parametrize("route, pair", [

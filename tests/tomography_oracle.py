@@ -173,7 +173,7 @@ def per_call_state(rmap, aligned):
         z = (u_b.conj().T @ rho @ u_a).T
         if np.abs(f * z + g * z.conj() - w).max() <= linalg.DEFECT_TOL:
             return rho, "closed_form"
-    blocks = rmap._inverted
+    blocks = rmap.blocks
     sol = np.empty((n * n, 2))  # columns: the free minimizer and (B^T B)^-1 t
     for grp in blocks.groups:
         b = aligned[grp.atoms].view(float)[..., None]
