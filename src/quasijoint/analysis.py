@@ -616,7 +616,9 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     by more than ``linalg.COORD_TOL``, so the lookup maps the support onto
     itself. A distribution over another number of variables or with a
     non-finite weight is rejected first. Requires a full-rank map; the
-    result must be a positive state.
+    result must be a positive state. It is exactly Hermitian with trace 1
+    by construction (:func:`_unit_hermitian`), so only its finiteness and
+    positivity are checked (``DensityState._of_unit_hermitian``).
 
     The result is the unit-trace Hermitian matrix whose weights fit the
     aligned ones best in least squares, solved block by block
@@ -662,7 +664,7 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
         rho = _closed_form_state(rmap, aligned)
     if rho is None:
         rho = _block_state(rmap, aligned)
-    return DensityState(rho)
+    return DensityState._of_unit_hermitian(rho)
 
 
 @dataclass(frozen=True)

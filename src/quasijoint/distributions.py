@@ -123,10 +123,28 @@ def _free_coefficients(seq, coeffs, free) -> tuple:
     out = []
     for k in free:
         on_obs = free[[seq[j] == seq[k] for j in free]]
-        values, index = np.unique(coeffs[:, on_obs], return_inverse=True)
+        values, index = _distinct(coeffs[:, on_obs].ravel())
         column = index.reshape(len(coeffs), on_obs.size)[:, np.searchsorted(on_obs, k)]
         out.append((int(on_obs[0]), values, column))
     return tuple(out)
+
+
+def _distinct(values):
+    """The sorted distinct entries of a 1-d float array and the index of each entry among them.
+
+    For finite values these are ``np.unique(values, return_inverse=True)``,
+    by the same steps without its generic set-up: one ``argsort`` (the same
+    kind, so even 0.0 and -0.0 resolve alike), one comparison of
+    neighbours and one cumulative sum. Each NaN stays a value of its own.
+    """
+    order = values.argsort()
+    ordered = values[order]
+    opens = np.empty(ordered.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=opens[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(opens) - 1
+    return ordered[opens], inverse
 
 
 def _spectral_positions(factor_vars, coeffs, n_vars) -> tuple:
@@ -282,6 +300,10 @@ def scheme_margenau_hill(alpha: float = 0.0) -> SchemeSpec:
 # criterion 11 checks convergence at 2001 nodes
 MAX_QUADRATURE_NODES = 2500
 
+# most entries _round12 rounds one by one with Python's round, which costs
+# about 0.5 us an entry against numpy's 7 us for the vectorized rounding
+ROUND_LOOP_MAX = 12
+
 # complex entries (1 MiB) that one block of a frequency-side reader may hold
 # per temporary: characteristic functions walk their frequencies (or
 # directions) in blocks of BLOCK_ENTRIES // width, width the entries one
@@ -425,14 +447,16 @@ class OperatorAtomSet:
         n = self.dim
         y = np.zeros(len(self.closings) * n * n, dtype=complex)
         np.add.at(y, self.entries[cells], coefs)
-        return sum(
-            self.eigs[first].vectors @ yt.T @ self.eigs[last].vectors.conj().T
-            for (first, last), yt in zip(self.closings, y.reshape(-1, n, n))
-        )
+        out = 0
+        for (first, last), yt in zip(self.closings, y.reshape(-1, n, n)):
+            out = out + self.eigs[first].vectors @ yt.T @ self.eigs[last].vectors.conj().T
+        return out
 
     def identity_defect(self) -> float:
         """Max-norm distance of the kept atoms' sum from the identity, every cell scattered once."""
-        return float(np.abs(self._scatter(self.values) - np.eye(self.dim)).max())
+        total = self._scatter(self.values)
+        total.ravel()[:: total.shape[0] + 1] -= 1  # minus the identity, in place
+        return float(np.abs(total).max())
 
     def kirkwood_form(self):
         """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
@@ -589,19 +613,24 @@ def _cluster_values(values, var, tol):
 
 
 def _round12(x) -> np.ndarray:
-    """``round(v, 12)`` of every entry of the float array ``x``, bit for bit.
+    """``round(v, 12)`` of every entry of the 1-d float array ``x``, bit for bit.
 
-    rint(v 1e12) / 1e12 is Python's correctly rounded result wherever
-    v 1e12 is a finite float below 2^52 more than half an ulp from a
-    half-integer: the exact product then rounds to the same integer q,
-    and q / 1e12 is the float nearest q 10^-12, both exact. The rest
-    (ties, huge or non-finite values) go through ``round`` one by one.
+    Up to ``ROUND_LOOP_MAX`` entries that is Python's ``round`` one by
+    one, cheaper there than numpy's per-call cost. Beyond, rint(v 1e12) /
+    1e12 is Python's correctly rounded result wherever the float product
+    s = v 1e12 lies more than its rounding error (at most |s| 2^-53) from
+    a half-integer: the exact product then rounds to the same integer q,
+    and q / 1e12 is the float nearest q 10^-12, both exact. The test
+    |s - q| + |s| 2^-52 < 1/2 holds only there and fails on ties and on
+    huge or non-finite values, which go through ``round`` one by one.
     """
+    if x.size <= ROUND_LOOP_MAX:
+        return np.array([round(v, 12) for v in x.tolist()], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = x * 1e12
-        out = np.rint(scaled) / 1e12
-        tie = 2 * np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(np.spacing(scaled))
-        exact = (np.abs(scaled) < 2.0**52) & ~tie
+        q = np.rint(scaled)
+        exact = np.abs(scaled - q) + np.abs(scaled) * 2.0**-52 < 0.5
+    out = q / 1e12
     if not exact.all():
         for k in np.flatnonzero(~exact):
             out[k] = round(float(x[k]), 12)
@@ -1027,7 +1056,7 @@ def marginal(dist: QuasiDistribution, keep_var: int) -> QuasiDistribution:
     """Sum the weights over all variables except ``keep_var``."""
     if not 0 <= keep_var < dist.n_vars:
         raise IndexError(f"variable index {keep_var} out of range for {dist.n_vars} variables")
-    values, inverse = np.unique(dist.points[:, keep_var], return_inverse=True)
+    values, inverse = _distinct(dist.points[:, keep_var])
     sums = np.zeros(values.size, dtype=complex)
     np.add.at(sums, inverse, dist.weights)
     meta = dict(dist.meta)
@@ -1114,7 +1143,7 @@ def characteristic_function(spec, observables, rho: DensityState, s_points) -> n
         weyl = _pauli_characteristic if rho.matrix.shape == (2, 2) else _weyl_characteristic
         return weyl(observables, rho.matrix, pts)
     # phases depend on one frequency each: evaluate them once per distinct value
-    axes = [np.unique(pts[:, v], return_inverse=True) for v in range(spec.n_vars)]
+    axes = [_distinct(pts[:, v]) for v in range(spec.n_vars)]
     out = np.zeros(pts.shape[0], dtype=complex)
     for group in spec.groups:
         eigs = [observables[o].eig for o in group.obs]
@@ -1308,9 +1337,9 @@ class _SupportIndex:
         self.rows = len(support)
         self.values, row_index = [], []
         for v in range(support.shape[1]):
-            values, inverse = np.unique(support[:, v], return_inverse=True)
+            values, inverse = _distinct(support[:, v])
             self.values.append(values)
-            row_index.append(inverse.reshape(-1))
+            row_index.append(inverse)
         self.grid = [values.size for values in self.values]
         self.keys, self.first = np.unique(
             np.ravel_multi_index(row_index, self.grid), return_index=True

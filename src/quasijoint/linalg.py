@@ -54,17 +54,22 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     ``DEFECT_TOL``. Non-finite entries (NaN, Inf) are rejected too. The
     error's ``index`` names the first offending entry: the non-finite one,
     or the one with the largest asymmetry.
+
+    One pass decides: a non-finite entry makes its asymmetry NaN or Inf,
+    which fails the test as a large one does, so the finiteness scan and
+    the offending index are looked up only on failure.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError(f"{name} must be square, got shape {m.shape}")
-    finite = np.isfinite(m)
-    if not finite.all():
-        i, j = (int(k) for k in np.argwhere(~finite)[0])
-        raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
-    asym = np.abs(m - m.conj().T)
-    defect = float(asym.max())
-    if defect > DEFECT_TOL:
+    with np.errstate(invalid="ignore"):  # Inf - Inf: a NaN asymmetry, reported below
+        asym = np.abs(m - m.conj().T)
+    defect = asym.max()
+    if not defect <= DEFECT_TOL:
+        finite = np.isfinite(m)
+        if not finite.all():
+            i, j = (int(k) for k in np.argwhere(~finite)[0])
+            raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
         i, j = (int(k) for k in np.unravel_index(int(asym.argmax()), asym.shape))
         raise NotHermitianError(
             f"{name} is not Hermitian: entry [{i}][{j}] vs [{j}][{i}] differs by "
@@ -111,9 +116,11 @@ class EigenSystem:
 def eigensystem(matrix) -> EigenSystem:
     """Diagonalize a Hermitian matrix, merging nearly equal eigenvalues.
 
-    Eigenvalues closer than ``DEGENERACY_TOL`` (scaled by the spectral
-    radius when that radius exceeds one) are grouped into a single
-    eigenspace with summed multiplicity.
+    A group of nearly equal eigenvalues spans at most ``DEGENERACY_TOL``
+    (scaled by the spectral radius when that radius exceeds one): walking
+    the eigenvalues downward, a new group opens at the first one more than
+    that below the current group's first, largest, member. Each group
+    becomes a single eigenspace with summed multiplicity.
     """
     return _eigensystem(require_hermitian(matrix))
 
@@ -121,33 +128,33 @@ def eigensystem(matrix) -> EigenSystem:
 def _eigensystem(m) -> EigenSystem:
     """:func:`eigensystem` of a complex matrix that :func:`require_hermitian` returned.
 
-    The groups' bounds come from one vectorized comparison of neighbouring
-    eigenvalues. A group's eigenvalue is its first one, or the slice mean
-    of its members for the groups of two or more, the only ones visited
-    one by one.
+    The groups are found by one walk over the eigenvalues as Python floats,
+    which at these sizes costs less than numpy's per-call overhead. A
+    group's eigenvalue is its member, or the slice mean of its members for
+    the groups of two or more.
     """
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - dim <= 64 always converges
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     vals = vals[::-1]
-    scale = max(1.0, float(np.abs(vals).max()))
-    tol = DEGENERACY_TOL * scale
-
-    # group k spans bounds[k]:bounds[k + 1]; a bound follows each gap above tol
-    bounds = np.empty(vals.size + 1, dtype=bool)
-    bounds[0] = bounds[-1] = True
-    np.greater(vals[:-1] - vals[1:], tol, out=bounds[1:-1])
-    bounds = bounds.nonzero()[0]
-    sizes = bounds[1:] - bounds[:-1]
-    evals = vals[bounds[:-1]]
-    for k in (sizes > 1).nonzero()[0]:
-        evals[k] = vals[bounds[k] : bounds[k + 1]].mean()
-    multiplicities = tuple(sizes.tolist())
+    top = vals.tolist()
+    tol = DEGENERACY_TOL * max(1.0, abs(top[0]), abs(top[-1]))  # the ends hold the spectral radius
+    first, starts = top[0], [0]
+    for k, value in enumerate(top):
+        if first - value > tol:
+            first = value
+            starts.append(k)
+    if len(starts) == len(top):
+        evals, sizes = vals.copy(), (1,) * len(top)
+    else:
+        bounds = list(zip(starts, starts[1:] + [len(top)]))
+        evals = np.array([vals[a:b].mean() if b - a > 1 else top[a] for a, b in bounds])
+        sizes = tuple(b - a for a, b in bounds)
     evals.setflags(write=False)
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
+    vecs = vecs[:, ::-1].copy()
     vecs.setflags(write=False)
-    return EigenSystem(evals, multiplicities, vecs)
+    return EigenSystem(evals, sizes, vecs)
 
 
 def rank_threshold(largest: float) -> float:

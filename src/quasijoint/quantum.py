@@ -63,26 +63,40 @@ class DensityState:
     eigenvalue in the error. Every instance passes all three checks; a
     Hermitian unit-trace matrix that is not positive stays a plain array.
     The matrix is a read-only copy, as in :class:`HermitianObservable`.
+
+    The constructor runs all three checks. The one internal path,
+    :meth:`_of_unit_hermitian` (the result of
+    ``analysis.reconstruct_state``), takes a matrix that is exactly
+    Hermitian with its trace reset to 1 by construction, which passes the
+    first two checks whenever it is finite and positive; so it checks
+    finiteness and positivity, and the trace only where positivity fails,
+    raising what the constructor would raise on every input.
     """
 
     def __init__(self, matrix):
         m = linalg.require_hermitian(np.array(matrix, dtype=complex), name="density matrix")
-        trace = m.trace().real
-        if abs(trace - 1.0) > linalg.DEFECT_TOL:
-            raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
-        shifted = m.copy()
-        shifted.ravel()[:: m.shape[0] + 1] += linalg.POSITIVITY_SLACK  # rho + slack I
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(m).min())
-            if smallest < -linalg.POSITIVITY_SLACK:
-                raise DomainError(
-                    f"density matrix has eigenvalue {smallest:.3e} "
-                    f"below -{linalg.POSITIVITY_SLACK:.1e}"
-                ) from None
+        _require_unit_trace(m)
+        if not _shifted_cholesky_succeeds(m):
+            _require_positive_spectrum(m)
         m.setflags(write=False)
         self.matrix = m
+
+    @classmethod
+    def _of_unit_hermitian(cls, m) -> "DensityState":
+        """State of ``m``, a complex matrix exactly Hermitian with its trace reset to 1, taken over uncopied.
+
+        A matrix that passes the Cholesky test has its diagonal within the
+        slack of [0, 1], so its reset trace is 1 within rounding.
+        """
+        if not np.isfinite(m).all():
+            linalg.require_hermitian(m, name="density matrix")  # raises, naming the entry
+        if not _shifted_cholesky_succeeds(m):
+            _require_unit_trace(m)
+            _require_positive_spectrum(m)
+        m.setflags(write=False)
+        state = cls.__new__(cls)
+        state.matrix = m
+        return state
 
     @property
     def dim(self) -> int:
@@ -104,6 +118,32 @@ class DensityState:
 
     def __repr__(self):
         return f"DensityState(dim={self.dim})"
+
+
+def _require_unit_trace(m):
+    trace = m.trace().real
+    if abs(trace - 1.0) > linalg.DEFECT_TOL:
+        raise DomainError(f"density matrix trace must be 1, got {trace:.12g}")
+
+
+def _shifted_cholesky_succeeds(m) -> bool:
+    """Whether rho + ``linalg.POSITIVITY_SLACK`` I has a Cholesky factor."""
+    shifted = m.copy()
+    shifted.ravel()[:: m.shape[0] + 1] += linalg.POSITIVITY_SLACK
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _require_positive_spectrum(m):
+    smallest = float(np.linalg.eigvalsh(m).min())
+    if smallest < -linalg.POSITIVITY_SLACK:
+        raise DomainError(
+            f"density matrix has eigenvalue {smallest:.3e} "
+            f"below -{linalg.POSITIVITY_SLACK:.1e}"
+        )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import quasijoint as qj
 from quasijoint import linalg
-from quasijoint.distributions import MAX_QUADRATURE_NODES
+from quasijoint.distributions import MAX_QUADRATURE_NODES, ROUND_LOOP_MAX, _distinct, _round12
 from quasijoint.errors import (
     DimensionMismatchError,
     DomainError,
@@ -618,3 +620,40 @@ def test_malformed_distribution_reaches_no_reader(spin_one, read, malform):
     dist = qj.evaluate_distribution(atoms, qj.DensityState.maximally_mixed(3))
     with pytest.raises(DimensionMismatchError, match="needs points"):
         read(qj.QuasiDistribution(2, *malform(dist), dist.meta), obs)
+
+
+# few values, so entries repeat; 0.0 and -0.0 compare equal, and which one
+# stands for both depends on the sort
+POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 1e-12, -3.5, 7.0, 1e300])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(st.one_of(POOL, st.floats(-1e3, 1e3)), max_size=60), stride=st.integers(1, 3))
+def test_distinct_is_numpys_unique(values, stride):
+    # charfunc axes, marginals and support indexes read a column, a strided view
+    column = np.repeat(np.array(values, dtype=float), stride).reshape(-1, stride)[:, 0]
+    got, got_inverse = _distinct(column)
+    want, want_inverse = np.unique(column, return_inverse=True)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got_inverse, want_inverse)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(-5e3, 5e3),
+            # half-integer multiples of 1e-12 and their neighbours: ties and near-ties
+            st.builds(lambda k, d: (k + 0.5) * 1e-12 + d, st.integers(-10**6, 10**6),
+                      st.sampled_from([0.0, 1e-28, -1e-28])),
+            st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 4503.599627370496, 0.0, -0.0, 5e-324]),
+        ),
+        max_size=3 * ROUND_LOOP_MAX,
+    )
+)
+def test_round12_is_pythons_round(values):
+    # both sides of the loop's size limit: Python's round one by one, and the vectorized rounding
+    x = np.array(values, dtype=float)
+    got = _round12(x)
+    want = np.array([round(v, 12) for v in values], dtype=float)
+    assert np.array_equal(got, want, equal_nan=True) and np.array_equal(np.signbit(got), np.signbit(want))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import quasijoint as qj
@@ -201,3 +203,97 @@ def test_asymmetry_names_entry():
     with pytest.raises(NotHermitianError) as info:
         require_hermitian(np.array([[0.0, 0.0], [1.0, 0.0]]))
     assert info.value.index == (0, 1)
+
+
+def _two_pass_require_hermitian(matrix, name="matrix"):
+    """The finiteness scan, then the asymmetry: the reference for the one-pass check."""
+    m = np.asarray(matrix, dtype=complex)
+    finite = np.isfinite(m)
+    if not finite.all():
+        i, j = (int(k) for k in np.argwhere(~finite)[0])
+        raise NotHermitianError(f"{name} entry [{i}][{j}] is not finite", index=(i, j))
+    asym = np.abs(m - m.conj().T)
+    defect = float(asym.max())
+    if defect > qj.linalg.DEFECT_TOL:
+        i, j = (int(k) for k in np.unravel_index(int(asym.argmax()), asym.shape))
+        raise NotHermitianError(
+            f"{name} is not Hermitian: entry [{i}][{j}] vs [{j}][{i}] differs by "
+            f"{defect:.3e}, exceeding {qj.linalg.DEFECT_TOL:.3e}",
+            index=(i, j),
+        )
+    return m
+
+
+@st.composite
+def defective_matrices(draw):
+    """A Hermitian matrix with NaN, +-Inf, NaN beside a larger asymmetry, or an asymmetry, at random entries."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = qj.random_hermitian(n, rng)
+    kind = draw(st.sampled_from(["nan", "inf", "-inf", "complex-inf", "nan-and-asymmetry", "asymmetry"]))
+    i, j = (draw(st.integers(0, n - 1)) for _ in range(2))
+    bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "complex-inf": complex(np.inf, -np.inf)}
+    if kind in bad:
+        m[i, j] = bad[kind]
+        if draw(st.booleans()):
+            m[j, i] = np.conj(m[i, j])  # non-finite on both mirrored entries: Inf - Inf
+    elif kind == "nan-and-asymmetry":
+        k, l = (draw(st.integers(0, n - 1)) for _ in range(2))
+        m[k, l] += 10.0 + 10j
+        m[i, j] = np.nan
+    else:
+        m[i, j] += draw(st.sampled_from([1e-3, 2e-10, 1j, -5.0]))
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=defective_matrices())
+def test_one_pass_check_keeps_type_message_and_index(m):
+    # the one-pass check raises what the finiteness scan followed by the asymmetry raised
+    try:
+        _two_pass_require_hermitian(m, name="obs")
+    except NotHermitianError as exc:
+        want = exc
+    else:
+        assert np.array_equal(require_hermitian(m, name="obs"), m, equal_nan=True)
+        return
+    with pytest.raises(NotHermitianError) as got:
+        require_hermitian(m, name="obs")
+    assert str(got.value) == str(want) and got.value.index == want.index
+
+
+def test_eigenvalue_groups_span_at_most_the_tolerance():
+    # single linkage would chain all four small eigenvalues into one group spanning 1.8e-9
+    eig = qj.eigensystem(np.diag([0.0, 0.6e-9, 1.2e-9, 1.8e-9, 1.0]))
+    assert eig.multiplicities == (1, 2, 2)
+    assert_allclose(eig.eigenvalues, [1.0, 1.5e-9, 0.3e-9], rtol=1e-12, atol=1e-24)
+
+
+@st.composite
+def clustered_spectra(draw):
+    """A Hermitian matrix with eigenvalues in chains of steps near the grouping tolerance."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 30.0]))
+    steps = rng.choice([0.0, 0.3e-9, 0.6e-9, 0.9e-9, 1.1e-9, 0.5], size=n) * scale
+    values = draw(st.sampled_from([-1.0, 0.0, 2.0])) * scale + np.cumsum(steps)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (q * values) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=clustered_spectra())
+def test_eigenvalue_groups_open_at_the_first_value_beyond_the_tolerance(m):
+    raw = np.linalg.eigh(m)[0][::-1]  # the decomposition eigensystem runs, descending
+    eig = qj.eigensystem(m)
+    tol = qj.linalg.DEGENERACY_TOL * max(1.0, np.abs(raw).max())
+    starts = np.cumsum((0,) + eig.multiplicities[:-1])
+    assert sum(eig.multiplicities) == raw.size
+    for k, (start, size) in enumerate(zip(starts, eig.multiplicities)):
+        group = raw[start : start + size]
+        assert group[0] - group[-1] <= tol  # no wider than the tolerance
+        if start + size < raw.size:  # the next value is the first beyond it
+            assert group[0] - raw[start + size] > tol
+        want = group[0] if size == 1 else group.mean()
+        assert eig.eigenvalues[k] == want

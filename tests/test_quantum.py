@@ -216,3 +216,24 @@ def test_density_state_accepts_exactly_by_the_eigenvalue_rule(m):
     with pytest.raises(DomainError) as err:
         qj.DensityState(m)
     assert str(err.value) == f"density matrix has eigenvalue {smallest:.3e} below -{SLACK:.1e}"
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_hermitian_path_raises_what_the_constructor_raises(entry, bad):
+    # the internal path checks finiteness and positivity, and the trace where positivity fails
+    i, j = entry
+    inputs = [np.diag([0.5, 0.3, 0.2]).astype(complex), np.diag([2.0, -0.5, 0.0]).astype(complex),
+              np.diag([0.7, 0.3 + 1e-6, -1e-6]).astype(complex), np.diag([0.5, 0.5, 0.0]).astype(complex)]
+    inputs[0][i, j] = bad
+    inputs[0][j, i] = np.conj(inputs[0][i, j])
+    for m in inputs:
+        try:
+            want = qj.DensityState(m).matrix
+        except (NotHermitianError, DomainError) as exc:
+            with pytest.raises(type(exc)) as got:
+                qj.DensityState._of_unit_hermitian(m.copy())
+            assert str(got.value) == str(exc) and getattr(got.value, "index", None) == getattr(exc, "index", None)
+        else:
+            got = qj.DensityState._of_unit_hermitian(m.copy()).matrix
+            assert np.array_equal(got, want) and not got.flags.writeable

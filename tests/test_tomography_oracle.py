@@ -28,6 +28,9 @@ where the closed form holds, and within 1e-13 on blocks, on the dense
 block and where the closed form falls back to it. A map built from its
 inputs alone works out the route, rank, diagnostics and states that
 ``reconstruction_map`` gives, with the Kirkwood bound computed once.
+On every route its result skips the Hermiticity check and is, read-only,
+the constructor's matrix of the solver's output; a non-positive one is
+refused with the constructor's message.
 """
 
 import dataclasses
@@ -391,3 +394,44 @@ def test_reconstruction_keeps_no_more_than_n_squared_per_map(route, pair):
     finally:
         tracemalloc.stop()
     assert kept <= 4 * n * n * 16 + 4096
+
+
+@pytest.mark.parametrize("route, pair, spec", PER_CALL_MAPS)
+def test_reconstruction_is_validated_once(route, pair, spec, monkeypatch):
+    # the result skips the Hermiticity check, which it passes by construction,
+    # and is, read-only, the matrix the constructor makes of the solver's output
+    rmap = qj.reconstruction_map(*pair(), spec)
+    assert rmap.diagnostics["inversion"] == route
+    rng = np.random.default_rng(rmap.dim)
+    ket = rng.normal(size=rmap.dim) + 1j * rng.normal(size=rmap.dim)
+    states = [qj.random_density(rmap.dim, rng), qj.DensityState.pure(ket)]  # pure: the positivity boundary
+    solved = []
+    unit_hermitian = qj.DensityState._of_unit_hermitian
+    monkeypatch.setattr(qj.DensityState, "_of_unit_hermitian",
+                        lambda m: solved.append(m.copy()) or unit_hermitian(m))
+    checks = []
+    check = linalg.require_hermitian
+    monkeypatch.setattr(linalg, "require_hermitian", lambda *a, **k: checks.append(1) or check(*a, **k))
+    for rho in states:
+        dist = qj.evaluate_distribution(rmap.atoms, rho, prune_tol=0.0)
+        checks.clear()
+        got = qj.reconstruct_state(rmap, dist).matrix
+        assert checks == []
+        assert not got.flags.writeable
+        assert np.array_equal(got, qj.DensityState(solved[-1]).matrix)
+        assert np.abs(got - rho.matrix).max() <= 1e-9
+
+
+@pytest.mark.parametrize("route, pair, spec", PER_CALL_MAPS)
+def test_non_positive_reconstruction_names_its_eigenvalue(route, pair, spec):
+    # a Hermitian unit-trace matrix with eigenvalue -1e-6 is refused as the constructor refuses it
+    rmap = qj.reconstruction_map(*pair(), spec)
+    rng = np.random.default_rng(rmap.dim)
+    q, _ = np.linalg.qr(rng.normal(size=(rmap.dim, rmap.dim)) + 1j * rng.normal(size=(rmap.dim, rmap.dim)))
+    lam = np.full(rmap.dim, (1.0 + 1e-6) / (rmap.dim - 1))
+    lam[-1] = -1e-6
+    m = (q * lam) @ q.conj().T
+    m = (m + m.conj().T) / 2
+    dist = qj.QuasiDistribution(2, rmap.support, rmap.atoms.weights_for(m))
+    with pytest.raises(qj.errors.DomainError, match=r"^density matrix has eigenvalue -1\.000e-06 below -1\.0e-09$"):
+        qj.reconstruct_state(rmap, dist)
