@@ -77,13 +77,14 @@ def verify_support(
             f"distribution has {dist.n_vars} variables but {len(observables)} observables given"
         )
     off = np.zeros(len(dist), dtype=bool)
-    for v, o in enumerate(observables):
-        spectrum = o.eigenvalues[::-1]  # distinct eigenvalues, ascending
-        x = dist.points[:, v]
-        right = np.minimum(np.searchsorted(spectrum, x), spectrum.size - 1)
-        left = np.maximum(right - 1, 0)
-        gap = np.minimum(np.abs(spectrum[left] - x), np.abs(spectrum[right] - x))
-        off |= gap > linalg.COORD_TOL
+    with np.errstate(over="ignore"):  # a gap past the float range is an infinite one
+        for v, o in enumerate(observables):
+            spectrum = o.eigenvalues[::-1]  # distinct eigenvalues, ascending
+            x = dist.points[:, v]
+            right = np.minimum(np.searchsorted(spectrum, x), spectrum.size - 1)
+            left = np.maximum(right - 1, 0)
+            gap = np.minimum(np.abs(spectrum[left] - x), np.abs(spectrum[right] - x))
+            off |= gap > linalg.COORD_TOL
     off = np.flatnonzero(off & ~(np.abs(dist.weights) <= tol))  # rows by index: cheaper than a mask
     weights = dist.weights[off].astype(complex, copy=False)
     return SupportReport(off.size == 0, dist.points.take(off, axis=0), weights)
@@ -260,11 +261,12 @@ def _by_component(comp, start):
 def _entry_blocks(atoms: OperatorAtomSet):
     """The reconstruction map as independent real blocks, or None.
 
-    Applies when the atoms have one closing (A, A), A nondegenerate (split
-    words, Born-Jordan and their mixtures): a cell (p, i, j, x) then adds
-    x Z[j, i] to the weight of atom p, with Z = U_A^dagger rho U_A, so it
-    touches one Hermitian entry pair {Z[i, j], Z[j, i]}, one or two real
-    unknowns (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
+    Applies when the atoms have one closing (A, A), A degenerate or not
+    (split words, Born-Jordan and their mixtures): a cell (p, i, j, x)
+    then adds x Z[j, i] to the weight of atom p, with Z = U_A^dagger rho
+    U_A and i, j eigenvector columns of U_A, so it touches one Hermitian
+    entry pair {Z[i, j], Z[j, i]}, one or two real unknowns
+    (:func:`_entry_unknowns`). Atoms and unknowns form a bipartite graph;
     its connected components are the blocks: rows Re and Im of the
     component's atoms, columns its unknowns. Each is labelled by its least
     unknown. Where every atom holds one cell (split words on random pairs)
@@ -274,10 +276,10 @@ def _entry_blocks(atoms: OperatorAtomSet):
     Frobenius-orthonormal, so the blocks' singular values are those of the
     map on Hermitian matrices; blocks of one shape share one batched SVD.
     An unknown no atom touches lies in the kernel. Returns None for any
-    other atom set (mixed closings, a degenerate A).
+    other atom set (mixed closings).
     """
     (first, last), *others = atoms.closings
-    if others or first != last or atoms.eigs[first].degenerate:
+    if others or first != last:
         return None
     eig = atoms.eigs[first]
     n, p = atoms.dim, len(atoms)
@@ -378,17 +380,16 @@ class ReconstructionMap:
       atoms' :class:`~quasijoint.distributions.KirkwoodForm`, and the map
       is neither built nor decomposed.
     - ``"blocks"``: atoms whose words all open and close on one
-      nondegenerate observable A (split words, Born-Jordan and their
+      observable A, degenerate or not (split words, Born-Jordan and their
       mixtures) split the map into independent blocks over entry pairs of
       U_A^dagger rho U_A (:func:`_entry_blocks`); the map is not built
       either. Blocks are small where atoms rarely merge (two unknowns on
       random pairs) and grow with the merges (equally spaced spectra, a
       factor with coefficient 0).
     - ``"svd"``: every other map (mixed closings such as alternating
-      words, a degenerate closing observable, other Kirkwood-Dirac-like
-      words on degenerate pairs, and Kirkwood-form maps where the bound
-      falls short: vanishing overlaps, Margenau-Hill near alpha = 0) is
-      built (:func:`_dense_map`, one
+      words, other Kirkwood-Dirac-like words on degenerate pairs, and
+      Kirkwood-form maps where the bound falls short: vanishing overlaps,
+      Margenau-Hill near alpha = 0) is built (:func:`_dense_map`, one
       :meth:`~quasijoint.distributions.OperatorAtomSet.weights_for` per
       unknown) and decomposed as one block (:func:`_dense_blocks`).
 

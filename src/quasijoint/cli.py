@@ -137,11 +137,10 @@ def parse_observable(doc, where: str) -> quantum.HermitianObservable:
             field=f"{where}:dim",
         )
     try:
-        linalg.require_hermitian(m, name="matrix")
+        return quantum.HermitianObservable(m, label=doc.get("label", where))
     except NotHermitianError as exc:
         i, j = exc.index
         raise ValidationError(str(exc), field=f"{where}:matrix[{i}][{j}]") from exc
-    return quantum.HermitianObservable(m, label=doc.get("label", where))
 
 
 def parse_state(doc, where: str) -> quantum.DensityState:
@@ -281,8 +280,9 @@ def parse_grid(text: str, n_vars: int) -> np.ndarray:
             lo, hi, steps = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as exc:
             raise ValidationError(f"range {part!r} is not numeric", field="--grid") from exc
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValidationError(f"range {part!r} has a non-finite end", field="--grid")
+        # a non-finite end, or a span past the float range, on which linspace gives NaN
+        if not math.isfinite(hi - lo):
+            raise ValidationError(f"range {part!r} has a non-finite end or span", field="--grid")
         if steps < 1:
             raise ValidationError("steps must be at least 1", field="--grid")
         ranges.append((lo, hi, steps))

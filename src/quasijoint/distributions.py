@@ -468,12 +468,12 @@ class OperatorAtomSet:
         words A then B and B then A of weights beta and gamma, with
         c = U_A^dagger U_B. Returns the form when each atom's cells lie on
         one pair [a, b] of those closings and the N^2 atoms take the N^2
-        pairs; otherwise None (split words, degenerate spectra, merged or
-        pruned atoms).
+        pairs; otherwise None (split words; degenerate spectra, merged or
+        pruned atoms, which all leave fewer than N^2 atoms).
         """
         n = self.dim
         two_words = set(self.closings) <= {(0, 1), (1, 0)}
-        if len(self) != n * n or not two_words or any(e.degenerate for e in self.eigs[:2]):
+        if len(self) != n * n or not two_words:
             return None
         k, j, i = np.unravel_index(self.entries, (len(self.closings), n, n))
         forward = np.array([c == (0, 1) for c in self.closings])[k]
@@ -527,7 +527,8 @@ class QuasiDistribution:
             raise DimensionMismatchError(
                 f"point has {target.size} coordinates, expected {self.n_vars}"
             )
-        mask = (np.abs(self.points - target) <= linalg.COORD_TOL).all(axis=1)
+        with np.errstate(over="ignore"):  # a distance past the float range is an infinite one
+            mask = (np.abs(self.points - target) <= linalg.COORD_TOL).all(axis=1)
         return complex(self.weights[mask].sum()) if mask.any() else 0.0
 
     def characteristic(self, s_points) -> np.ndarray:
@@ -677,27 +678,6 @@ def _word_weights(eigs, rho) -> np.ndarray:
     closing = closing.reshape((first.dim,) + (1,) * (len(eigs) - 2) + (last.dim,))
     chain = _overlap_chain(eigs)
     return _group_sum(_group_sum(chain * closing, first, axis=0), last, axis=len(eigs) - 1)
-
-
-def _complex_matmul(a, b, out) -> None:
-    """``a @ b`` for complex 2-d arrays, as one real matrix product, into ``out``.
-
-    ``a`` is read as real with Re/Im interleaved along its columns and
-    ``b`` is expanded to the matching real block form, so the result is
-    written straight into the real view of ``out``, which may be a block
-    of columns of a larger array. Used where one side spans frequencies
-    (the distinct variable-0 frequencies of the points, as many as the
-    points at worst): complex BLAS products of that shape cost about 8 ms
-    on a 2-core host (OpenBLAS 0.3.31, 2 threads) whatever their size,
-    real ones a small fraction of that.
-    """
-    a = np.ascontiguousarray(a, dtype=complex).view(float)
-    b = np.asarray(b, dtype=complex)
-    block = np.empty((b.shape[0], 2, b.shape[1], 2))
-    block[:, 0, :, 0] = block[:, 1, :, 1] = b.real
-    block[:, 0, :, 1] = b.imag
-    block[:, 1, :, 0] = -b.imag
-    np.matmul(a, block.reshape(a.shape[1], -1), out=out.view(float))
 
 
 def _variable_coordinates(group: _TermGroup, eigs, var) -> np.ndarray:
@@ -943,7 +923,9 @@ def _spectral_variable(groups, eigs, var):
     if len(observables) > 1:
         return None
     spectrum = eigs[observables.pop()].eigenvalues[::-1]
-    return spectrum if (spectrum[1:] - spectrum[:-1] > linalg.COORD_TOL).all() else None
+    with np.errstate(over="ignore"):  # a gap past the float range is an infinite one
+        distinct = (spectrum[1:] - spectrum[:-1] > linalg.COORD_TOL).all()
+    return spectrum if distinct else None
 
 
 def _sum_repeats(keys, values):
@@ -1165,10 +1147,10 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
     shape (T, G_k, S) with one matrix product over t per frequency. Each
     observable's phases are evaluated once on the distinct coefficients of
     its variable-0 factors and gathered per factor (:func:`_free_coefficients`).
-    The table is contracted with K over g_0 in one real matrix product
-    (:func:`_complex_matmul`), giving Y[g_1, s] on the shared axes g_1,
-    and the shared factors' phases are then summed in per point, one
-    factor at a time from the last. Only the shared axes span the points.
+    The table is contracted with K over g_0 in one complex matrix product,
+    giving Y[g_1, s] on the shared axes g_1, and the shared factors'
+    phases are then summed in per point, one factor at a time from the
+    last. Only the shared axes span the points.
 
     K is built and contracted over blocks of the distinct frequencies
     (:func:`_blocks`), each with about ``BLOCK_ENTRIES`` entries in its
@@ -1199,13 +1181,13 @@ def _contract_block(table, eigs, group: _TermGroup, block, axes) -> np.ndarray:
 
     table = table.transpose(np.concatenate([shared, free]))
     sizes = table.shape[shared.size :]  # G_k of the free factors
-    rows = np.ascontiguousarray(table.reshape(-1, math.prod(sizes)))
+    rows = table.reshape(-1, math.prod(sizes))
     # entries per frequency of the largest temporary: a factor's phases or
     # the running product over the terms, or the kernel
     width = max(weights.size * max(math.prod(sizes[:-1]), max(sizes)), math.prod(sizes))
     y = np.empty((rows.shape[0], values.size), dtype=complex)
     for b in _blocks(values.size, width):
-        _complex_matmul(rows, kernel(values[b]), out=y[:, b])
+        np.matmul(rows, kernel(values[b]), out=y[:, b])
     y = y.reshape(table.shape[: shared.size] + (values.size,)).take(inverse, axis=-1)
     for k in shared[::-1]:
         vals, inv = axes[pattern[k]]

@@ -76,6 +76,30 @@ def test_support_random_kirkwood_brute_force():
                         assert np.abs(grids[v] - p[v]).min() <= 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("big_first", [True, False])
+@pytest.mark.parametrize(
+    "spec, on_grid",
+    [(qj.scheme_kirkwood(2), True), (qj.scheme_s_alpha(0.25), False), (qj.scheme_margenau_hill(0.3), True)],
+    ids=["kirkwood", "s_alpha-0.25", "margenau-hill-0.3"],
+)
+def test_spectra_near_the_float_range_raise_no_warning(spec, on_grid, big_first):
+    # eigenvalues +-1.41e308: gaps and distances between them overflow to
+    # inf, which compares as the large value it stands for
+    big = qj.HermitianObservable(np.array([[1e308, 1e308], [1e308, -1e308]]), "H")
+    j2 = qj.spin_operators(1).j2
+    obs = (big, j2) if big_first else (j2, big)
+    rho = qj.bloch_state(1.1, 0.4, 0.9)
+    dist = qj.evaluate_distribution(qj.build_atoms(spec, obs), rho)
+    assert len(dist) == (4 if on_grid else 8)
+    assert qj.verify_support(dist, obs).ok == on_grid
+    for v, o in enumerate(obs):
+        assert qj.max_weight_deviation(qj.marginal(dist, v), qj.born_distribution(o, rho)) <= 1e-12
+    # every point is 2.8e308 from its mirror image, on the big observable's axis
+    for p, w in zip(dist.points, dist.weights):
+        assert dist.weight_at(p) == w
+
+
 def test_is_real_examples(kd_half_atoms, z_plus, y_plus):
     assert not qj.is_real(qj.evaluate_distribution(kd_half_atoms, z_plus))
     assert qj.is_real(qj.evaluate_distribution(kd_half_atoms, y_plus))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasijoint import analysis, cli, distributions
+from quasijoint import analysis, cli, distributions, linalg
+from quasijoint.errors import ValidationError
 
 from analytic_reference import KD_Z_PLUS, wigner_diagonal_half
 
@@ -266,6 +267,23 @@ def test_non_hermitian_names_field(fixtures, tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "matrix[0][1]" in err
+
+
+def test_parse_observable_checks_hermiticity_once(monkeypatch):
+    # the observable's constructor checks the matrix, and its error names the field
+    calls = []
+    check = linalg.require_hermitian
+    monkeypatch.setattr(
+        linalg, "require_hermitian", lambda *a, **k: calls.append(1) or check(*a, **k)
+    )
+    obs = cli.parse_observable({"matrix": [[[1, 0], [0, -1]], [[0, 1], [-1, 0]]]}, "a.json")
+    assert len(calls) == 1
+    assert obs.label == "a.json" and np.array_equal(obs.matrix, [[1, -1j], [1j, -1]])
+    bad = {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "label": "X"}
+    with pytest.raises(ValidationError) as info:
+        cli.parse_observable(bad, "b.json")
+    assert str(info.value).startswith("b.json:matrix[0][1]: X is not Hermitian: entry [0][1]")
+    assert len(calls) == 2
 
 
 def test_bad_bloch_parameters_exit(fixtures, tmp_path, capsys):
@@ -656,6 +674,8 @@ INVALID_INPUTS = [
     (["compute", "--scheme=kirkwood", "--out", "out_in_missing_dir"], cli.EXIT_PARSE),
     (["charfunc", "--scheme=kirkwood", "--grid=0:nan:3,0:1:2"], cli.EXIT_VALIDATION),
     (["charfunc", "--scheme=kirkwood", "--grid=0:1:3,-inf:1:2"], cli.EXIT_VALIDATION),
+    # finite ends whose span overflows: linspace would give NaN frequencies
+    (["charfunc", "--scheme=kirkwood", "--grid=-1e308:1e308:3,0:1:2"], cli.EXIT_VALIDATION),
     # step counts no array can index: refused before numpy's own errors
     (["charfunc", "--scheme=kirkwood", "--grid=0:1:4611686018427387904,0:1:2"], cli.EXIT_VALIDATION),
     (["charfunc", "--scheme=kirkwood", "--grid=0:1:9223372036854775807,0:1:2"], cli.EXIT_VALIDATION),

@@ -195,14 +195,14 @@ ROUTES = {
     ),
     "margenau-hill-0": (qj.scheme_margenau_hill(0.0), _random_pair(_RNG, 4), "svd"),
     "margenau-hill-1e-9": (qj.scheme_margenau_hill(1e-9), _random_pair(_RNG, 4), "svd"),
-    # split words close on A: blocks over entry pairs, unless A is degenerate
+    # split words close on A: blocks over entry pairs, A degenerate or not
     "s_alpha-0.25": (qj.scheme_s_alpha(0.25), _random_pair(_RNG, 4), "blocks"),
     "s_alpha-0.5-spin-j1": (qj.scheme_s_alpha(0.5), _spin_pair(2), "blocks"),
     "born-jordan-21": (qj.scheme_born_jordan(21), _random_pair(_RNG, 4), "blocks"),
     "s_alpha-degenerate": (
         qj.scheme_s_alpha(0.25),
         (qj.HermitianObservable(np.diag([1.0, 1.0, 0.0])), _spin_pair(2)[1]),
-        "svd",
+        "blocks",
     ),
     "alternating-mixed-closing": (
         qj.scheme_alternating([0.5, 0.5], [0.5, 0.5]), _random_pair(_RNG, 4), "svd"

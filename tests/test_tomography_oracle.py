@@ -120,8 +120,9 @@ def test_chart_matches_loop_oracle(dim, seed):
     assert np.abs(back - state).max() <= 1e-14
 
 
-# Split words and Born-Jordan close on A, so their maps split into blocks
-# over entry pairs of U_A^dagger rho U_A; the dense map is their oracle.
+# Split words and Born-Jordan close on A, degenerate or not, so their maps
+# split into blocks over entry pairs of U_A^dagger rho U_A; the dense map is
+# their oracle.
 SPLIT_WORDS = st.one_of(
     st.builds(qj.scheme_s_alpha, st.floats(0.0, 1.0)),
     st.builds(qj.scheme_born_jordan, st.integers(1, 6)),
@@ -143,7 +144,7 @@ def _dense_singular_values(rmap):
 @given(spec=SPLIT_WORDS, obs=observables(2), seed=st.integers(0, 2**32 - 1))
 def test_block_rank_and_state_match_the_dense_map(spec, obs, seed):
     rmap = qj.reconstruction_map(*obs, spec)
-    assert (rmap.diagnostics["inversion"] == "blocks") == (not obs[0].eig.degenerate)
+    assert rmap.diagnostics["inversion"] == "blocks"
     assert rmap.rank == tomography_oracle.reconstruction_map(*obs, spec)[2]
     s = _dense_singular_values(rmap)
     kept = int(np.count_nonzero(s > linalg.rank_threshold(s[0])))
@@ -181,6 +182,17 @@ def test_planted_merge_joins_a_diagonal_and_an_off_diagonal_pair():
     assert np.abs(got.matrix - _dense_state(rmap, dist)).max() <= 1e-10
 
 
+def test_degenerate_closing_observable_takes_blocks():
+    # diag(2, 1, 0, 0) has a double eigenvalue: its cells index eigenvector
+    # columns, so each still touches one entry pair and the map splits
+    a = qj.HermitianObservable(np.diag([2.0, 1.0, 0.0, 0.0]), "A")
+    rmap = qj.reconstruction_map(a, qj.spin_operators(3).j1, qj.scheme_s_alpha(0.25))
+    assert rmap.diagnostics["inversion"] == "blocks"
+    assert rmap.diagnostics["largest_block"] == (16, 4)
+    s = _dense_singular_values(rmap)
+    assert rmap.rank == np.count_nonzero(s > linalg.rank_threshold(s[0])) - 1 == 14
+
+
 def _entry_block_pairs():
     """Random pairs, spin pairs j <= 8, degenerate spectra of A or B, and equally spaced spectra."""
     rng = np.random.default_rng(27)
@@ -209,9 +221,7 @@ def test_entry_blocks_match_the_propagation_oracle():
                      qj.scheme_born_jordan(21)):
             atoms = qj.build_atoms(spec, obs)
             got, want = analysis._entry_blocks(atoms), tomography_oracle.entry_blocks(atoms)
-            assert (got is None) == (want is None) == obs[0].eig.degenerate
-            if got is None:
-                continue
+            assert got is not None and want is not None
             one_cell.add(atoms.values.size == len(atoms))
             assert got.kept == want.kept and len(got.groups) == len(want.groups)
             for x, y in zip(_block_arrays(got), _block_arrays(want)):

@@ -197,7 +197,7 @@ def entry_blocks(atoms: OperatorAtomSet):
     the edges), until no label moves; the rest is the library's.
     """
     (first, last), *others = atoms.closings
-    if others or first != last or atoms.eigs[first].degenerate:
+    if others or first != last:
         return None
     eig = atoms.eigs[first]
     n, p = atoms.dim, len(atoms)
