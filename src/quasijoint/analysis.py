@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import distributions, linalg
+from . import linalg
 from .distributions import (
     KirkwoodForm,
     OperatorAtomSet,
@@ -95,41 +95,23 @@ def is_real(dist: QuasiDistribution, tol: float = linalg.DEFECT_TOL) -> bool:
     return dist.max_imag() <= tol
 
 
-def _hermitian_atoms(atoms: OperatorAtomSet) -> bool:
-    """True when every atom's max |A_p - A_p^dagger| is at most ``linalg.DEFECT_TOL``.
-
-    The atoms A_p - A_p^dagger (:func:`distributions._anti_hermitian`) are
-    decided as the prune decides atoms: a lower bound above the tolerance
-    means not Hermitian, an upper bound at or below it Hermitian, and the
-    atoms in between are formed from their cells in one call.
-    """
-    tol = linalg.DEFECT_TOL
-    gap = distributions._anti_hermitian(atoms)
-    lower, upper = distributions._norm_bounds(gap)
-    if (lower > tol).any():
-        return False
-    residue = np.flatnonzero(upper > tol)
-    return not residue.size or bool((distributions._max_norms(gap, residue) <= tol).all())
-
-
 def scheme_is_real(spec, observables) -> bool:
     """True when the scheme produces real weights for every state.
 
     That is h(-s)^dagger = h(s) for all s; distinct atom points make the
     exp(-i s.x_p) linearly independent, so this holds exactly when every
-    operator atom is Hermitian. The atoms are those :func:`build_atoms`
-    returns, and A_p - A_p^dagger is read off their cells, each cell's
-    conjugate transpose on the reversed closing: the scheme is real when
-    every max |A_p - A_p^dagger| is at most ``linalg.DEFECT_TOL``
-    (:func:`_hermitian_atoms`). No trace is taken. An atom the prune drops
-    has a max-norm below ``linalg.ROUNDING_TOL``, so its gap could not
-    reach the tolerance. The symmetric scheme is always real:
+    operator atom is Hermitian: the scheme is real when the atoms
+    :func:`build_atoms` returns are (:meth:`OperatorAtomSet.is_hermitian`,
+    every max |A_p - A_p^dagger| at most ``linalg.DEFECT_TOL``, decided off
+    the cells by the prune's own rule). No trace is taken. An atom the
+    prune drops has a max-norm below ``linalg.ROUNDING_TOL``, so its gap
+    could not reach the tolerance. The symmetric scheme is always real:
     exp(-i s.A)^dagger at -s is exp(-i s.A) for Hermitian A.
     """
     _check_observables(spec.n_vars, observables)
     if isinstance(spec, WignerScheme):
         return True
-    return _hermitian_atoms(build_atoms(spec, observables))
+    return build_atoms(spec, observables).is_hermitian()
 
 
 def diag_equality_check(spec, observables) -> bool:
@@ -610,7 +592,7 @@ def reconstruct_state(rmap: ReconstructionMap, dist: QuasiDistribution) -> Densi
     weight), is used as is. In any other distribution each point
     adds its weight to the first support point within ``linalg.COORD_TOL``
     in every coordinate (one vectorized lookup against the map's cached
-    support index, :func:`~quasijoint.distributions._match_rows`). Support
+    support index, :meth:`~quasijoint.distributions._SupportIndex.match`). Support
     points missing from the distribution count as weight zero;
     distribution atoms off the map support beyond ``linalg.DEFECT_TOL``
     raise SupportMismatchError. The two agree exactly: support rows differ

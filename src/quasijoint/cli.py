@@ -452,7 +452,7 @@ def run_verify(args):
     dist = distributions.evaluate_distribution(atoms, state)
     support = analysis.verify_support(dist, observables, args.tol_support)
     real = analysis.is_real(dist, args.tol_real)
-    scheme_real = analysis._hermitian_atoms(atoms)
+    scheme_real = atoms.is_hermitian()
     header = ["check", "result", "detail"]
     offending = ";".join(
         "(" + " ".join(fmt_g(c) for c in p) + ")" for p in support.offending

@@ -458,6 +458,16 @@ class OperatorAtomSet:
         total.ravel()[:: total.shape[0] + 1] -= 1  # minus the identity, in place
         return float(np.abs(total).max())
 
+    def is_hermitian(self) -> bool:
+        """True when every atom's max |A_p - A_p^dagger| is at most ``linalg.DEFECT_TOL``.
+
+        The atoms A_p - A_p^dagger are read off the cells (:func:`_anti_hermitian`)
+        and decided by the prune's own rule (:func:`_reaches`): none may
+        reach the float just past the tolerance.
+        """
+        reach, _ = _reaches(_anti_hermitian(self), np.nextafter(linalg.DEFECT_TOL, np.inf))
+        return not reach.any()
+
     def kirkwood_form(self):
         """The atoms as Kirkwood-Dirac weights mixed with their conjugates, or None.
 
@@ -799,36 +809,39 @@ def _max_norms(atoms: OperatorAtomSet, which) -> np.ndarray:
     return np.array([np.abs(atoms._scatter(atoms.values[c], c)).max() for c in cells])
 
 
-def _kept(atoms: OperatorAtomSet) -> np.ndarray:
-    """Which atoms have a max-norm of at least ``linalg.ROUNDING_TOL``, decided off the cells.
+def _reaches(atoms: OperatorAtomSet, tol):
+    """Which atoms have a max-norm of at least ``tol``, decided off the cells, and their upper bounds.
 
-    An atom is dropped when its upper bound (:func:`_norm_bounds`) lies
-    below the tolerance and kept when its lower bound reaches it; the few
-    in between, the residue, are formed from their cells (:func:`_max_norms`).
+    An atom falls short when its upper bound (:func:`_norm_bounds`) lies
+    below ``tol`` and reaches it when its lower bound does; the few in
+    between, the residue, are formed from their cells (:func:`_max_norms`).
+    The prune keeps the atoms that reach ``linalg.ROUNDING_TOL``
+    (:func:`_prune`); realness is the anti-Hermitian parts reaching none
+    past ``linalg.DEFECT_TOL`` (:meth:`OperatorAtomSet.is_hermitian`).
     """
-    tol = linalg.ROUNDING_TOL
     lower, upper = _norm_bounds(atoms)
-    keep = lower >= tol
-    residue = np.flatnonzero(~keep & (upper >= tol))
+    reach = lower >= tol
+    residue = np.flatnonzero(~reach & (upper >= tol))
     if residue.size:
-        keep[residue] = _max_norms(atoms, residue) >= tol
-    return keep
+        reach[residue] = _max_norms(atoms, residue) >= tol
+    return reach, upper
 
 
 def _prune(atoms: OperatorAtomSet):
-    """The atoms :func:`_kept` keeps and their identity defect, with dropped atoms put back if it fails.
+    """The atoms :func:`_reaches` keeps and their identity defect, with dropped atoms put back if it fails.
 
-    Each dropped atom is below ``linalg.ROUNDING_TOL``, but thousands of
-    them can sum past ``linalg.DEFECT_TOL`` (born_jordan(5) on the spin
-    pairs of j = 59/2 ... 63/2 drops 3508 to 5564 for a defect of 1.1e-10
-    to 1.7e-10). Only when the kept atoms miss the identity by more than
-    that are dropped atoms put back, largest upper bound first, 1, 2, 4,
-    ... of them, each set checked with one scatter of its cells
-    (:meth:`OperatorAtomSet.identity_defect`), up to the first within
+    An atom is kept when its max-norm reaches ``linalg.ROUNDING_TOL``.
+    Each dropped atom is below it, but thousands of them can sum past
+    ``linalg.DEFECT_TOL`` (born_jordan(5) on the spin pairs of
+    j = 59/2 ... 63/2 drops 3508 to 5564 for a defect of 1.1e-10 to
+    1.7e-10). Only when the kept atoms miss the identity by more than that
+    are dropped atoms put back, largest upper bound first (the bounds the
+    prune read), 1, 2, 4, ... of them, each set checked with one scatter
+    of its cells (:meth:`OperatorAtomSet.identity_defect`), up to the first within
     ``DEFECT_TOL``; with all of them back, the unpruned atoms are returned.
     Atoms that pass without it are returned as the prune alone leaves them.
     """
-    keep, order, back = _kept(atoms), None, 0
+    (keep, upper), order, back = _reaches(atoms, linalg.ROUNDING_TOL), None, 0
     while not keep.all():
         counts = np.diff(atoms.bounds)
         cells, counts = np.repeat(keep, counts), counts[keep]
@@ -844,7 +857,7 @@ def _prune(atoms: OperatorAtomSet):
             return kept, defect
         if order is None:  # the dropped atoms, largest upper bound first
             dropped = np.flatnonzero(~keep)
-            order = dropped[np.argsort(-_norm_bounds(atoms)[1][dropped], kind="stable")]
+            order = dropped[np.argsort(-upper[dropped], kind="stable")]
         back = 2 * back or 1
         keep[order[:back]] = True
     return atoms, atoms.identity_defect()
@@ -1050,23 +1063,19 @@ def marginal(dist: QuasiDistribution, keep_var: int) -> QuasiDistribution:
 def born_distribution(observable: HermitianObservable, rho: DensityState) -> QuasiDistribution:
     """Outcome distribution of a single observable, from its projectors.
 
-    The weights Tr(rho P_a) are the one-factor weight table of
-    :func:`_word_weights`. Atoms sit at every distinct eigenvalue,
-    including zero-weight ones.
+    The weights Tr(rho P_a) are the real parts of the one-factor weight
+    table of :func:`_word_weights`, the diagonal of U^dagger rho U summed
+    within eigenvalue groups, taken with no second check: the state was
+    validated once, so a weight can dip to -``linalg.POSITIVITY_SLACK``
+    times its group's multiplicity. Atoms sit at every distinct
+    eigenvalue, ascending, including zero-weight ones.
     """
     if observable.dim != rho.dim:
         raise DimensionMismatchError(
             f"observable dim {observable.dim} vs state dim {rho.dim}"
         )
     eig = observable.eig
-    raw = _word_weights([eig], rho.matrix)
-    if np.abs(raw.imag).max() > linalg.ROUNDING_TOL:
-        raise QuasiJointError("Born weights came out non-real; inputs are inconsistent")
-    w = raw.real
-    # the projectors are complete, so the weights must sum to Tr rho, which
-    # DensityState only holds to 1 within its own trace tolerance
-    if w.min() < -linalg.DEFECT_TOL or abs(w.sum() - rho.matrix.trace().real) > linalg.ROUNDING_TOL:
-        raise QuasiJointError("Born weights are not a probability distribution")
+    w = _word_weights([eig], rho.matrix).real
     order = np.argsort(eig.eigenvalues)  # ascending, matching the sorted convention
     points = eig.eigenvalues[order].reshape(-1, 1)
     meta = {"scheme": "born", "observables": (observable.label,), "approximate": False}
@@ -1308,11 +1317,12 @@ def _unit_phases(theta) -> np.ndarray:
 
 
 class _SupportIndex:
-    """The support side of :func:`_match_rows`, built once per support.
+    """Support rows indexed once, to find the first row matching each point (:meth:`match`).
 
-    Per variable the sorted distinct support values; per row a key, its
-    position in the grid of those values; the sorted distinct keys, with
-    the first row holding each.
+    A row matches when every coordinate is within ``linalg.COORD_TOL`` of
+    the point's. Per variable the index holds the sorted distinct support
+    values; per row a key, its position in the grid of those values; the
+    sorted distinct keys, with the first row holding each.
     """
 
     def __init__(self, support):
@@ -1328,7 +1338,14 @@ class _SupportIndex:
         )
 
     def match(self, points) -> np.ndarray:
-        """Index of the first support row matching each point, or -1 (:func:`_match_rows`)."""
+        """Index of the first support row matching each point, or -1.
+
+        Per variable, a point's candidates are a run of the sorted distinct
+        support values, found by ``np.searchsorted``; a combination of
+        candidates is a row key, looked up among the support rows' keys,
+        and the smallest matching row wins. Nothing of size points x
+        support is formed.
+        """
         lo = np.empty(points.shape, dtype=np.intp)
         span = np.empty_like(lo)
         for v, values in enumerate(self.values):
@@ -1347,29 +1364,16 @@ class _SupportIndex:
         return best
 
 
-def _match_rows(points, support) -> np.ndarray:
-    """Index of the first support row matching each point, or -1.
-
-    A row matches when every coordinate is within ``linalg.COORD_TOL`` of
-    the point's. Per variable, a point's candidates are a run of the sorted
-    distinct support values, found by ``np.searchsorted``; a combination of
-    candidates is a row key, looked up among the support rows' keys
-    (:class:`_SupportIndex`), and the smallest matching row wins. Nothing
-    of size points x support is formed.
-    """
-    return _SupportIndex(support).match(points)
-
-
 def max_weight_deviation(a: QuasiDistribution, b: QuasiDistribution) -> float:
     """Largest absolute weight difference after matching support points.
 
     Each point of ``a`` is paired with the first point of ``b`` within
-    ``linalg.COORD_TOL`` in every coordinate (:func:`_match_rows`). Points
-    present on one side only count with their full weight.
+    ``linalg.COORD_TOL`` in every coordinate (:meth:`_SupportIndex.match`).
+    Points present on one side only count with their full weight.
     """
     if a.n_vars != b.n_vars:
         raise DimensionMismatchError("distributions have different variable counts")
-    idx = _match_rows(a.points, b.points)
+    idx = _SupportIndex(b.points).match(a.points)
     hit = idx >= 0
     partner = np.zeros(len(a), dtype=complex)
     partner[hit] = b.weights[idx[hit]]

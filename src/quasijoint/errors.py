@@ -32,10 +32,6 @@ class DimensionMismatchError(QuasiJointError, ValueError):
     """Operator and state dimensions do not agree."""
 
 
-class NonRealExpectationError(QuasiJointError, ArithmeticError):
-    """Expectation value carries a non-negligible imaginary part."""
-
-
 class RankDeficientError(QuasiJointError, RuntimeError):
     """Coefficient map does not determine the state (rank below N^2 - 1)."""
 

@@ -9,7 +9,8 @@ brute-force oracle within 1e-12 (points exactly), and on small spin
 pairs no atom may be formed densely. ``weights_for`` takes exactly one
 N x N matrix, and the prune's residue, the atoms between its two bounds,
 formed densely from their own cells, keeps the atoms the oracle's dense
-max-norm keeps, also on the spin-23/2 pair.
+max-norm keeps, also on the spin-23/2 pair; realness decided there by the
+same rule is the oracle's.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasijoint as qj
-from quasijoint import distributions
+from quasijoint import distributions, linalg
 from quasijoint.errors import DimensionMismatchError
 
 import atoms_oracle
@@ -173,6 +174,9 @@ def test_forced_residue_keeps_the_oracle_atoms(spin_one, monkeypatch):
         assert len(got) == len(want)
         assert np.array_equal(got.points, want.points)
         assert np.abs(atoms_oracle.matrices(got) - want.matrices).max() <= 1e-12
+        # realness shares the prune's rule, so it too is decided in the residue
+        m = want.matrices
+        assert got.is_hermitian() == (np.abs(m - m.conj().transpose(0, 2, 1)).max() <= linalg.DEFECT_TOL)
 
 
 def test_residue_max_norms_match_the_oracle_on_a_large_spin_pair():

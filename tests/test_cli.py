@@ -435,6 +435,19 @@ def test_commands_take_only_the_flags_they_read(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+def test_marginals_accept_a_state_at_the_positivity_slack(fixtures, tmp_path):
+    # eigenvalue -5e-10 passes DensityState; its Born weight is read as is
+    j3 = tmp_path / "j3.json"
+    j3.write_text(json.dumps({"builtin": "spin:1/2", "component": 3}))
+    state = tmp_path / "slack.json"
+    state.write_text(json.dumps({"density": [[[1 + 5e-10, 0], [0, 0]], [[0, 0], [-5e-10, 0]]]}))
+    out = tmp_path / "marg.json"
+    argv = ["marginals", "--scheme", "kirkwood", "--obs", str(j3), "--obs", fixtures["j1"],
+            "--state", str(state), "--format", "json"]
+    assert run_cli(argv, out) == 0
+    assert json.loads(out.read_text())["max_deviation"] <= 1e-9
+
+
 def test_marginals_accept_state_trace_within_tolerance(fixtures, tmp_path):
     # trace 1 + 5e-11 passes DensityState; Born weights sum to that trace
     state = tmp_path / "trace_off.json"

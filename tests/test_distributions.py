@@ -299,6 +299,15 @@ def test_born_examples(spin_half, spin_one, z_plus):
         assert abs(d.weight_at([value]) - 1 / 3) <= 1e-12
 
 
+def test_born_weights_of_a_state_at_the_positivity_slack(spin_half):
+    # DensityState accepts eigenvalues down to -POSITIVITY_SLACK; the Born
+    # weights are the real diagonal sums, with no second check
+    rho = qj.DensityState(np.diag([1 + 5e-10, -5e-10]))
+    d = qj.born_distribution(spin_half.j3, rho)
+    assert np.array_equal(d.points, [[-0.5], [0.5]])
+    assert np.array_equal(d.weights, [-5e-10, 1 + 5e-10])
+
+
 # ---------------------------------------------------------------------------
 # quantization and duality
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import quasijoint as qj
 from quasijoint import linalg
-from quasijoint.distributions import _match_rows
+from quasijoint.distributions import _SupportIndex
 from quasijoint.errors import SupportMismatchError
 
 import atoms_oracle
@@ -96,7 +96,7 @@ def test_matcher_indices_match_oracle(spec, obs, seed):
     rng = np.random.default_rng(seed)
     support = qj.build_atoms(spec, obs).points
     points = probe_points(rng, support)
-    got = _match_rows(points, support)
+    got = _SupportIndex(support).match(points)
     assert np.array_equal(got, oracle_match(points, support))
     # every jittered copy finds its row
     assert np.count_nonzero(got >= 0) >= len(support)
@@ -183,7 +183,7 @@ def test_matcher_on_crowded_support(seed, n_vars):
     points = np.concatenate(
         [support + rng.uniform(-TOL, TOL, size=support.shape), probe_points(rng, support)]
     )
-    assert np.array_equal(_match_rows(points, support), oracle_match(points, support))
+    assert np.array_equal(_SupportIndex(support).match(points), oracle_match(points, support))
 
 
 def test_matcher_forms_no_points_by_support_array():
@@ -191,7 +191,7 @@ def test_matcher_forms_no_points_by_support_array():
     support = np.unique(rng.integers(0, 4000, size=(4000, 2)) * 1e-3, axis=0)
     points = probe_points(rng, support)
     tracemalloc.start()
-    got = _match_rows(points, support)
+    got = _SupportIndex(support).match(points)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     # one boolean per (point, support row) would take len(points) * len(support) bytes

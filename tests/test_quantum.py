@@ -132,6 +132,16 @@ def test_expectation_examples(spin_half):
     assert abs(qj.expectation(spin_half.j3, state) - want) <= 1e-12
 
 
+def test_expectation_is_the_real_part_at_any_scale():
+    # at ||A|| ~ 1e7 the rounding in Im Tr(A rho) reaches about 5e-10; the
+    # exact trace of validated matrices is real, so that part is dropped
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        obs = qj.HermitianObservable(qj.random_hermitian(8, rng) * 1e7)
+        rho = qj.random_density(8, rng)
+        assert qj.expectation(obs, rho) == np.trace(obs.matrix @ rho.matrix).real
+
+
 def test_expectation_dimension_mismatch(spin_one):
     with pytest.raises(DimensionMismatchError):
         qj.expectation(spin_one.j3, qj.DensityState.maximally_mixed(2))
